@@ -48,7 +48,6 @@ class RunConfig:
     u_list: tuple = (1.0,)
     mc_n: int = 2_000_000
     seed: int = 0
-    shards: int = 1
     sim_grid: int = 128
     sim_spacing: float = 11.3 / 128
     sim_realizations: int = 200
@@ -95,7 +94,7 @@ class RunConfig:
             },
             "r": list(self.r_list),
             "u": list(self.u_list),
-            "mc": {"n": self.mc_n, "seed": self.seed, "shards": self.shards},
+            "mc": {"n": self.mc_n, "seed": self.seed},
             "sim": {
                 "grid": self.sim_grid,
                 "spacing": self.sim_spacing,
@@ -151,7 +150,6 @@ def load_config(path):
         u_list=tuple(raw.get("u", (1.0,))),
         mc_n=int(mc.get("n", 2_000_000)),
         seed=int(mc.get("seed", 0)),
-        shards=int(mc.get("shards", 1)),
         sim_grid=int(sim.get("grid", 128)),
         sim_spacing=float(sim.get("spacing", 11.3 / 128)),
         sim_realizations=int(sim.get("realizations", 200)),

@@ -8,6 +8,11 @@ rebuilt Hessian, and restrict by index and by both field values exceeding the
 threshold.  All reported ratios are self-normalized on a common sample, so
 the closed-form prefactor cancels exactly.
 
+Only live samples, those with both field values above the threshold, are
+mapped to Hessians; the rest carry no mass.  A live Hessian's determinant
+and index come from one LDL^T pass (a closed form at N=2), with an eigvalsh
+fallback for the rare rows whose pivots cannot settle the index.
+
 Sampling is deterministic: a root seed plus a named stream and a fixed chunk
 plan define counter-based substreams, so identical seeds reproduce identical
 estimates regardless of how chunks are scheduled.  High thresholds use a
@@ -128,6 +133,83 @@ def _batch_index(hessians, tol_factor=1e-10):
     idx = (eigs < -tol[:, None]).sum(axis=1)
     degen = (np.abs(eigs) <= tol[:, None]).any(axis=1)
     return idx, degen
+
+
+PIVOT_FLOOR = 1e-3   # smallest |leading pivot| / ||H||_F the LDL^T result is kept at
+DET_FLOOR = 1e-8     # 100 times the degeneracy tolerance of _batch_index, per ||H||_F
+
+
+def _ldl_pivots(hessians):
+    """Pivots d_1..d_N of H = L D L^T without pivoting, one array per step.
+
+    The elimination runs over the upper triangle, entry by entry, each entry
+    an array across the batch; a zero pivot yields inf/nan further down.
+    """
+    n_dim = hessians.shape[-1]
+    s = {(i, j): hessians[:, i, j] for i in range(n_dim) for j in range(i, n_dim)}
+    pivots = []
+    for p in range(n_dim):
+        pivots.append(s[p, p])
+        for i in range(p + 1, n_dim):
+            ell = s[p, i] / s[p, p]
+            for j in range(i, n_dim):
+                s[i, j] = s[i, j] - ell * s[p, j]
+    return pivots
+
+
+def _inertia(hessians):
+    """Determinant, index and degeneracy flags of a (m, N, N) symmetric batch.
+
+    One factorization gives all three.  At N=2 the closed form det = ac - b^2
+    gives the index (1 if det < 0, else 0 or 2 by the sign of the trace); at
+    N=3, 4 an unrolled LDL^T gives the determinant as the product of the
+    pivots and, by Sylvester's law of inertia, the index as the number of
+    negative pivots.  A row keeps this result only where it must agree with
+    :func:`_batch_index`.  With floor = ``DET_FLOOR * ||H||_F``:
+
+    - every pivot but the last exceeds ``PIVOT_FLOOR * ||H||_F`` in
+      magnitude, which bounds the multipliers of the elimination, and the
+      last pivot, which divides nothing, exceeds floor, far above its
+      rounding;
+    - |det| exceeds floor * ||H||_F^(N-1).  Since
+      |det| <= |lambda_min| ||H||_2^(N-1), every eigenvalue then lies beyond
+      floor, a hundred times the degeneracy tolerance, so the row is not
+      degenerate.
+
+    Every other row, and every row at N >= 5, takes ``np.linalg.det`` and
+    :func:`_batch_index`, which keeps its index and degeneracy flag exactly.
+    The last pivot is held only to the lower floor because near a
+    conditioned critical point the small eigenvalue lies along the last axis
+    and lands in that pivot; with ``PIVOT_FLOOR`` there, 15-20 % of such
+    Hessians at N=3, 4 would fall back instead of well under 0.1 %.
+    """
+    hessians = np.asarray(hessians, dtype=float)
+    count, n_dim = hessians.shape[0], hessians.shape[-1]
+    det = np.zeros(count)
+    idx = np.zeros(count, dtype=np.intp)
+    ok = np.zeros(count, dtype=bool)
+    if n_dim <= 4:
+        norm = np.maximum(np.sqrt(np.einsum("kij,kij->k", hessians, hessians)), 1e-300)
+        with np.errstate(all="ignore"):
+            if n_dim == 2:
+                a, b, c = hessians[:, 0, 0], hessians[:, 0, 1], hessians[:, 1, 1]
+                det = a * c - b * b
+                idx = np.where(det < 0.0, 1, np.where(a + c > 0.0, 0, 2))
+                ok = np.abs(det) / norm / norm > DET_FLOOR
+            else:
+                pivots = np.stack(_ldl_pivots(hessians))
+                det = pivots.prod(axis=0)
+                idx = (pivots < 0.0).sum(axis=0)
+                rel = np.abs(pivots) / norm
+                ok = ((rel[:-1] > PIVOT_FLOOR).all(axis=0) & (rel[-1] > DET_FLOOR)
+                      & (rel.prod(axis=0) > DET_FLOOR))
+    degen = np.zeros(count, dtype=bool)
+    slow = np.flatnonzero(~ok)
+    if slow.size:
+        sub = hessians[slow]
+        det[slow] = np.linalg.det(sub)
+        idx[slow], degen[slow] = _batch_index(sub)
+    return det, idx, degen
 
 
 # ---------------------------------------------------------------------------
@@ -253,13 +335,23 @@ def _accumulate(model, factor, u_thr, n, seed, stream, shift, antithetic,
     component of the integrand cancels); "flip" pairs y' with the reflection
     negating the kernel coordinates, which swaps the two determinant-sign
     classes in the r -> 0 limit and all but removes the shared noise from
-    sign ratios.  Returns per-index |det|-mass buckets (plus a degenerate
-    bucket) and, when ``num_sel``/``den_sel`` are given, pair-level first and
-    second moments for delta-method error bars.
+    sign ratios.
+
+    Each chunk first maps the samples through the last two rows of
+    ``factor`` only, the two field values, and keeps the live samples, those
+    with both values above ``u_thr``; every other sample has zero mass.  Only
+    the live samples are mapped to Hessians, weighted, and passed to
+    :func:`_inertia`, one LDL^T pass for determinant and index, with an
+    eigvalsh fallback for the few rows it cannot settle.  ``u_thr=None``
+    means ``factor`` has the Hessian rows only and every sample is live.
+
+    Returns per-index |det|-mass buckets and hit counts (index 0..N, then
+    degenerate) and, when ``num_sel``/``den_sel`` are given, pair-level first
+    and second moments for delta-method error bars.
     """
     n_dim = model.n_dim
     m = model.vech_dim
-    L = m + 2
+    L = factor.shape[1]
     if antithetic is True:
         antithetic = "negate"
     half_plan = antithetic in ("negate", "flip")
@@ -267,17 +359,22 @@ def _accumulate(model, factor, u_thr, n, seed, stream, shift, antithetic,
     if half_plan and n % 2:
         n += 1
     rank0 = L - n_dim - 1
-    buckets = np.zeros(n_dim + 2)  # index 0..N, then degenerate mass
-    counts = np.zeros(n_dim + 2, dtype=np.int64)
+    n_cls = n_dim + 2  # index 0..N, then degenerate
+    buckets = np.zeros(n_cls)
+    counts = np.zeros(n_cls, dtype=np.int64)
     s_a = s_b = s_aa = s_bb = s_ab = 0.0
     n_units = 0
     want_query = num_sel is not None
-    num_mask = np.zeros(n_dim + 1, dtype=bool)
-    den_mask = np.zeros(n_dim + 1, dtype=bool)
+    num_mask = np.zeros(n_cls, dtype=bool)
+    den_mask = np.zeros(n_cls, dtype=bool)
     if want_query:
         num_mask[list(num_sel)] = True
         if den_sel is not None:
             den_mask[list(den_sel)] = True
+    hess_rows = factor[:m].T
+    value_rows = factor[m:].T
+    if shift is not None:
+        half_shift_sq = 0.5 * float(shift @ shift)
 
     done = 0
     chunk_id = 0
@@ -293,28 +390,26 @@ def _accumulate(model, factor, u_thr, n, seed, stream, shift, antithetic,
             ys = np.concatenate([innov, partner], axis=0)
         else:
             ys = rng.standard_normal((take, L))
-        if shift is not None:
-            logw = -(ys @ shift) - 0.5 * float(shift @ shift)
-            w = np.exp(logw)
-            ys = ys + shift
+        shifted = ys if shift is None else ys + shift
+        if u_thr is None:
+            rows = slice(None)
         else:
-            w = np.ones(ys.shape[0])
-        vals = ys @ factor.T
-        hess = matriculate_batch(vals[:, :m], n_dim)
-        dets = np.linalg.det(hess)
-        idx, degen = _batch_index(hess)
-        live = (vals[:, m] > u_thr) & (vals[:, m + 1] > u_thr)
-        mass = w * np.abs(dets) * live
-        for k in range(n_dim + 1):
-            pick = (idx == k) & ~degen
-            buckets[k] += mass[pick].sum()
-            counts[k] += int((pick & live).sum())
-        buckets[-1] += mass[degen].sum()
-        counts[-1] += int((degen & live).sum())
+            vals = shifted @ value_rows
+            rows = np.flatnonzero((vals[:, 0] > u_thr) & (vals[:, 1] > u_thr))
+        hess = matriculate_batch(shifted[rows] @ hess_rows, n_dim)
+        dets, idx, degen = _inertia(hess)
+        mass = np.abs(dets)
+        if shift is not None:
+            mass *= np.exp(-(ys[rows] @ shift) - half_shift_sq)
+        cls = np.where(degen, n_dim + 1, idx)
+        buckets += np.bincount(cls, weights=mass, minlength=n_cls)
+        counts += np.bincount(cls, minlength=n_cls)
 
         if want_query:
-            a = np.where(num_mask[idx] & ~degen, mass, 0.0)
-            b = np.where(den_mask[idx] & ~degen, mass, 0.0)
+            a = np.zeros(take)
+            b = np.zeros(take)
+            a[rows] = np.where(num_mask[cls], mass, 0.0)
+            b[rows] = np.where(den_mask[cls], mass, 0.0)
             if half_plan:
                 half = take // 2
                 a = a[:half] + a[half:]
@@ -380,7 +475,8 @@ def rice_density_mc(model, r, u_thr, k=None, n=200_000, seed=0, u_dir=None,
         n_degenerate=int(acc["counts"][-1]),
         wall_ms=(time.perf_counter() - t0) * 1e3,
         extras={"raw_sum": raw, "bucket_sums": acc["buckets"][: model.n_dim + 1].copy(),
-                "prefactor": pref, "mean_unit": mean_unit},
+                "prefactor": pref, "mean_unit": mean_unit,
+                "class_hits": acc["counts"].copy()},
     )
 
 
@@ -426,7 +522,8 @@ def index_ratio_mc(model, r, u_thr, num_indices, den_indices, n=2_000_000, seed=
         n_degenerate=int(acc["counts"][-1]),
         wall_ms=(time.perf_counter() - t0) * 1e3,
         extras={"num_sum": num_sum, "den_sum": den_sum,
-                "bucket_sums": acc["buckets"][: model.n_dim + 1].copy()},
+                "bucket_sums": acc["buckets"][: model.n_dim + 1].copy(),
+                "class_hits": acc["counts"].copy()},
     )
 
 
@@ -464,42 +561,34 @@ def mean_critical_density(model, k=None, n=500_000, seed=0):
 
     The gradient and the Hessian at a point are independent, so the density
     is the gradient density at zero times E|det| restricted to the index
-    class, with the Hessian drawn from its stationary law.
+    class, with the Hessian drawn from its stationary law.  ``k=None`` places
+    no index restriction.  The samples come from the same loop as the
+    conditioned estimators, with the stationary Hessian factor, no threshold
+    and no pairing.
     """
     t0 = time.perf_counter()
     n_dim = model.n_dim
-    g22 = _g22_origin(model.d2, n_dim)
-    lam, vec = np.linalg.eigh(g22)
+    lam, vec = np.linalg.eigh(_g22_origin(model.d2, n_dim))
     root = vec * np.sqrt(np.clip(lam, 0.0, None))[None, :]
     p_grad0 = (-4.0 * math.pi * model.d1) ** (-n_dim / 2.0)
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    chunk_id = 0
-    m = g22.shape[0]
-    while done < n:
-        take = min(CHUNK, n - done)
-        rng = _chunk_rng(seed, STREAMS["unconditional"], chunk_id)
-        xs = rng.standard_normal((take, m)) @ root.T
-        hess = matriculate_batch(xs, n_dim)
-        dets = np.abs(np.linalg.det(hess))
-        if k is not None:
-            idx, degen = _batch_index(hess)
-            dets = np.where((idx == k) & ~degen, dets, 0.0)
-        total += dets.sum()
-        total_sq += (dets ** 2).sum()
-        done += take
-        chunk_id += 1
-    mean = total / n
-    var = max(total_sq / n - mean ** 2, 0.0)
+    if k is None:
+        sel = tuple(range(n_dim + 1))
+    else:
+        sel = (int(k),) if 0 <= k <= n_dim else ()
+    acc = _accumulate(model, root, None, n, seed, STREAMS["unconditional"], None,
+                      None, num_sel=sel)
+    n = acc["n"]
+    mean = acc["sum_a"] / n
+    var = max(acc["sum_aa"] / n - mean ** 2, 0.0)
     return RiceEstimate(
         value=p_grad0 * mean,
         stderr=p_grad0 * math.sqrt(var / n),
-        n=int(n),
+        n=n,
         seed=int(seed),
         k=k,
         r=0.0,
         u_threshold=-math.inf,
+        n_degenerate=int(acc["counts"][-1]),
         wall_ms=(time.perf_counter() - t0) * 1e3,
     )
 

@@ -76,10 +76,9 @@ def matriculate_batch(a, n_dim):
     if a.shape[-1] < m:
         raise ValueError(f"last axis must have at least {m} coordinates")
     rows, cols = vech_indices(n_dim)
-    out = np.zeros(a.shape[:-1] + (n_dim, n_dim))
-    out[..., rows, cols] = a[..., :m]
-    out[..., cols, rows] = a[..., :m]
-    return out
+    pos = np.empty((n_dim, n_dim), dtype=np.intp)
+    pos[rows, cols] = pos[cols, rows] = np.arange(m)
+    return np.take(a, pos, axis=-1)
 
 
 def vectorize_sym(mat):

@@ -93,6 +93,20 @@ class TestArtifacts:
         assert payload["config"]["mc"]["n"] == 40000
         assert payload["seed"] == 5
 
+    def test_config_with_shards_key_still_loads(self, tmp_path):
+        # configs written by older versions carry an unused mc.shards key
+        cfg = tmp_path / "old.json"
+        cfg.write_text(json.dumps({
+            "schema": 1,
+            "model": {"family": "gaussian", "params": {"a": 1.0}, "N": 2},
+            "r": [0.1], "u": [1.0],
+            "mc": {"n": 30000, "seed": 7, "shards": 4},
+        }))
+        assert run_cli("share", "--config", str(cfg), "--out", str(tmp_path)) == 0
+        payload = read(tmp_path / "share.json")
+        assert payload["config"]["mc"] == {"n": 30000, "seed": 7}
+        assert payload["results"][0]["seed"] == 7
+
     def test_saved_artifact_config_reproduces_run(self, tmp_path):
         # the embedded config is a valid config file: feeding it back yields
         # bit-identical values

@@ -223,3 +223,116 @@ def test_mean_critical_density_total_partition(gauss2):
     total = mean_critical_density(gauss2, k=None, n=200_000, seed=0)
     parts = [mean_critical_density(gauss2, k=k, n=200_000, seed=0) for k in (0, 1, 2)]
     assert sum(p.value for p in parts) == pytest.approx(total.value, rel=1e-12)
+
+
+def _reference_inertia(hessians):
+    """The eigvalsh route the LDL^T kernel replaced: det plus _batch_index."""
+    idx, degen = rice_mod._batch_index(hessians)
+    return np.linalg.det(hessians), idx, degen
+
+
+def _symmetric_batch(rng, count, n_dim):
+    g = rng.standard_normal((count, n_dim, n_dim))
+    return 0.5 * (g + g.transpose(0, 2, 1))
+
+
+def _assert_same_inertia(hessians):
+    det, idx, degen = rice_mod._inertia(hessians)
+    ref_det, ref_idx, ref_degen = _reference_inertia(hessians)
+    np.testing.assert_array_equal(idx, ref_idx)
+    np.testing.assert_array_equal(degen, ref_degen)
+    np.testing.assert_allclose(det, ref_det, rtol=1e-10, atol=0.0)
+
+
+class TestInertiaKernel:
+    @pytest.mark.parametrize("n_dim", [2, 3, 4])
+    def test_matches_eigvalsh_on_random_batches(self, rng, n_dim):
+        _assert_same_inertia(_symmetric_batch(rng, 1 << 17, n_dim))
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+    def test_zero_pivots_and_singular(self, rng, scale):
+        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+        cases = [
+            swap,
+            np.block([[swap, np.zeros((2, 1))], [np.zeros((1, 2)), -np.eye(1)]]),
+            np.block([[swap, np.zeros((2, 2))], [np.zeros((2, 2)), np.diag([2.0, -3.0])]]),
+            np.diag([1.0, 0.0, -2.0]),
+            np.ones((2, 2)),
+        ]
+        with np.errstate(over="ignore"):  # det overflows at 1e150, on both routes
+            for mat in cases:
+                _assert_same_inertia(scale * mat[None])
+            for n_dim in (2, 3, 4):
+                _assert_same_inertia(scale * _symmetric_batch(rng, 4096, n_dim))
+        det, idx, degen = rice_mod._inertia(scale * np.diag([1.0, 0.0, -2.0])[None])
+        assert degen[0] and idx[0] == 1
+        assert rice_mod._inertia(scale * np.ones((1, 2, 2)))[2][0]
+
+    def test_five_dimensions_fall_back(self, rng):
+        hess = _symmetric_batch(rng, 2048, 5)
+        det, idx, degen = rice_mod._inertia(hess)
+        ref_det, ref_idx, ref_degen = _reference_inertia(hess)
+        np.testing.assert_array_equal(det, ref_det)
+        np.testing.assert_array_equal(idx, ref_idx)
+        np.testing.assert_array_equal(degen, ref_degen)
+
+    @pytest.mark.parametrize("n_dim", [2, 3, 4])
+    def test_few_rows_fall_back(self, rng, monkeypatch, n_dim):
+        seen = []
+        original = rice_mod._batch_index
+
+        def counting(hessians, *args):
+            seen.append(len(hessians))
+            return original(hessians, *args)
+
+        monkeypatch.setattr(rice_mod, "_batch_index", counting)
+        rice_mod._inertia(_symmetric_batch(rng, 1 << 15, n_dim))
+        assert sum(seen) < 0.01 * (1 << 15)
+
+
+@pytest.mark.parametrize("model_name", ["gauss2", "gauss3"])
+def test_estimates_match_eigvalsh_route(request, monkeypatch, model_name):
+    # the eigvalsh route survives only here, as the oracle of the fast path
+    model = request.getfixturevalue(model_name)
+    n = 150_000  # one full chunk and a partial one
+    runs = {
+        "density": lambda: rice_density_mc(model, 0.3, 0.5, k=None, n=n, seed=4),
+        "share": lambda: maxima_share(model, 0.05, 3.0, n=n, seed=1),
+        "share_flip": lambda: maxima_share(model, 0.05, 3.0, n=n, seed=1,
+                                           antithetic="flip"),
+        "sign": lambda: sign_ratio(model, 0.1, 1.0, n=n, seed=2),
+        "psi": lambda: psi_ratio(model, 0.3, 0.5, n=n, seed=3),
+        "unconditional": lambda: mean_critical_density(model, k=None, n=n, seed=5),
+        "unconditional_top": lambda: mean_critical_density(model, k=model.n_dim,
+                                                           n=n, seed=5),
+    }
+    fast = {name: run() for name, run in runs.items()}
+    monkeypatch.setattr(rice_mod, "_inertia", _reference_inertia)
+    for name, run in runs.items():
+        slow = run()
+        assert fast[name].value == pytest.approx(slow.value, rel=1e-12, abs=0), name
+        assert fast[name].stderr == pytest.approx(slow.stderr, rel=1e-12, abs=0), name
+        assert fast[name].n_degenerate == slow.n_degenerate, name
+        if "bucket_sums" in slow.extras:
+            np.testing.assert_allclose(fast[name].extras["bucket_sums"],
+                                       slow.extras["bucket_sums"], rtol=1e-12, atol=0)
+            np.testing.assert_array_equal(fast[name].extras["class_hits"],
+                                          slow.extras["class_hits"])
+
+
+def test_class_hits_count_live_samples(gauss2, gauss3):
+    # plain sampling in one chunk: recount the live samples from the stream
+    n, u_thr = 50_000, 0.5
+    est = rice_density_mc(gauss2, 0.3, u_thr, n=n, seed=4, antithetic=None,
+                          shift="none")
+    factor, _ = rice_mod._factor_matrix(gauss2, 0.3, None, "sqrt")
+    rng = rice_mod._chunk_rng(4, rice_mod.STREAMS["density"], 0)
+    vals = rng.standard_normal((n, factor.shape[1])) @ factor[-2:].T
+    live = int(((vals[:, 0] > u_thr) & (vals[:, 1] > u_thr)).sum())
+    hits = est.extras["class_hits"]
+    assert hits.shape == (gauss2.n_dim + 2,)
+    assert 0 < live < n
+    assert int(hits.sum()) == live
+    # with no threshold every sample is live, across chunks
+    ratio = sign_ratio(gauss3, 0.3, -math.inf, n=150_000, seed=1, shift="none")
+    assert int(ratio.extras["class_hits"].sum()) == ratio.n
