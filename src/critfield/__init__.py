@@ -22,9 +22,9 @@ from .rice import (ProjectionDiag, RiceEstimate, hessian_index, index_ratio_mc,
                    maxima_share, mean_critical_density, projection_point,
                    psi_ratio, rice_density_mc, rice_density_quadrature,
                    sign_ratio)
-from .spectral import (HMatrix, LimitPolynomial, SpectralExpansion,
-                       SpectrumCatalogue, bv_determinant, eigenpath, h_matrix,
-                       h_r, limit_polynomial, ordered_eigendecomposition,
+from .spectral import (LimitPolynomial, SpectralExpansion, SpectrumCatalogue,
+                       bv_determinant, eigenpath, h_matrix, h_r,
+                       limit_polynomial, ordered_eigendecomposition,
                        perm_symmetrized_bv, scaling_class, spectrum_sigma0)
 from .symmetric import matriculate, tau_index, vectorize_sym
 

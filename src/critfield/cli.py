@@ -12,7 +12,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +31,7 @@ from .spectral import (EigenpathError, EigenvalueCollisionError, eigenpath,
 
 COMMANDS = ("check", "sigma", "spectrum", "hpoly", "ratio", "psi", "share",
             "simulate", "report")
+N_POLY_SAMPLES = 10_000     # antisymmetry probes of `hpoly`
 
 
 class ConfigError(ValueError):
@@ -56,7 +57,6 @@ class RunConfig:
     out_format: str = "json"
     verify: bool = False
     tol: float = 1e-8
-    n_poly_samples: int = 10_000
 
     def validate(self):
         if self.command not in COMMANDS:
@@ -77,9 +77,6 @@ class RunConfig:
         return model_from_spec(
             self.model_family, self.n_dim, scale=self.scale, **self.model_params
         )
-
-    def to_dict(self):
-        return asdict(self)
 
     def to_file_dict(self):
         """The config-file representation; feeding it back reproduces the run."""
@@ -304,13 +301,13 @@ def cmd_hpoly(cfg):
     expansion = eigenpath(model)
     poly = limit_polynomial(model, expansion=expansion)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed)))
-    ys = rng.standard_normal((cfg.n_poly_samples, poly.L))
+    ys = rng.standard_normal((N_POLY_SAMPLES, poly.L))
     vals = poly.evaluate(ys)
     resid = float(np.max(np.abs(vals + poly.evaluate(poly.flip(ys)))
                          / (1.0 + np.abs(vals))))
     coeffs = {"+".join(map(str, key)): c for key, c in poly.coefficients().items()}
     payload = {"coefficients": coeffs, "antisymmetry_residual": resid,
-               "n_samples": cfg.n_poly_samples}
+               "n_samples": N_POLY_SAMPLES}
     path = cfio.write_json(Path(cfg.out_dir) / "hpoly.json", _artifact(cfg, payload))
     print(f"hpoly: {len(coeffs)} monomials, antisymmetry residual {resid:.2e} -> {path}")
     return 0

@@ -5,16 +5,19 @@ Fields are sampled exactly (in distribution) by circulant embedding: the torus
 covariance kernel diagonalizes in the Fourier basis, so coloring white noise
 with the root spectrum gives a stationary periodic field.  Critical points of
 the sampled field are located on a periodic bicubic-spline surrogate whose
-gradient and Hessian are analytic, which keeps Morse counting consistent: on
-the torus, minima - saddles + maxima must come out to zero every time.
+gradient and Hessian are analytic.  Four Newton walkers start in every cell
+whose Bezier hull lets both gradient components vanish, a test no critical
+point escapes, which keeps Morse counting consistent: on the torus,
+minima - saddles + maxima must come out to zero every time.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import cKDTree
 
-from .rice import _chunk_rng
+from .rice import _chunk_rng, _inertia
 
 __all__ = [
     "GridSpec",
@@ -233,129 +236,133 @@ class FieldSurface:
         return out
 
 
-def _candidate_cells(surface, value_floor=None):
-    """Cells whose corner gradients change sign in both components.
+def _bezier_controls(coeffs, axis):
+    """Cubic Bezier control points of the periodic B-spline, cell by cell.
 
-    ``value_floor`` restricts the search to cells whose best corner value
-    clears the floor, which makes high-threshold sweeps cheap; the floor
-    carries a one-unit margin relative to the requested threshold upstream.
+    Along ``axis`` the spline on cell i is the cubic Bezier curve with these
+    four control points, stacked on a new leading axis.
     """
-    n, h = surface.n, surface.h
-    nodes = np.stack(
-        np.meshgrid(np.arange(n) * h, np.arange(n) * h, indexing="ij"), axis=-1
-    ).reshape(-1, 2)
-    grad = surface.gradient(nodes).reshape(n, n, 2)
+    c_prev, c_next, c_next2 = (np.roll(coeffs, s, axis) for s in (1, -1, -2))
+    return np.stack([(c_prev + 4.0 * coeffs + c_next) / 6.0,
+                     (2.0 * coeffs + c_next) / 3.0,
+                     (coeffs + 2.0 * c_next) / 3.0,
+                     (coeffs + 4.0 * c_next + c_next2) / 6.0])
 
-    def corner_stack(comp):
-        return np.stack(
-            [comp, np.roll(comp, -1, 0), np.roll(comp, -1, 1),
-             np.roll(np.roll(comp, -1, 0), -1, 1)],
-            axis=0,
-        )
 
-    flips = []
-    for c in range(2):
-        corners = corner_stack(grad[:, :, c])
-        flips.append((corners.min(axis=0) <= 0.0) & (corners.max(axis=0) >= 0.0))
-    mask = flips[0] & flips[1]
-    if value_floor is not None and np.isfinite(value_floor):
-        vals = surface.value(nodes).reshape(n, n)
-        mask &= corner_stack(vals).max(axis=0) > value_floor
+def _candidate_cells(surface, u_thr=-math.inf):
+    """Cells that can hold a critical point with value above ``u_thr``.
+
+    On each cell the spline is a bicubic Bezier patch, and each partial
+    derivative lies in the convex hull of its 12 difference control points.
+    A cell is flagged iff both components' control points straddle 0, so a
+    cell holding a critical point is never missed.  It is kept iff the
+    largest of its 16 value control points, which bounds the patch, exceeds
+    ``u_thr``.
+    """
+    ctrl = _bezier_controls(_bezier_controls(surface.coeffs, 0), 2)
+
+    def straddles(diff):
+        return (diff.min(axis=(0, 1)) <= 0.0) & (diff.max(axis=(0, 1)) >= 0.0)
+
+    mask = straddles(np.diff(ctrl, axis=0)) & straddles(np.diff(ctrl, axis=1))
+    mask &= ctrl.max(axis=(0, 1)) > u_thr
     return np.argwhere(mask)
+
+
+def _close_pairs(pts, radius, extent):
+    """Index pairs (i < j) of points closer than ``radius`` on the torus.
+
+    Returns the pairs in lexicographic order and their min-image distances.
+    The tree query, padded for rounding, gives a superset; the min-image
+    ``<`` test then selects the pairs.
+    """
+    folded = np.mod(pts, extent)
+    folded[folded >= extent] = 0.0  # np.mod(-1e-17, L) == L, which the tree rejects
+    pairs = cKDTree(folded, boxsize=extent).query_pairs(
+        radius + 1e-12 * extent, output_type="ndarray")
+    d = pts[pairs[:, 0]] - pts[pairs[:, 1]]
+    d -= extent * np.round(d / extent)
+    dist = np.linalg.norm(d, axis=1)
+    pairs, dist = pairs[dist < radius], dist[dist < radius]
+    order = np.lexsort((pairs[:, 1], pairs[:, 0]))
+    return pairs[order], dist[order]
+
+
+# Newton starts per flagged cell, in cell units: one cell can hold two points.
+_STARTS = np.array([[0.25, 0.25], [0.25, 0.75], [0.75, 0.25], [0.75, 0.75]])
 
 
 def find_critical_points(realization, u_thr=-math.inf, max_iter=40,
                          grad_tol_factor=1e-8):
     """Locate, refine, classify, and threshold the critical points.
 
-    Newton iterations on the interpolated gradient start from the centers of
-    the candidate cells; converged points are deduplicated on the torus at
-    half a grid spacing and filtered by field value.  Returns the points and
-    a diagnostics dict (candidate cells, divergent starts).
+    Newton iterations on the interpolated gradient start from four points
+    of every candidate cell (see :func:`_candidate_cells`); a walker stops
+    once its step is at most 1e-13 h.  Converged points are deduplicated on
+    the torus, classified by the index rule of :func:`critfield.rice._inertia`
+    and filtered by field value.  Returns the points and a diagnostics dict:
+    ``cells_flagged`` counts candidate cells and ``diverged`` counts walkers
+    that left their leash or met a singular Hessian.
     """
     surface = FieldSurface(realization)
-    n, h = surface.n, surface.h
-    extent = realization.extent
-    floor = None if not np.isfinite(u_thr) else u_thr - 1.0
-    cells = _candidate_cells(surface, value_floor=floor)
-    diagnostics = {"cells_flagged": int(cells.shape[0]), "diverged": 0}
-    if cells.shape[0] == 0:
-        return [], diagnostics
-
-    pts = (cells + 0.5) * h
+    h, extent = surface.h, realization.extent
+    cells = _candidate_cells(surface, u_thr)
+    pts = ((cells[:, None, :] + _STARTS) * h).reshape(-1, 2)
     start = pts.copy()
     alive = np.ones(pts.shape[0], dtype=bool)
+    walking = alive.copy()
     for _ in range(max_iter):
-        if not alive.any():
+        idx = np.flatnonzero(walking)
+        if idx.size == 0:
             break
-        g = surface.gradient(pts[alive])
-        hess = surface.hessian(pts[alive])
+        g = surface.gradient(pts[idx])
+        hess = surface.hessian(pts[idx])
         det = hess[:, 0, 0] * hess[:, 1, 1] - hess[:, 0, 1] ** 2
         ok = np.abs(det) > 1e-300
         step = np.zeros_like(g)
         step[ok, 0] = (hess[ok, 1, 1] * g[ok, 0] - hess[ok, 0, 1] * g[ok, 1]) / det[ok]
         step[ok, 1] = (hess[ok, 0, 0] * g[ok, 1] - hess[ok, 0, 1] * g[ok, 0]) / det[ok]
         norm = np.linalg.norm(step, axis=1)
-        cap = 1.5 * h
-        big = norm > cap
-        step[big] *= (cap / norm[big])[:, None]
-        pts[alive] -= step
-        # kill walkers that left a 2.5-cell ball around their start or hit a
-        # singular Hessian
-        drift = pts[alive] - start[alive]
+        big = norm > 1.5 * h
+        step[big] *= (1.5 * h / norm[big])[:, None]
+        pts[idx] -= step
+        # kill walkers that leave a 2.5-cell ball around their start or hit a
+        # singular Hessian; retire those whose step fell below 1e-13 h
+        drift = pts[idx] - start[idx]
         drift -= extent * np.round(drift / extent)
         bad = (~ok) | (np.linalg.norm(drift, axis=1) > 2.5 * h)
-        idx_alive = np.where(alive)[0]
-        alive[idx_alive[bad]] = False
-    diagnostics["diverged"] += int((~alive).sum())
+        alive[idx[bad]] = False
+        walking[idx[bad | (norm <= 1e-13 * h)]] = False
+    diagnostics = {"cells_flagged": len(cells), "diverged": int((~alive).sum())}
 
     pts = np.mod(pts[alive], extent)
-    if pts.shape[0] == 0:
-        return [], diagnostics
-    g = surface.gradient(pts)
-    gnorm = np.linalg.norm(g, axis=1)
-    tol = grad_tol_factor * max(surface.scale, 1e-12)
-    keep = gnorm < tol
+    gnorm = np.linalg.norm(surface.gradient(pts), axis=1)
+    keep = gnorm < grad_tol_factor * max(surface.scale, 1e-12)
     pts, gnorm = pts[keep], gnorm[keep]
 
-    # Torus-aware dedup.  Walkers that found the same root agree to Newton
-    # tolerance (~1e-10 h); genuinely distinct critical points must be kept
-    # even when much closer than a cell, since tightly paired points are the
-    # statistic of interest downstream.
+    # Torus-aware keep-first dedup over the sorted points: j goes when it
+    # pairs with a kept i < j.  Walkers that found the same root agree to
+    # ~1e-10 h; distinct critical points are kept however close, since tight
+    # pairs are the statistic of interest downstream.  Each sweep settles one
+    # more link of a chain of pairs.
     order = np.lexsort((pts[:, 1], pts[:, 0]))
     pts, gnorm = pts[order], gnorm[order]
-    dedup_radius = 1e-3 * h
-    selected = []
-    for i in range(pts.shape[0]):
-        dup = False
-        for j in selected:
-            d = pts[i] - pts[j]
-            d -= extent * np.round(d / extent)
-            if np.linalg.norm(d) < dedup_radius:
-                dup = True
-                break
-        if not dup:
-            selected.append(i)
-    pts, gnorm = pts[selected], gnorm[selected]
+    first, second = _close_pairs(pts, 1e-3 * h, extent)[0].T
+    kept, settled = np.ones(pts.shape[0], dtype=bool), False
+    while not settled:
+        new = np.ones_like(kept)
+        new[second[kept[first]]] = False
+        settled, kept = np.array_equal(new, kept), new
+    pts, gnorm = pts[kept], gnorm[kept]
 
     vals = surface.value(pts)
     hess = surface.hessian(pts)
-    out = []
-    for i in range(pts.shape[0]):
-        if vals[i] <= u_thr:
-            continue
-        eigs = np.linalg.eigvalsh(hess[i])
-        tol_idx = 1e-10 * max(np.linalg.norm(hess[i]), 1e-300)
-        out.append(
-            CriticalPoint(
-                position=pts[i].copy(),
-                value=float(vals[i]),
-                grad_norm=float(gnorm[i]),
-                hessian=hess[i].copy(),
-                index=int((eigs < -tol_idx).sum()),
-            )
-        )
-    return out, diagnostics
+    _, index, _ = _inertia(hess)
+    points = [CriticalPoint(position=pts[i].copy(), value=float(vals[i]),
+                            grad_norm=float(gnorm[i]), hessian=hess[i].copy(),
+                            index=int(index[i]))
+              for i in np.flatnonzero(vals > u_thr)]
+    return points, diagnostics
 
 
 def euler_characteristic(points):
@@ -365,22 +372,15 @@ def euler_characteristic(points):
 
 def pair_statistics(points, eps, extent):
     """Index composition of unordered pairs closer than ``eps`` on the torus."""
-    pts = np.array([p.position for p in points]) if points else np.empty((0, 2))
-    counts = {}
-    pairs = []
-    for i in range(len(points)):
-        for j in range(i + 1, len(points)):
-            d = pts[i] - pts[j]
-            d -= extent * np.round(d / extent)
-            dist = float(np.linalg.norm(d))
-            if dist < eps:
-                key = tuple(sorted((points[i].index, points[j].index)))
-                counts[key] = counts.get(key, 0) + 1
-                pairs.append((points[i].index, points[j].index, dist))
+    pts = np.array([p.position for p in points], dtype=float).reshape(-1, 2)
+    index = np.array([p.index for p in points], dtype=int)
+    pairs, dist = _close_pairs(pts, eps, extent)
+    kinds = index[pairs]
+    keys, counts = np.unique(np.sort(kinds, axis=1), axis=0, return_counts=True)
     return PairTable(
         eps=float(eps),
         n_points=len(points),
         n_pairs=len(pairs),
-        counts=counts,
-        pairs=tuple(pairs),
+        counts={tuple(key): cnt for key, cnt in zip(keys.tolist(), counts.tolist())},
+        pairs=tuple(zip(*kinds.T.tolist(), dist.tolist())),
     )

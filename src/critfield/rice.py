@@ -119,9 +119,8 @@ def hessian_index(mat, tol_factor=1e-10):
     raised: it has probability zero under the sampled laws.
     """
     mat = np.asarray(mat, dtype=float)
-    eigs = np.linalg.eigvalsh(0.5 * (mat + mat.T))
-    tol = tol_factor * max(float(np.linalg.norm(mat)), 1e-300)
-    return int((eigs < -tol).sum()), bool((np.abs(eigs) <= tol).any())
+    (idx,), (degen,) = _batch_index((0.5 * (mat + mat.T))[None], tol_factor)
+    return int(idx), bool(degen)
 
 
 def _batch_index(hessians, tol_factor=1e-10):

@@ -29,7 +29,6 @@ __all__ = [
     "ordered_eigendecomposition",
     "SpectrumCatalogue",
     "spectrum_sigma0",
-    "HMatrix",
     "h_matrix",
     "SpectralExpansion",
     "eigenpath",
@@ -168,23 +167,9 @@ def spectrum_sigma0(model, u=None, verify_tol=1e-9):
 # the contraction matrix H(u)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HMatrix:
-    n_dim: int
-    matrix: np.ndarray  # N x L
-
-    def apply(self, a):
-        """H(u) a for any packed vector with at least N(N+1)/2 coordinates."""
-        a = np.asarray(a, dtype=float)
-        m = vech_len(self.n_dim)
-        if a.shape[-1] < m:
-            raise ValueError(f"need at least {m} coordinates")
-        width = min(a.shape[-1], self.matrix.shape[1])
-        return a[..., :width] @ self.matrix[:, :width].T
-
-
 def h_matrix(u):
-    """N x L matrix with H(u) a = Matri(a) u for every packed vector a.
+    """N x L matrix with H(u) a = Matri(a) u for every packed vector a
+    (zero-padded to length L).
 
     Row k carries u across the packed positions that touch index k; the two
     trailing (field value) columns are zero.
@@ -201,7 +186,7 @@ def h_matrix(u):
                     out[k, pos] = u[i]
                 elif i == k:
                     out[k, pos] = u[j]
-    return HMatrix(n_dim=n, matrix=out)
+    return out
 
 
 # ---------------------------------------------------------------------------

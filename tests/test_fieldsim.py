@@ -93,8 +93,10 @@ class TestDeterministicSurface:
 
 class TestRandomFields:
     def test_euler_characteristic_vanishes(self, gauss2, grid):
-        for seed in range(12):
-            field = sample_field(gauss2, grid, seed=300 + seed)
+        # 834: a critical point in a cell whose corner gradients all share a
+        # sign; 78 and 534095829: two critical points in one cell
+        for seed in [300 + k for k in range(12)] + [78, 834, 534095829]:
+            field = sample_field(gauss2, grid, seed=seed)
             points, _ = find_critical_points(field)
             assert euler_characteristic(points) == 0
 
@@ -159,3 +161,32 @@ class TestPairStatistics:
         assert table.n_pairs == 1
         assert table.frac_max_saddle == 1.0
         assert table.frac_opposite_det == 1.0
+
+    def test_matches_brute_force_count(self, rng):
+        # the min-image loop over all pairs is the reference; the last four
+        # positions sit on and past the box edges, where np.mod(-1e-17, 10)
+        # is 10, and lie within eps of each other across the seam
+        extent, eps = 10.0, 0.4
+        pos = np.concatenate([
+            rng.uniform(0.0, extent, size=(300, 2)),
+            [[0.0, 5.0], [-1e-17, 5.1], [extent, 5.2], [extent + 0.05, 5.3]],
+        ])
+        idx = rng.integers(0, 3, size=len(pos))
+        pts = [CriticalPoint(p, 0.0, 0.0, np.eye(2), int(k)) for p, k in zip(pos, idx)]
+        counts, pairs = {}, []
+        for i in range(len(pts)):
+            for j in range(i + 1, len(pts)):
+                d = pts[i].position - pts[j].position
+                d -= extent * np.round(d / extent)
+                dist = float(np.linalg.norm(d))
+                if dist < eps:
+                    key = tuple(sorted((pts[i].index, pts[j].index)))
+                    counts[key] = counts.get(key, 0) + 1
+                    pairs.append((pts[i].index, pts[j].index, dist))
+        table = pair_statistics(pts, eps=eps, extent=extent)
+        assert table.n_points == len(pts)
+        assert table.n_pairs == len(pairs) > 6
+        assert table.counts == counts
+        assert [p[:2] for p in table.pairs] == [p[:2] for p in pairs]
+        dists = [p[2] for p in pairs]
+        assert [p[2] for p in table.pairs] == pytest.approx(dists, rel=1e-14)
