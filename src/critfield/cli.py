@@ -137,24 +137,25 @@ def load_config(path):
     mc = raw.get("mc", {})
     sim = raw.get("sim", {})
     out = raw.get("output", {})
+    default = RunConfig()
     return RunConfig(
-        command=raw.get("command", ""),
-        model_family=model.get("family", "gaussian"),
-        model_params=dict(model.get("params", {})),
-        n_dim=int(model.get("N", 2)),
-        scale=float(model.get("scale", 1.0)),
-        r_list=tuple(raw.get("r", (0.1,))),
-        u_list=tuple(raw.get("u", (1.0,))),
-        mc_n=int(mc.get("n", 2_000_000)),
-        seed=int(mc.get("seed", 0)),
-        sim_grid=int(sim.get("grid", 128)),
-        sim_spacing=float(sim.get("spacing", 11.3 / 128)),
-        sim_realizations=int(sim.get("realizations", 200)),
-        sim_eps=float(sim.get("eps", 0.5)),
-        out_dir=out.get("path", "."),
-        out_format=out.get("format", "json"),
-        verify=bool(raw.get("verify", False)),
-        tol=float(raw.get("tol", 1e-8)),
+        command=raw.get("command", default.command),
+        model_family=model.get("family", default.model_family),
+        model_params=dict(model.get("params", default.model_params)),
+        n_dim=int(model.get("N", default.n_dim)),
+        scale=float(model.get("scale", default.scale)),
+        r_list=tuple(raw.get("r", default.r_list)),
+        u_list=tuple(raw.get("u", default.u_list)),
+        mc_n=int(mc.get("n", default.mc_n)),
+        seed=int(mc.get("seed", default.seed)),
+        sim_grid=int(sim.get("grid", default.sim_grid)),
+        sim_spacing=float(sim.get("spacing", default.sim_spacing)),
+        sim_realizations=int(sim.get("realizations", default.sim_realizations)),
+        sim_eps=float(sim.get("eps", default.sim_eps)),
+        out_dir=out.get("path", default.out_dir),
+        out_format=out.get("format", default.out_format),
+        verify=bool(raw.get("verify", default.verify)),
+        tol=float(raw.get("tol", default.tol)),
     )
 
 

@@ -72,33 +72,6 @@ def _central_stencil(k, npts):
     return offs, np.linalg.solve(vand, rhs)
 
 
-def fd_derivative(f, x, k, base_step=None, n_points=9, n_levels=7):
-    """k-th derivative of f at x >= 0 by finite differences in x.
-
-    The stencil is shifted to stay inside [0, inf); a ladder of shrinking
-    steps is evaluated and the rung with the best successive agreement is
-    returned.  Adequate for low orders; the conditional-covariance oracle
-    uses the boundary-free scheme in :class:`_RadialDerivativesFD` instead.
-    """
-    if base_step is None:
-        base_step = 0.08 * max(1.0, abs(x))
-    half = n_points // 2
-    estimates = []
-    h = base_step
-    offs0, _ = _central_stencil(k, n_points)
-    for _ in range(n_levels):
-        shift = min(half, int(math.floor(x / h + 1e-12)))
-        nodes = x + h * (offs0 + (half - shift))
-        vand = np.vander(nodes - x, n_points, increasing=True).T
-        rhs = np.zeros(n_points)
-        rhs[k] = math.factorial(k)
-        w = np.linalg.solve(vand, rhs)
-        estimates.append(float(np.dot(w, [f(v) for v in nodes])))
-        h /= 1.8
-    diffs = np.abs(np.diff(estimates))
-    return estimates[int(np.argmin(diffs)) + 1]
-
-
 def _ladder_1d(g, center, k, eta0, npts, nlev, shrink, nrich=1):
     """Derivative of g (defined on all of R) at ``center`` via a step ladder
     with Richardson acceleration and best-agreement selection."""
@@ -219,7 +192,7 @@ class _RadialDerivativesFD:
 
 
 def _half_second_at_zero(g):
-    """g''(0) / 2 on the single step ladder shared by rho'(0) and rho'(x)."""
+    """g''(0) / 2 on the single step ladder shared by rho'(0), rho'(x) and rho''''(x)."""
     return _ladder_1d(g, 0.0, 2, 0.4, 9, 8, 1.4, nrich=2) / 2.0
 
 
@@ -244,9 +217,10 @@ def _analytic_rho_derivs(model):
         if k <= 3:
             return float(funcs[k](x))
         if k == 4:
-            # The model carries three derivative closures; the fourth is the
-            # first derivative of the last one, taken numerically.
-            return fd_derivative(model.rho_d3, x, 1)
+            # The model carries three derivative closures; the fourth is
+            # f'(x) = (1/2) d^2/da^2 f(x + a^2) at a = 0 with f = rho''',
+            # on the central ladder the oracle uses for rho'.
+            return _half_second_at_zero(lambda a: model.rho_d3(a * a + x))
         raise ValueError(f"derivative order {k} not available")
 
     return rder

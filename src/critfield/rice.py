@@ -55,7 +55,6 @@ STREAMS = {
     "psi": 13,
     "share": 14,
     "unconditional": 15,
-    "generic": 19,
 }
 
 

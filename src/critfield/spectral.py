@@ -386,28 +386,35 @@ def eigenpath(model, u=None, r_grid=DEFAULT_R_GRID):
 # row-rearranged determinants and their small-r scaling
 # ---------------------------------------------------------------------------
 
+def _mixed_dets(mats, cols):
+    """det of the N x N matrices whose row i is row i of ``mats[cols[..., i]]``.
+
+    ``mats`` is a (K, N, N) stack, ``cols`` stack indices with a trailing
+    axis of length N.  Every determinant expansion in this module is this rule.
+    """
+    return np.linalg.det(mats[cols, np.arange(mats.shape[-1])])
+
+
+def _bv_dets(factor, vs):
+    """bv determinants for the 1-based column tuples on the last axis of vs."""
+    cols = np.asarray(vs, dtype=int)
+    if cols.min() < 1 or cols.max() > factor.shape[0]:
+        raise ValueError(f"column indices must lie in 1..{factor.shape[0]}")
+    return _mixed_dets(matriculate_batch(factor.T, cols.shape[-1]), cols - 1)
+
+
 def bv_determinant(factor, v):
     """det of the N x N matrix whose i-th row is row i of Matri(column v_i).
 
     ``factor`` is the L x L factor A(r); ``v`` holds N column indices
     (1-based, as in the monomial bookkeeping of the determinant expansion).
     """
-    v = tuple(int(c) for c in v)
-    n = len(v)
-    L = factor.shape[0]
-    if any(c < 1 or c > L for c in v):
-        raise ValueError(f"column indices must lie in 1..{L}")
-    rows = np.empty((n, n))
-    for i, c in enumerate(v):
-        rows[i] = matriculate_batch(factor[:, c - 1], n)[i]
-    return float(np.linalg.det(rows))
+    return float(_bv_dets(factor, v))
 
 
 def perm_symmetrized_bv(factor, v):
     """Sum of bv_determinant over all permutations of the column tuple v."""
-    return float(
-        sum(bv_determinant(factor, perm) for perm in itertools.permutations(v))
-    )
+    return float(_bv_dets(factor, list(itertools.permutations(v))).sum())
 
 
 def scaling_class(model, v, u=None, expansion=None, radii=(1e-2, 1e-3, 1e-4),
@@ -429,29 +436,6 @@ def scaling_class(model, v, u=None, expansion=None, radii=(1e-2, 1e-3, 1e-4),
 # the limit polynomial of r^{-1} det(Matri(A(r) y))
 # ---------------------------------------------------------------------------
 
-def _adjugate_batch(mats):
-    """Adjugate of a batch (..., N, N) of matrices via cofactors."""
-    n = mats.shape[-1]
-    if n == 1:
-        return np.ones_like(mats)
-    if n == 2:
-        adj = np.empty_like(mats)
-        adj[..., 0, 0] = mats[..., 1, 1]
-        adj[..., 0, 1] = -mats[..., 0, 1]
-        adj[..., 1, 0] = -mats[..., 1, 0]
-        adj[..., 1, 1] = mats[..., 0, 0]
-        return adj
-    idx = np.arange(n)
-    adj = np.empty_like(mats)
-    for i in range(n):
-        rows = idx[idx != i]
-        for j in range(n):
-            cols = idx[idx != j]
-            minor = mats[..., rows[:, None], cols[None, :]]
-            adj[..., j, i] = (-1.0) ** (i + j) * np.linalg.det(minor)
-    return adj
-
-
 @dataclass(frozen=True)
 class LimitPolynomial:
     """Degree-N homogeneous limit of r^{-1} det(Matri(A(r) y)).
@@ -469,6 +453,13 @@ class LimitPolynomial:
     null_matrices: np.ndarray  # (L - rank0, N, N): Matri of scaled kernel columns
 
     def evaluate(self, y):
+        """Value tr(adj(M0) M1) at y, one value per row of a 2-D y.
+
+        M0 = Matri(A0 y) and M1 = sum_k y_k Matri(kernel column k), so the
+        value is the derivative of det(M0 + eps M1) at eps = 0.  By row
+        multilinearity that is the sum over i of det(M0 with row i taken
+        from M1), which is how it is computed.
+        """
         y = np.asarray(y, dtype=float)
         single = y.ndim == 1
         y2 = np.atleast_2d(y)
@@ -476,7 +467,8 @@ class LimitPolynomial:
             raise ValueError(f"y must have length {self.L}")
         m0 = matriculate_batch(y2 @ self.a0.T, self.n_dim)
         m1 = np.einsum("sk,kij->sij", y2[:, self.rank0:], self.null_matrices)
-        vals = np.einsum("sji,sij->s", _adjugate_batch(m0), m1)
+        eye = np.eye(self.n_dim, dtype=bool)
+        vals = np.linalg.det(np.where(eye[:, :, None], m1[:, None], m0[:, None])).sum(1)
         return float(vals[0]) if single else vals
 
     __call__ = evaluate
@@ -491,38 +483,30 @@ class LimitPolynomial:
         """Monomial map {sorted 1-based index tuple: coefficient}.
 
         Every surviving monomial has exactly one index in the kernel range
-        and N-1 indices among the rank columns.
+        and N-1 indices among the rank columns.  Expanding every row of the
+        determinants in ``evaluate`` over the columns makes the coefficient
+        of monomial m the sum, over the distinct orderings of m, of the
+        determinant whose row i is row i of Matri(column m_i).  The sum here
+        runs over all N! orderings, which counts each distinct one
+        prod(multiplicity!) times, and is divided by that product.
         """
-        n = self.n_dim
-        rank = self.rank0
-        coeffs = {}
-        scale = 0.0
-        for i_null in range(self.L - rank):
-            mat_i = self.null_matrices[i_null]
-            if not np.abs(mat_i).any():
-                continue
-
-            def inner(w):
-                m0 = matriculate_batch(w @ self.a0[:, :rank].T, n)
-                return float(np.einsum("ji,ij->", _adjugate_batch(m0), mat_i))
-
-            for multiset in itertools.combinations_with_replacement(range(rank), n - 1):
-                acc = 0.0
-                for size in range(1, n):
-                    for subset in itertools.combinations(range(n - 1), size):
-                        w = np.zeros(rank)
-                        for k in subset:
-                            w[multiset[k]] += 1.0
-                        acc += (-1.0) ** (n - 1 - size) * inner(w)
-                mult = math.prod(
-                    math.factorial(c) for c in np.bincount(multiset).tolist() if c
-                )
-                coef = acc / mult
-                if coef != 0.0:
-                    key = tuple(sorted((rank + i_null + 1,) + tuple(m + 1 for m in multiset)))
-                    coeffs[key] = coeffs.get(key, 0.0) + coef
-                    scale = max(scale, abs(coef))
-        return {k: c for k, c in coeffs.items() if abs(c) > tol * max(scale, 1.0)}
+        n, rank = self.n_dim, self.rank0
+        mats = np.concatenate([matriculate_batch(self.a0[:, :rank].T, n), self.null_matrices])
+        monomials = np.array([
+            m + (k,) for k in range(rank, self.L)
+            for m in itertools.combinations_with_replacement(range(rank), n - 1)
+        ])
+        # one (monomials, N, N) batch per ordering keeps memory O(monomials N^2)
+        total = np.zeros(len(monomials))
+        for perm in itertools.permutations(range(n)):
+            total += _mixed_dets(mats, monomials[:, perm])
+        mult = [math.prod(map(math.factorial, np.bincount(m).tolist())) for m in monomials]
+        coefs = total / mult
+        cut = tol * max(np.abs(coefs).max(), 1.0)
+        return {
+            tuple(int(i) + 1 for i in m): float(c)
+            for m, c in zip(monomials, coefs) if abs(c) > cut
+        }
 
 
 def limit_polynomial(model, u=None, expansion=None):
@@ -532,15 +516,12 @@ def limit_polynomial(model, u=None, expansion=None):
     n = model.n_dim
     rank = expansion.rank0
     scaled = expansion.A1[:, rank:]  # kernel columns already sqrt(lambda2)-scaled
-    null_mats = np.stack(
-        [matriculate_batch(scaled[:, k], n) for k in range(expansion.L - rank)]
-    )
     return LimitPolynomial(
         n_dim=n,
         L=expansion.L,
         rank0=rank,
         a0=expansion.A0,
-        null_matrices=null_mats,
+        null_matrices=matriculate_batch(scaled.T, n),
     )
 
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from critfield.cli import main
+from critfield.cli import RunConfig, load_config, main
 from critfield.io import load_field, matrix_from_record
 
 
@@ -37,6 +37,12 @@ class TestExitCodes:
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"model": {"N": 2}}))
         assert run_cli("check", "--config", str(cfg)) == 2
+
+    def test_empty_config_loads_defaults(self, tmp_path):
+        # a file run and a flag run start from the same defaults
+        cfg = tmp_path / "empty.json"
+        cfg.write_text("{}")
+        assert load_config(cfg) == RunConfig()
 
     def test_empty_r_list_rejected(self, tmp_path):
         cfg = tmp_path / "bad.json"

@@ -74,6 +74,23 @@ class TestCovPartials:
             _fd_cov_partial(t, idx, h=h), abs=tol
         )
 
+    @pytest.mark.parametrize("idx", [(1, 1, 1, 1), (1, 1, 2, 2), (1, 2, 2, 2)])
+    def test_fourth_order_off_origin_closed_form(self, gauss2, idx):
+        # R(t) = e^{-t1^2} e^{-t2^2}, and d^n/dt^n e^{-t^2} = g_n(t) e^{-t^2}
+        # with the Hermite factors below; order 4 off the origin is the only
+        # place rho'''' enters
+        g = (
+            lambda s: 1.0,
+            lambda s: -2.0 * s,
+            lambda s: 4.0 * s * s - 2.0,
+            lambda s: -8.0 * s ** 3 + 12.0 * s,
+            lambda s: 16.0 * s ** 4 - 48.0 * s * s + 12.0,
+        )
+        t = np.array([0.4, -0.7])
+        n1 = idx.count(1)
+        expected = g[n1](t[0]) * g[4 - n1](t[1]) * math.exp(-float(t @ t))
+        assert cov_partials(gauss2, t, idx) == pytest.approx(expected, rel=1e-9)
+
     def test_sixth_order_origin_constant(self, gauss2):
         # the all-equal sixth partial at 0 is minus the variance of the third
         # axial derivative: Var = -120 rho'''(0)

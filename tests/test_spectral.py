@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -6,14 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from critfield.covariance import conditional_covariance, sigma_expansion
-from critfield.models import (RadialModel, find_rescaling, gaussian_model,
-                              rescale)
+from critfield.models import (RadialModel, cauchy_model, find_rescaling,
+                              gaussian_model, rescale)
 from critfield.spectral import (DEFAULT_R_GRID, EigenvalueCollisionError,
                                 bv_determinant, eigenpath, h_matrix, h_r,
                                 limit_polynomial, ordered_eigendecomposition,
                                 perm_symmetrized_bv, scaling_class,
                                 spectrum_sigma0)
-from critfield.symmetric import matriculate, tau_index, vectorize_sym
+from critfield.symmetric import (matriculate, matriculate_batch, tau_index,
+                                 vectorize_sym)
 
 
 class TestOrderedEigendecomposition:
@@ -181,6 +183,11 @@ def poly2(gauss2):
 @pytest.fixture(scope="module")
 def poly3(gauss3):
     return limit_polynomial(gauss3)
+
+
+@pytest.fixture(scope="module")
+def poly4(gauss4):
+    return limit_polynomial(gauss4)
 
 
 class TestEigenpath:
@@ -376,6 +383,59 @@ class TestRowDeterminants:
         )
         assert got == pytest.approx(np.linalg.det(rows), rel=1e-12)
 
+    def test_perm_symmetrized_is_sum_over_permutations(self, rng):
+        factor = rng.normal(size=(12, 12))
+        v = (2, 5, 5, 11)
+        direct = sum(bv_determinant(factor, p) for p in itertools.permutations(v))
+        assert perm_symmetrized_bv(factor, v) == pytest.approx(direct, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [0, 9])
+    def test_columns_outside_1_to_L_rejected(self, rng, bad):
+        factor = rng.normal(size=(8, 8))
+        for fn in (bv_determinant, perm_symmetrized_bv):
+            with pytest.raises(ValueError, match="1..8"):
+                fn(factor, (2, bad, 7))
+
+
+def _adjugate(mats):
+    """Adjugate of a batch (..., N, N) of matrices from its cofactors."""
+    n = mats.shape[-1]
+    adj = np.empty_like(mats)
+    for i in range(n):
+        for j in range(n):
+            minor = np.delete(np.delete(mats, i, axis=-2), j, axis=-1)
+            adj[..., j, i] = (-1.0) ** (i + j) * np.linalg.det(minor)
+    return adj
+
+
+def _polarization_coefficients(poly, tol=1e-12):
+    """Limit-polynomial coefficients by polarization, an independent oracle.
+
+    For kernel matrix M_k and rank multiset m, q(w) = tr(adj(Matri(A0 w)) M_k)
+    is homogeneous of degree N-1 in the rank coordinates w, and the
+    coefficient of prod_j w_{m_j} is the signed sum of q over the nonempty
+    sub-multisets of m, divided by the product of the multiplicities'
+    factorials.
+    """
+    n, rank = poly.n_dim, poly.rank0
+    multisets = list(itertools.combinations_with_replacement(range(rank), n - 1))
+    subsets = [s for size in range(1, n) for s in itertools.combinations(range(n - 1), size)]
+    w = np.zeros((len(multisets), len(subsets), rank))
+    for a, m in enumerate(multisets):
+        for b, sub in enumerate(subsets):
+            for j in sub:
+                w[a, b, m[j]] += 1.0
+    sign = np.array([(-1.0) ** (n - 1 - len(sub)) for sub in subsets])
+    mult = np.array([math.prod(math.factorial(c) for c in np.bincount(m)) for m in multisets])
+    adj = _adjugate(matriculate_batch(w @ poly.a0[:, :rank].T, n))
+    coeffs = {}
+    for k, mat in enumerate(poly.null_matrices):
+        vals = np.einsum("abji,ij->ab", adj, mat) @ sign / mult
+        for m, c in zip(multisets, vals):
+            coeffs[tuple(i + 1 for i in m) + (rank + k + 1,)] = c
+    cut = tol * max(max(abs(c) for c in coeffs.values()), 1.0)
+    return {key: c for key, c in coeffs.items() if abs(c) > cut}
+
 
 class TestLimitPolynomial:
     def test_antisymmetry_exact(self, poly2, poly3, rng):
@@ -392,24 +452,35 @@ class TestLimitPolynomial:
                 poly.evaluate(1.7 * ys), 1.7 ** deg * poly.evaluate(ys), rtol=1e-12
             )
 
-    def test_coefficients_reproduce_evaluator(self, poly3, rng):
-        coeffs = poly3.coefficients()
-        assert coeffs  # nonempty
-        for key in coeffs:
-            kernel_hits = sum(1 for i in key if i > poly3.rank0)
-            assert kernel_hits == 1
-            assert max(key) < poly3.L  # the vanishing-curvature column is absent
-        ys = rng.normal(size=(50, poly3.L))
-        direct = poly3.evaluate(ys)
-        from_coeffs = np.zeros(50)
-        for key, c in coeffs.items():
-            term = np.full(50, c)
-            for i in key:
-                term = term * ys[:, i - 1]
-            from_coeffs += term
-        assert np.abs(direct - from_coeffs).max() < 1e-10 * max(
-            1.0, np.abs(direct).max()
-        )
+    def test_coefficients_reproduce_evaluator(self, poly3, poly4, rng):
+        for poly in (poly3, poly4):
+            coeffs = poly.coefficients()
+            assert coeffs  # nonempty
+            for key in coeffs:
+                kernel_hits = sum(1 for i in key if i > poly.rank0)
+                assert kernel_hits == 1
+                assert max(key) < poly.L  # the vanishing-curvature column is absent
+            ys = rng.normal(size=(50, poly.L))
+            direct = poly.evaluate(ys)
+            from_coeffs = np.zeros(50)
+            for key, c in coeffs.items():
+                term = np.full(50, c)
+                for i in key:
+                    term = term * ys[:, i - 1]
+                from_coeffs += term
+            assert np.abs(direct - from_coeffs).max() < 1e-10 * max(
+                1.0, np.abs(direct).max()
+            )
+
+    @pytest.mark.parametrize("model", [gaussian_model(3), cauchy_model(3), gaussian_model(4)],
+                             ids=["gaussian3", "cauchy3", "gaussian4"])
+    def test_coefficients_match_polarization_oracle(self, model):
+        poly = limit_polynomial(model)
+        got = poly.coefficients()
+        expected = _polarization_coefficients(poly)
+        assert set(got) == set(expected)
+        scale = max(abs(c) for c in expected.values())
+        assert max(abs(got[k] - expected[k]) for k in got) <= 1e-12 * scale
 
     def test_h_r_converges_to_limit(self, gauss2, rng):
         expansion = eigenpath(gauss2)
