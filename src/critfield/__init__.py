@@ -9,10 +9,10 @@ split by type.  A torus field simulator provides an independent empirical
 check of the same statistics.
 """
 
-from .covariance import (CondCov, QualReport, SingularConditioningError,
-                         check_qualified, conditional_covariance,
-                         conditional_covariance_oracle, cov_partials,
-                         sigma_expansion)
+from .covariance import (CondCov, OracleConvergenceError, QualReport,
+                         SingularConditioningError, check_qualified,
+                         conditional_covariance, conditional_covariance_oracle,
+                         cov_partials, sigma_expansion)
 from .fieldsim import (CriticalPoint, FieldRealization, GridSpec, PairTable,
                        euler_characteristic, find_critical_points,
                        pair_statistics, sample_field)

@@ -105,13 +105,12 @@ class PairTable:
 
 
 def _torus_kernel(model, grid):
-    """Min-image covariance kernel on the torus."""
+    """Min-image covariance kernel on the torus, from one vectorized call of rho."""
     n, h = grid.n, grid.spacing
     ax = np.arange(n) * h
     ax = np.minimum(ax, grid.extent - ax)
     d2 = ax[:, None] ** 2 + ax[None, :] ** 2
-    rho = np.vectorize(model.rho, otypes=[float])
-    return rho(d2)
+    return np.broadcast_to(model.rho(d2), d2.shape).astype(float)
 
 
 def sample_field(model, grid, seed=0):

@@ -6,6 +6,12 @@ Cov[X(s), X(t)] = rho(||t - s||^2).  The model carries rho together with its
 first three derivatives as closures; everything downstream (conditional
 covariances, spectra, Monte Carlo) is driven by those four functions plus
 the dimension.
+
+The closures are called with floats and with ndarrays, real or complex: the
+covariance oracle and the off-origin fourth derivative read Taylor
+coefficients off circles in the complex plane, and the torus simulator
+evaluates the kernel on a whole grid in one call.  The built-in families are
+written with numpy ufuncs (np.exp, np.expm1, np.log1p, np.power) for that.
 """
 
 import math
@@ -36,6 +42,10 @@ class RadialModel:
         Dimension N >= 2 of the index space.
     rho, rho_d1, rho_d2, rho_d3 : callable
         rho(x) and its first three derivatives for x >= 0.  rho(0) must be 1.
+        Each must be holomorphic near [0, delta^2] and vectorized over complex
+        ndarrays, i.e. built from numpy ufuncs rather than ``math`` functions.
+        Polynomial lambdas qualify as they stand; a constant such as
+        ``lambda x: d3`` is broadcast to the argument's shape.
     scale : float
         Accumulated rescaling factor C applied to the argument (rho(C x)
         relative to the original profile); informational.
@@ -128,14 +138,14 @@ def gaussian_model(n_dim, a=1.0, validity_radius=1.0):
         raise ValueError("a must be positive")
     return RadialModel(
         n_dim=n_dim,
-        rho=lambda x: math.exp(-a * x),
-        rho_d1=lambda x: -a * math.exp(-a * x),
-        rho_d2=lambda x: a * a * math.exp(-a * x),
-        rho_d3=lambda x: -(a ** 3) * math.exp(-a * x),
+        rho=lambda x: np.exp(-a * x),
+        rho_d1=lambda x: -a * np.exp(-a * x),
+        rho_d2=lambda x: a * a * np.exp(-a * x),
+        rho_d3=lambda x: -(a ** 3) * np.exp(-a * x),
         validity_radius=validity_radius,
         name=f"gaussian(a={a:g})",
         params={"family": "gaussian", "a": a},
-        rho_d1_increment=lambda x: -a * math.expm1(-a * x),
+        rho_d1_increment=lambda x: -a * np.expm1(-a * x),
     )
 
 
@@ -147,11 +157,11 @@ def cauchy_model(n_dim, ell=1.0, nu=2.0, validity_radius=1.0):
     def deriv(k):
         # d^k/dx^k (1+x/ell)^{-nu} = (-1)^k nu(nu+1)...(nu+k-1) ell^{-k} (1+x/ell)^{-nu-k}
         coef = (-1.0) ** k * math.prod(nu + i for i in range(k)) / ell ** k
-        return lambda x, c=coef, p=nu + k: c * (1.0 + x / ell) ** (-p)
+        return lambda x, c=coef, p=nu + k: c * np.power(1.0 + x / ell, -p)
 
     return RadialModel(
         n_dim=n_dim,
-        rho=lambda x: (1.0 + x / ell) ** (-nu),
+        rho=lambda x: np.power(1.0 + x / ell, -nu),
         rho_d1=deriv(1),
         rho_d2=deriv(2),
         rho_d3=deriv(3),
@@ -159,7 +169,7 @@ def cauchy_model(n_dim, ell=1.0, nu=2.0, validity_radius=1.0):
         name=f"cauchy(ell={ell:g},nu={nu:g})",
         params={"family": "cauchy", "ell": ell, "nu": nu},
         rho_d1_increment=lambda x: -(nu / ell)
-        * math.expm1(-(nu + 1.0) * math.log1p(x / ell)),
+        * np.expm1(-(nu + 1.0) * np.log1p(x / ell)),
     )
 
 

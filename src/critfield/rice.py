@@ -335,11 +335,12 @@ def _accumulate(model, factor, u_thr, n, seed, stream, shift, antithetic,
     classes in the r -> 0 limit and all but removes the shared noise from
     sign ratios.
 
-    Each chunk first maps the samples through the last two rows of
-    ``factor`` only, the two field values, and keeps the live samples, those
-    with both values above ``u_thr``; every other sample has zero mass.  Only
-    the live samples are mapped to Hessians, weighted, and passed to
-    :func:`_inertia`, one LDL^T pass for determinant and index, with an
+    Each chunk's draws, partners and mean shift are written in place into
+    one preallocated buffer.  The chunk is then mapped through the last two
+    rows of ``factor`` only, the two field values, to keep the live samples,
+    those with both values above ``u_thr``; every other sample has zero
+    mass.  Only the live samples are mapped to Hessians, weighted, and passed
+    to :func:`_inertia`, one LDL^T pass for determinant and index, with an
     eigvalsh fallback for the few rows it cannot settle.  ``u_thr=None``
     means ``factor`` has the Hessian rows only and every sample is live.
 
@@ -374,31 +375,37 @@ def _accumulate(model, factor, u_thr, n, seed, stream, shift, antithetic,
     if shift is not None:
         half_shift_sq = 0.5 * float(shift @ shift)
 
+    buf = np.empty((min(CHUNK, n), L))
     done = 0
     chunk_id = 0
     while done < n:
         take = min(CHUNK, n - done)
         rng = _chunk_rng(seed, stream, chunk_id)
+        ys = buf[:take]
         if half_plan:
-            innov = rng.standard_normal((take // 2, L))
-            partner = -innov
+            half = take // 2
+            rng.standard_normal(out=ys[:half])
             if antithetic == "flip":
-                partner = innov.copy()
-                partner[:, rank0:] *= -1.0
-            ys = np.concatenate([innov, partner], axis=0)
+                ys[half:] = ys[:half]
+                ys[half:, rank0:] *= -1.0
+            else:
+                np.negative(ys[:half], out=ys[half:])
         else:
-            ys = rng.standard_normal((take, L))
-        shifted = ys if shift is None else ys + shift
+            rng.standard_normal(out=ys)
+        if shift is not None:
+            # the weight needs the draws before the shift is added in place
+            log_w = -(ys @ shift) - half_shift_sq
+            ys += shift
         if u_thr is None:
             rows = slice(None)
         else:
-            vals = shifted @ value_rows
+            vals = ys @ value_rows
             rows = np.flatnonzero((vals[:, 0] > u_thr) & (vals[:, 1] > u_thr))
-        hess = matriculate_batch(shifted[rows] @ hess_rows, n_dim)
+        hess = matriculate_batch(ys[rows] @ hess_rows, n_dim)
         dets, idx, degen = _inertia(hess)
         mass = np.abs(dets)
         if shift is not None:
-            mass *= np.exp(-(ys[rows] @ shift) - half_shift_sq)
+            mass *= np.exp(log_w[rows])
         cls = np.where(degen, n_dim + 1, idx)
         buckets += np.bincount(cls, weights=mass, minlength=n_cls)
         counts += np.bincount(cls, minlength=n_cls)
@@ -409,7 +416,6 @@ def _accumulate(model, factor, u_thr, n, seed, stream, shift, antithetic,
             a[rows] = np.where(num_mask[cls], mass, 0.0)
             b[rows] = np.where(den_mask[cls], mass, 0.0)
             if half_plan:
-                half = take // 2
                 a = a[:half] + a[half:]
                 b = b[:half] + b[half:]
             s_a += a.sum()

@@ -62,6 +62,20 @@ class TestExitCodes:
         payload = read(tmp_path / "sigma.json")
         assert payload["verify"][0]["max_abs"] < 1e-8
 
+    def test_verify_passes_near_origin_at_default_tolerance(self, tmp_path):
+        # the contour oracle resolves the r^2 gap at r = 1e-3 to ~2e-10
+        code = run_cli("sigma", "--r", "1e-3", "--verify", "--out", str(tmp_path))
+        assert code == 0
+
+    def test_verify_cauchy_passes_at_default_tolerance(self, tmp_path):
+        code = run_cli("sigma", "--model", "cauchy:ell=1,nu=2",
+                       "--r", "1,0.5,0.1,0.05,0.02,0.01", "--verify",
+                       "--out", str(tmp_path))
+        assert code == 0
+        # every verify record carries the oracle's own error estimate
+        for rec in read(tmp_path / "sigma.json")["verify"]:
+            assert rec["max_abs"] <= rec["estimate"] <= 1e-8
+
 
 class TestArtifacts:
     def test_sigma_matrices_round_trip(self, tmp_path, gauss3):

@@ -2,13 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from critfield.covariance import (SingularConditioningError, check_qualified,
+from critfield.covariance import (OracleConvergenceError,
+                                  SingularConditioningError,
+                                  _analytic_rho_derivs, _g22_origin,
+                                  check_qualified,
                                   conditional_covariance,
                                   conditional_covariance_oracle, cov_partials,
                                   sigma_expansion)
 from critfield.models import RadialModel, cauchy_model, gaussian_model
-from critfield.symmetric import tau_index, vech_conjugation
+from critfield.symmetric import tau_index, vech_conjugation, vech_indices
 
 
 def _rotation_from_axis(rng, n):
@@ -91,6 +96,22 @@ class TestCovPartials:
         expected = g[n1](t[0]) * g[4 - n1](t[1]) * math.exp(-float(t @ t))
         assert cov_partials(gauss2, t, idx) == pytest.approx(expected, rel=1e-9)
 
+    def test_fourth_radial_derivative_off_origin(self):
+        # order 4 off the origin is the one place the fourth radial
+        # derivative enters; this profile's pole at x = -ell is steep and
+        # close to [0, 1]
+        ell, nu = 0.5, 3.0
+        model = cauchy_model(3, ell=ell, nu=nu)
+        rder = _analytic_rho_derivs(model)
+        coef = nu * (nu + 1) * (nu + 2) * (nu + 3) / ell ** 4
+        for x in np.geomspace(1e-6, 1.0, 40):
+            exact = coef * (1.0 + x / ell) ** (-nu - 4)
+            assert rder(x, 4) == pytest.approx(exact, rel=1e-12)
+            t = np.array([math.sqrt(x), 0.0, 0.0])
+            closed = (12.0 * model.rho_d2(x) + 48.0 * x * model.rho_d3(x)
+                      + 16.0 * x * x * exact)
+            assert cov_partials(model, t, (1, 1, 1, 1)) == pytest.approx(closed, rel=1e-12)
+
     def test_sixth_order_origin_constant(self, gauss2):
         # the all-equal sixth partial at 0 is minus the variance of the third
         # axial derivative: Var = -120 rho'''(0)
@@ -156,6 +177,17 @@ class TestConditionalCovariance:
             big = _conjugation_operator(q)
             assert np.abs(s_rot - big @ s_axis @ big.T).max() < 1e-10
 
+    @pytest.mark.parametrize("n_dim", [2, 3, 4, 5])
+    def test_hessian_block_matches_delta_loop(self, n_dim):
+        # the Hessian-Hessian block at one point, against the index loop
+        pairs = list(zip(*(idx.tolist() for idx in vech_indices(n_dim))))
+        ref = np.array([
+            [4.0 * 1.7 * ((i1 == j1) * (i2 == j2) + (i2 == j1) * (i1 == j2)
+                          + (i1 == i2) * (j1 == j2)) for i2, j2 in pairs]
+            for i1, j1 in pairs
+        ])
+        assert np.array_equal(_g22_origin(1.7, n_dim), ref)
+
     def test_singular_conditioning_raises(self):
         # a linear profile keeps the two gradients perfectly correlated
         model = RadialModel(
@@ -195,6 +227,58 @@ class TestConditionalCovariance:
         closed = conditional_covariance(model, r).sigma
         oracle = conditional_covariance_oracle(model, r).sigma
         assert np.abs(closed - oracle).max() < 0.05 * np.abs(closed - s0).max()
+
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        log_r=st.floats(min_value=-3.0, max_value=math.log10(0.5)),
+        n_dim=st.integers(min_value=2, max_value=4),
+        family=st.sampled_from(["gaussian", "cauchy"]),
+        a=st.floats(min_value=0.75, max_value=3.0),
+        ell=st.floats(min_value=0.5, max_value=3.0),
+        nu=st.floats(min_value=0.5, max_value=5.0),
+    )
+    def test_oracle_error_within_estimate(self, log_r, n_dim, family, a, ell, nu):
+        # the oracle resolves the r^2 gap, and its own error estimate covers
+        # its distance to the closed form
+        model = (gaussian_model(n_dim, a=a) if family == "gaussian"
+                 else cauchy_model(n_dim, ell=ell, nu=nu))
+        r = 10.0 ** log_r
+        s0, _ = sigma_expansion(model)
+        closed = conditional_covariance(model, r).sigma
+        oracle = conditional_covariance_oracle(model, r)
+        err = np.abs(closed - oracle.sigma).max()
+        assert err <= 1e-4 * np.abs(closed - s0).max()
+        assert err <= oracle.error_estimate
+
+    def test_closed_form_has_no_estimate(self, gauss2):
+        assert conditional_covariance(gauss2, 0.3).error_estimate is None
+
+    def test_real_only_rho_named(self):
+        # math.exp cannot take the complex nodes of the contour rule
+        model = RadialModel(
+            n_dim=2,
+            rho=lambda x: math.exp(-x),
+            rho_d1=lambda x: -math.exp(-x),
+            rho_d2=lambda x: math.exp(-x),
+            rho_d3=lambda x: -math.exp(-x),
+            name="math-exp",
+        )
+        with pytest.raises(TypeError, match="complex ndarrays"):
+            conditional_covariance_oracle(model, 0.1)
+
+    def test_nonholomorphic_rho_raises_convergence_error(self):
+        # |x|^3 has no Taylor series at 0: no radius lets the two rules agree
+        model = RadialModel(
+            n_dim=2,
+            rho=lambda x: np.exp(-x - 0.1 * np.abs(x) ** 3),
+            rho_d1=lambda x: -np.exp(-x),
+            rho_d2=lambda x: np.exp(-x),
+            rho_d3=lambda x: -np.exp(-x),
+            name="not-holomorphic",
+        )
+        with pytest.raises(OracleConvergenceError):
+            conditional_covariance_oracle(model, 0.1)
 
 
 class TestSigmaExpansion:

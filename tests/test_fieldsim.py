@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from critfield.fieldsim import (CriticalPoint, FieldRealization, FieldSurface,
-                                GridSpec, euler_characteristic,
+                                GridSpec, _torus_kernel, euler_characteristic,
                                 find_critical_points, pair_statistics,
                                 sample_field)
-from critfield.models import gaussian_model
+from critfield.models import cauchy_model, gaussian_model
 from critfield.rice import mean_critical_density
 
 
@@ -40,6 +40,16 @@ class TestSampling:
         vals = np.array(vals)
         stderr = vals.std(ddof=1) / math.sqrt(len(vals))
         assert abs(vals.mean() - target) < 3.0 * stderr
+
+    @pytest.mark.parametrize("model", [gaussian_model(2), cauchy_model(2, ell=2.0, nu=1.5)],
+                             ids=["gaussian", "cauchy"])
+    def test_kernel_matches_scalar_calls(self, model, grid):
+        # one vectorized call of rho against the scalar min-image reference
+        ax = np.arange(grid.n) * grid.spacing
+        ax = np.minimum(ax, grid.extent - ax)
+        ref = np.array([[float(model.rho(a * a + b * b)) for b in ax] for a in ax])
+        np.testing.assert_allclose(_torus_kernel(model, grid), ref,
+                                   rtol=4 * np.finfo(float).eps, atol=0.0)
 
     def test_extent_precondition(self, gauss2):
         with pytest.raises(ValueError):
