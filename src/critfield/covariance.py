@@ -39,7 +39,12 @@ class SingularConditioningError(RuntimeError):
 
 
 class OracleConvergenceError(RuntimeError):
-    """The contour rule found no radius on which its two node counts agree."""
+    """A deterministic oracle did not converge.
+
+    Raised by the contour rule when no radius makes its two node counts
+    agree, and by the N=2 quadrature when its error estimate stays above
+    its tolerance.
+    """
 
 
 @dataclass(frozen=True)

@@ -26,9 +26,11 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 from scipy.special import ndtr, owens_t
 
-from .covariance import _g22_origin, conditional_covariance, sigma_expansion
+from .covariance import (OracleConvergenceError, _g22_origin, conditional_covariance,
+                         sigma_expansion)
 from .spectral import ordered_eigendecomposition
 from .symmetric import matriculate, matriculate_batch
 
@@ -345,8 +347,9 @@ def _accumulate(model, factor, u_thr, n, seed, stream, shift, antithetic,
     means ``factor`` has the Hessian rows only and every sample is live.
 
     Returns per-index |det|-mass buckets and hit counts (index 0..N, then
-    degenerate) and, when ``num_sel``/``den_sel`` are given, pair-level first
-    and second moments for delta-method error bars.
+    degenerate) and, when ``num_sel``/``den_sel`` are given, pair-level
+    moments for the error bars: sum(a), sum(a^2) and, per chunk, R_c =
+    sum(a)/sum(b), sum((a - R_c b)^2), sum((a - R_c b) b) and sum(b^2).
     """
     n_dim = model.n_dim
     m = model.vech_dim
@@ -361,7 +364,8 @@ def _accumulate(model, factor, u_thr, n, seed, stream, shift, antithetic,
     n_cls = n_dim + 2  # index 0..N, then degenerate
     buckets = np.zeros(n_cls)
     counts = np.zeros(n_cls, dtype=np.int64)
-    s_a = s_b = s_aa = s_bb = s_ab = 0.0
+    s_a = s_aa = 0.0
+    chunk_moments = []
     n_units = 0
     want_query = num_sel is not None
     num_mask = np.zeros(n_cls, dtype=bool)
@@ -419,10 +423,10 @@ def _accumulate(model, factor, u_thr, n, seed, stream, shift, antithetic,
                 a = a[:half] + a[half:]
                 b = b[:half] + b[half:]
             s_a += a.sum()
-            s_b += b.sum()
             s_aa += (a * a).sum()
-            s_bb += (b * b).sum()
-            s_ab += (a * b).sum()
+            r_c = a.sum() / b.sum() if b.any() else 0.0
+            res = a - r_c * b
+            chunk_moments.append((r_c, (res * res).sum(), (res * b).sum(), (b * b).sum()))
             n_units += a.shape[0]
         done += take
         chunk_id += 1
@@ -432,10 +436,8 @@ def _accumulate(model, factor, u_thr, n, seed, stream, shift, antithetic,
         "counts": counts,
         "n": n,
         "sum_a": s_a,
-        "sum_b": s_b,
         "sum_aa": s_aa,
-        "sum_bb": s_bb,
-        "sum_ab": s_ab,
+        "chunk_moments": np.array(chunk_moments).reshape(-1, 4),
         "n_units": n_units,
     }
 
@@ -513,7 +515,8 @@ def index_ratio_mc(model, r, u_thr, num_indices, den_indices, n=2_000_000, seed=
             f"denominator saw no mass at r={r}, u={u_thr} with n={acc['n']}"
         )
     ratio = num_sum / den_sum
-    var = acc["sum_aa"] - 2.0 * ratio * acc["sum_ab"] + ratio * ratio * acc["sum_bb"]
+    r_c, res_sq, res_b, b_sq = acc["chunk_moments"].T  # about each chunk's own ratio
+    var = float(np.sum(res_sq - 2.0 * (ratio - r_c) * res_b + (ratio - r_c) ** 2 * b_sq))
     stderr = math.sqrt(max(var, 0.0)) / den_sum
     return RiceEstimate(
         value=ratio,
@@ -601,133 +604,129 @@ def mean_critical_density(model, k=None, n=500_000, seed=0):
 # deterministic quadrature oracle (N = 2)
 # ---------------------------------------------------------------------------
 
-def _bvn_cdf(h, k, rho):
-    """P(Z1 <= h, Z2 <= k) for standard bivariate normal, via Owen's T."""
-    h = np.asarray(h, dtype=float)
-    k = np.asarray(k, dtype=float)
-    h = np.where(h == 0.0, 1e-13, h)
-    k = np.where(k == 0.0, 1e-13, k)
+def _bvn_survival(lo1, lo2, rho):
+    """P(Z1 > lo1, Z2 > lo2) for a standard bivariate normal, via Owen's T."""
+    h, k = (np.where(lo == 0.0, 1e-13, -np.asarray(lo, dtype=float)) for lo in (lo1, lo2))
     denom = math.sqrt(max(1.0 - rho * rho, 1e-300))
-    ah = (k - rho * h) / (h * denom)
-    ak = (h - rho * k) / (k * denom)
-    out = 0.5 * (ndtr(h) + ndtr(k)) - owens_t(h, ah) - owens_t(k, ak)
-    out = out - np.where(h * k < 0.0, 0.5, 0.0)
+    out = (0.5 * (ndtr(h) + ndtr(k)) - owens_t(h, (k - rho * h) / (h * denom))
+           - owens_t(k, (h - rho * k) / (k * denom)) - np.where(h * k < 0.0, 0.5, 0.0))
     return np.clip(out, 0.0, 1.0)
 
 
-def _bvn_survival(lo1, lo2, rho):
-    """P(Z1 > lo1, Z2 > lo2) = Phi2(-lo1, -lo2, rho)."""
-    return _bvn_cdf(-np.asarray(lo1), -np.asarray(lo2), rho)
+QUAD_RTOL = 1e-3        # largest accepted error estimate, relative to the class integral
+PHI_START = 128         # angular nodes of the first rule
+MAX_PHI_DOUBLINGS = 6   # angular rules tried: PHI_START * 2^j for j = 0..MAX_PHI_DOUBLINGS
+PHI_BLOCK = 64          # angular nodes evaluated at once, which bounds the memory
+PHI_WIDTH = 0.3         # angular node spacing on the z3 axis, relative to uniform
+T_TAIL = 10.0           # radial nodes run this far past the bound on the radial mode
 
 
-def _definite_region_integral(sign, sigma, u_thr, n_rad=80, n_t=48):
-    """Integral of |det| * P(x,z > u | hessian) over the definite cone.
+def _cone_frame(sigma, u_thr):
+    """Frame of the N=2 Hessian block in which det is diagonal.
 
-    Parametrizes {sign*M positive definite} by the diagonal magnitudes and
-    the normalized off-diagonal t in (-1, 1); the integrand is smooth there.
+    With C = chol(Sigma_hh) and C^T J C = V diag(a, -b, -c) V^T, J the form of
+    det on (h11, h12, h22), h = C V z with z ~ N(0, I_3) has det h = a z1^2 -
+    b z2^2 - c z3^2 and field values of mean K z, sds sd and correlation eta.
+    No radial mode lies past t_hi, the distance of {both values > u} from 0 in
+    their covariance metric.  Returns ((a, b, c), K, sd, eta, t_hi, (CV)_00).
     """
-    from numpy.polynomial.legendre import leggauss
-
-    sh = sigma[:3, :3]
-    cx = sigma[:3, 3:]
-    sc = sigma[3:, 3:]
-    shi = np.linalg.inv(sh)
-    gmat = cx.T @ shi
-    s2 = sc - cx.T @ shi @ cx
-    sd1, sd2 = math.sqrt(s2[0, 0]), math.sqrt(s2[1, 1])
-    eta = s2[0, 1] / (sd1 * sd2)
-    det_sh = np.linalg.det(sh)
-    norm3 = 1.0 / math.sqrt((2.0 * math.pi) ** 3 * det_sh)
-
-    xg, wg = leggauss(n_rad)
-    # map (0,1) -> (0, inf) with a rational transform scaled to the block
-    xi = 0.5 * (xg + 1.0)
-    wxi = 0.5 * wg
-    sa = 3.0 * math.sqrt(sh[0, 0])
-    sc_ = 3.0 * math.sqrt(sh[2, 2])
-    a_nodes = sa * xi / (1.0 - xi)
-    a_w = wxi * sa / (1.0 - xi) ** 2
-    c_nodes = sc_ * xi / (1.0 - xi)
-    c_w = wxi * sc_ / (1.0 - xi) ** 2
-    tg, tw = leggauss(n_t)
-
-    A, C, T = np.meshgrid(a_nodes, c_nodes, tg, indexing="ij")
-    WA, WC, WT = np.meshgrid(a_w, c_w, tw, indexing="ij")
-    sq = np.sqrt(A * C)
-    x1 = sign * A
-    x3 = sign * C
-    x2 = T * sq
-    det = A * C * (1.0 - T * T)
-    pts = np.stack([x1, x2, x3], axis=-1).reshape(-1, 3)
-    quad = np.einsum("si,ij,sj->s", pts, shi, pts)
-    dens = norm3 * np.exp(-0.5 * quad)
-    mu = pts @ gmat.T
-    surv = _bvn_survival((u_thr - mu[:, 0]) / sd1, (u_thr - mu[:, 1]) / sd2, eta)
-    vals = det.reshape(-1) * dens * surv * sq.reshape(-1)
-    return float((vals * (WA * WC * WT).reshape(-1)).sum())
-
-
-def _total_integral(sigma, u_thr, n_gh=40):
-    """Integral of |det| * P(x,z > u | hessian) with no index restriction."""
-    from numpy.polynomial.hermite_e import hermegauss
-
-    sh = sigma[:3, :3]
-    cx = sigma[:3, 3:]
-    sc = sigma[3:, 3:]
-    shi = np.linalg.inv(sh)
-    gmat = cx.T @ shi
-    s2 = sc - cx.T @ shi @ cx
-    sd1, sd2 = math.sqrt(s2[0, 0]), math.sqrt(s2[1, 1])
-    eta = s2[0, 1] / (sd1 * sd2)
+    sh, cx = sigma[:3, :3], sigma[:3, 3:]
     chol = np.linalg.cholesky(sh)
-    nodes, weights = hermegauss(n_gh)
-    weights = weights / math.sqrt(2.0 * math.pi)
-    W1, W2, W3 = np.meshgrid(nodes, nodes, nodes, indexing="ij")
-    ww = (
-        np.meshgrid(weights, weights, weights, indexing="ij")[0]
-        * np.meshgrid(weights, weights, weights, indexing="ij")[1]
-        * np.meshgrid(weights, weights, weights, indexing="ij")[2]
-    )
-    w = np.stack([W1, W2, W3], axis=-1).reshape(-1, 3)
-    pts = w @ chol.T
-    det = np.abs(pts[:, 0] * pts[:, 2] - pts[:, 1] ** 2)
-    mu = pts @ gmat.T
-    surv = _bvn_survival((u_thr - mu[:, 0]) / sd1, (u_thr - mu[:, 1]) / sd2, eta)
-    return float((det * surv * ww.reshape(-1)).sum())
+    lam, vec = np.linalg.eigh(chol.T @ np.array([[0, 0, 0.5], [0, -1, 0], [0.5, 0, 0]]) @ chol)
+    cv = chol @ vec[:, ::-1]
+    gain = np.linalg.solve(sh, cx).T
+    (s11, s12), (_, s22) = sigma[3:, 3:] - gain @ cx
+    var, det = min(s11, s22), s11 * s22 - s12 * s12
+    # the corner binds unless a face does; it is never nearer than the nearer face
+    corner = (s11 + s22 - 2.0 * s12) / det if s12 < var and det > 0.0 else 0.0
+    return (lam[::-1] * [1, -1, -1], gain @ cv, np.sqrt([s11, s22]), s12 / math.sqrt(s11 * s22),
+            max(u_thr, 0.0) * math.sqrt(max(1.0 / var, corner)), cv[0, 0])
 
 
-def rice_density_quadrature(model, r, u_thr, k, n_rad=80, n_t=48, n_gh=40):
-    """Deterministic tensor-quadrature oracle for the N=2 density.
+def _cone_rows(frame, u_thr, k, n_rad, n_t, psi):
+    """Integral of index class k over (s, nu) at each angular node ``psi``.
 
-    Definite index classes (0 and 2) integrate over an exact parametrization
-    of the positive/negative-definite cone; the saddle class comes from the
-    unrestricted integral minus the definite ones.  Shares nothing with the
-    Monte Carlo path except the conditional covariance itself.
+    z = s (p/sqrt(a), w cos(phi)/sqrt(b), w sin(phi)/sqrt(c)) has |det| =
+    s^2 |p^2 - w^2| and volume s^2 w ds dnu dphi / sqrt(abc): saddles take
+    p = nu in (-1, 1), w = 1, a definite nappe p = +-1, w = nu in [0, 1).
+    With q = |z/s|^2, t = s sqrt(q) has weight t^4 e^(-t^2/2) / q^(5/2) times
+    the survival at mean t K z/|z|, on Gauss-Legendre nodes up to T_TAIL past
+    the mode's bound.  phi = pi/2 + atan2(PHI_WIDTH sin psi, cos psi) clusters
+    the nodes on the z3 axis, where q is smallest.
+    """
+    scales, gain, sd, eta, t_hi, h11_sign = frame
+    phi = 0.5 * math.pi + np.arctan2(PHI_WIDTH * np.sin(psi), np.cos(psi))
+    dphi = PHI_WIDTH / (np.cos(psi) ** 2 + (PHI_WIDTH * np.sin(psi)) ** 2)
+    nu, w_nu = leggauss(n_t)
+    if k == 1:
+        p, w, weight = nu, np.ones(n_t), w_nu * (1.0 - nu * nu)
+    else:  # index 0 is the nappe on which h11 > 0
+        p, w = np.full(n_t, 1.0 if (k == 0) == (h11_sign > 0) else -1.0), 0.5 * (nu + 1.0)
+        weight = 0.5 * w_nu * w * (1.0 - w * w)
+    dirs = np.stack(np.broadcast_arrays(p[:, None], w[:, None] * np.cos(phi),
+                                        w[:, None] * np.sin(phi))) / np.sqrt(scales)[:, None, None]
+    q = (dirs * dirs).sum(axis=0)
+    means = np.einsum("ij,j...->i...", gain, dirs) / np.sqrt(q)
+    low = means.min(axis=0)  # the survival turns on near t = u / low
+    span = T_TAIL + np.minimum(np.divide(max(u_thr, 0.0), low, out=np.full_like(low, t_hi),
+                                         where=low > 0), t_hi)
+    x, w_x = leggauss(n_rad)
+    t = 0.5 * span[..., None] * (x + 1.0)
+    lo = (u_thr - t * means[..., None]) / sd[:, None, None, None]
+    surv = _bvn_survival(lo[0], lo[1], eta)
+    radial = (t ** 4 * np.exp(-0.5 * t * t) * surv) @ w_x * (0.5 * span) / q ** 2.5
+    return weight @ radial * dphi / math.sqrt((2.0 * math.pi) ** 3 * scales.prod())
+
+
+def _cone_integral(frame, u_thr, k, n_rad, n_t):
+    """Integral of |det| P(both values > u | h) over index class k.
+
+    A periodic trapezoid in psi, doubled from PHI_START nodes by adding the
+    midpoints.  The estimate adds the differences to the half-node angular
+    rule and to the half-node radial and nu rule.  Returns (value, estimate,
+    evaluations); raises OracleConvergenceError when it still exceeds QUAD_RTOL
+    * |value| after MAX_PHI_DOUBLINGS, or as soon as its radial part does.
+    """
+    rules = ((n_rad, n_t), (n_rad // 2, n_t // 2))
+
+    def sums(psi):  # both rules, evaluated PHI_BLOCK angular nodes at a time
+        return np.array([sum(_cone_rows(frame, u_thr, k, nr, nt, psi[i:i + PHI_BLOCK]).sum()
+                             for i in range(0, psi.size, PHI_BLOCK)) for nr, nt in rules])
+
+    n_phi = PHI_START // 2
+    total = sums(2.0 * math.pi * np.arange(n_phi) / n_phi)
+    for _ in range(MAX_PHI_DOUBLINGS + 1):
+        coarse = total[0] * 2.0 * math.pi / n_phi
+        total = total + sums(2.0 * math.pi * (np.arange(n_phi) + 0.5) / n_phi)
+        n_phi *= 2
+        value, half_radial = total * 2.0 * math.pi / n_phi
+        angular, radial = abs(value - coarse), abs(value - half_radial)
+        if angular + radial <= QUAD_RTOL * abs(value):
+            return value, angular + radial, n_phi * sum(nr * nt for nr, nt in rules)
+        if radial > QUAD_RTOL * abs(value):  # more angular nodes cannot shrink it
+            break
+    raise OracleConvergenceError(
+        f"N=2 quadrature of index {k} at u={u_thr:g}: estimate {angular:.2e} (angular) + "
+        f"{radial:.2e} (radial) > {QUAD_RTOL:g} * |{value:.6e}| at {n_phi}/{n_rad}/{n_t} nodes")
+
+
+def rice_density_quadrature(model, r, u_thr, k, n_rad=64, n_t=24):
+    """Deterministic quadrature oracle for the N=2 density of index ``k``.
+
+    One rule over the quadric cone det = 0 serves every class: whitened, the
+    saddles fill its inside, each definite class one nappe of its outside,
+    and |det| vanishes on the cone, so the integrand is smooth on each
+    (Azais & Wschebor 2009, ch. 6).  ``n_rad`` and ``n_t`` are the radial and
+    tau/rho nodes; ``stderr`` is the error estimate, below QUAD_RTOL of the
+    value or OracleConvergenceError is raised.  ``k=None`` sums the classes.
+    Shares only Sigma(r) and the prefactor with the Monte Carlo path.
     """
     if model.n_dim != 2:
         raise ValueError("the quadrature oracle is implemented for N=2 only")
-    sigma = conditional_covariance(model, r).sigma
-    pref = _prefactor(model, r, None, u_thr)
-    if k == 2:
-        raw = _definite_region_integral(-1.0, sigma, u_thr, n_rad, n_t)
-    elif k == 0:
-        raw = _definite_region_integral(+1.0, sigma, u_thr, n_rad, n_t)
-    elif k == 1:
-        raw = (
-            _total_integral(sigma, u_thr, n_gh)
-            - _definite_region_integral(-1.0, sigma, u_thr, n_rad, n_t)
-            - _definite_region_integral(+1.0, sigma, u_thr, n_rad, n_t)
-        )
-    elif k is None:
-        raw = _total_integral(sigma, u_thr, n_gh)
-    else:
+    if k not in (0, 1, 2, None):
         raise ValueError("k must be one of 0, 1, 2, or None")
-    return RiceEstimate(
-        value=pref * raw,
-        stderr=0.0,
-        n=n_rad * n_rad * n_t if k in (0, 2) else n_gh ** 3,
-        seed=0,
-        k=k,
-        r=float(r),
-        u_threshold=float(u_thr),
-    )
+    frame = _cone_frame(conditional_covariance(model, r).sigma, u_thr)
+    raw, err, evals = map(sum, zip(*(_cone_integral(frame, u_thr, c, n_rad, n_t)
+                                     for c in ((0, 1, 2) if k is None else (k,)))))
+    pref = _prefactor(model, r, None, u_thr)
+    return RiceEstimate(pref * raw, pref * err, evals, 0, k, float(r), float(u_thr))

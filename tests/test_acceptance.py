@@ -215,19 +215,20 @@ def test_criterion_07a_type_collapse():
 def test_criterion_07b_maxima_share_half():
     # KNOWN RED.  The 1/2 is a double limit (separation to zero, then
     # threshold to infinity); this test asserts it at one finite point,
-    # r=0.02 and u=4.  There, two Monte Carlo estimators agree on a share
-    # near 0.513:
+    # r=0.02 and u=4.  There, three routes agree on a share near 0.5133:
     #   - the production estimator (mean-shift proposal, negate-paired)
     #     gives 0.5126 +- 0.0012 at n=2e6 (this test) and 0.5134 +- 0.0004
     #     at n=2e7;
     #   - the class-swap-paired estimator (antithetic="flip") gives
-    #     0.51322 +- 0.00004 at n=2e6.
-    # The N=2 tensor quadrature does not confirm this yet: at u=4 its share
-    # has not converged (0.5054 at the default 80/48/40 nodes, still rising
-    # to 0.5115 at 240/128/120).  Plain sampling (shift="none") sees no
-    # mass in the top two classes at n=2e6 and raises, and at n=1e8 its
-    # delta-method error bar is unreliable (seed 0 gives 0.68 +- 0.08,
-    # seed 1 gives 0.17 +- 0.06).
+    #     0.51322 +- 0.00004 at n=2e6;
+    #   - the deterministic N=2 quadrature over the quadric cone det = 0
+    #     gives 0.51326, with error estimates of at most 1.1e-4 relative
+    #     per class.
+    # Plain sampling (shift="none") cannot resolve it.  At n=2e6, seed 0
+    # sees no mass in the top two classes and raises, seed 1 gives
+    # 1.0 +- 0.0 from a single live hit, and seed 2 gives 0.49 +- 0.35 from
+    # two.  At n=1e8 its delta-method error bar is unreliable: seed 0 gives
+    # 0.68 +- 0.08 from 47 live hits, seed 1 gives 0.17 +- 0.06 from 46.
     # The paper only says the share "settles near 1/2" and fixes no
     # tolerance for a finite scale, so the criterion is asserted as stated
     # and fails with the measured offset.
@@ -247,8 +248,8 @@ def test_criterion_07b_maxima_share_half():
         "The class-swap-paired estimator gives 0.51322 +- 0.00004 at n=2e6 "
         "and the production estimator gives 0.5134 +- 0.0004 at n=2e7: a "
         "finite-(r, u) offset of about +0.013 from the double limit 1/2.  "
-        "The N=2 tensor quadrature has not converged at u=4 and is no "
-        "confirming route."
+        "The deterministic N=2 quadrature confirms it with a share of "
+        "0.51326."
     )
     assert elapsed < 180.0
 

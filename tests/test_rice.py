@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 import critfield.rice as rice_mod
-from critfield.covariance import conditional_covariance
+from critfield.covariance import OracleConvergenceError, conditional_covariance
 from critfield.models import gaussian_model
 from critfield.rice import (InsufficientSamplesError, hessian_index,
                             index_ratio_mc, maxima_share,
                             mean_critical_density, projection_point, psi_ratio,
                             rice_density_mc, rice_density_quadrature,
                             sign_ratio)
+from critfield.symmetric import matriculate_batch
 
 
 class TestHessianIndex:
@@ -99,6 +100,40 @@ class TestQuadratureOracle:
         with pytest.raises(ValueError):
             rice_density_quadrature(gauss3, 0.5, 0.0, 2)
 
+    def test_desk_scale_share(self, gauss2):
+        # flip-paired Monte Carlo gives 0.51322 +- 0.00004 here
+        maxima = rice_density_quadrature(gauss2, 0.02, 4.0, 2)
+        saddles = rice_density_quadrature(gauss2, 0.02, 4.0, 1)
+        assert abs(maxima.value / (maxima.value + saddles.value) - 0.51322) < 1e-4
+
+    def test_share_matches_flip_paired_mc(self, gauss2):
+        maxima = rice_density_quadrature(gauss2, 0.005, 4.0, 2)
+        saddles = rice_density_quadrature(gauss2, 0.005, 4.0, 1)
+        share = maxima.value / (maxima.value + saddles.value)
+        flip = maxima_share(gauss2, 0.005, 4.0, n=2_000_000, seed=0, antithetic="flip")
+        assert abs(share - flip.value) <= 4.0 * flip.stderr + 1e-5
+
+    @pytest.mark.parametrize("a, r, u_thr, k", [(1.0, 1.0, 5.0, 0), (2.0, 1.0, 4.0, 2),
+                                                (1.0, 0.01, 0.0, 1)])
+    def test_error_estimate_covers_denser_rule(self, monkeypatch, a, r, u_thr, k):
+        model = gaussian_model(2, a=a)
+        est = rice_density_quadrature(model, r, u_thr, k)
+        # twice the default radial and tau/rho nodes, four times the angular start
+        monkeypatch.setattr(rice_mod, "PHI_START", 4 * rice_mod.PHI_START)
+        dense = rice_density_quadrature(model, r, u_thr, k, n_rad=128, n_t=48)
+        assert est.stderr > 0.0
+        assert abs(est.value - dense.value) <= est.stderr
+
+    def test_unconverged_rule_raises(self, gauss2, monkeypatch):
+        # too few radial and rho nodes: more angular nodes cannot help
+        with pytest.raises(OracleConvergenceError):
+            rice_density_quadrature(gauss2, 0.5, 0.0, 2, n_rad=4, n_t=4)
+        # too few angular nodes, and no doubling allowed
+        monkeypatch.setattr(rice_mod, "PHI_START", 16)
+        monkeypatch.setattr(rice_mod, "MAX_PHI_DOUBLINGS", 0)
+        with pytest.raises(OracleConvergenceError):
+            rice_density_quadrature(gauss2, 0.02, 0.0, None)
+
 
 class TestRatios:
     def test_prefactor_never_enters(self, gauss2, monkeypatch):
@@ -115,6 +150,33 @@ class TestRatios:
         # the numerator masses partition the shared denominator exactly
         assert top.extras["num_sum"] + other.extras["num_sum"] == top.extras["den_sum"]
         assert top.value + other.value == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("r", [0.02, 0.001])
+    def test_ratio_stderr_matches_two_pass(self, gauss2, r):
+        # one chunk of the flip-paired share, its pair contributions rebuilt
+        # from the stream; sum((a - R b)^2) is taken at the estimator's own R,
+        # since it moves by 1e-13 relative when R moves by one rounding
+        n, u_thr, m = rice_mod.CHUNK, 4.0, gauss2.vech_dim
+        est = maxima_share(gauss2, r, u_thr, n=n, seed=1, antithetic="flip")
+        factor, sigma = rice_mod._factor_matrix(gauss2, r, None, "eig")
+        shift = rice_mod._resolve_shift(gauss2, r, u_thr, sigma, factor, "auto")
+        ys = np.empty((n, factor.shape[1]))
+        rice_mod._chunk_rng(1, rice_mod.STREAMS["share"], 0).standard_normal(out=ys[: n // 2])
+        ys[n // 2:] = ys[: n // 2]
+        ys[n // 2:, factor.shape[1] - gauss2.n_dim - 1:] *= -1.0
+        log_w = -(ys @ shift) - 0.5 * float(shift @ shift)
+        ys += shift
+        vals = ys @ factor[m:].T
+        rows = np.flatnonzero((vals[:, 0] > u_thr) & (vals[:, 1] > u_thr))
+        det, idx, degen = rice_mod._inertia(matriculate_batch(ys[rows] @ factor[:m].T, 2))
+        mass = np.where(degen, 0.0, np.abs(det) * np.exp(log_w[rows]))
+        a, b = np.zeros(n), np.zeros(n)
+        a[rows] = np.where(idx == 2, mass, 0.0)
+        b[rows] = np.where(idx >= 1, mass, 0.0)
+        a, b = a[: n // 2] + a[n // 2:], b[: n // 2] + b[n // 2:]
+        assert est.value == pytest.approx(a.sum() / b.sum(), rel=1e-12)
+        two_pass = math.sqrt(((a - est.value * b) ** 2).sum()) / b.sum()
+        assert est.stderr == pytest.approx(two_pass, rel=1e-12, abs=0)
 
     def test_share_within_unit_interval(self, gauss2):
         est = maxima_share(gauss2, 0.3, 0.0, n=50_000, seed=7)
