@@ -5,10 +5,12 @@ Fields are sampled exactly (in distribution) by circulant embedding: the torus
 covariance kernel diagonalizes in the Fourier basis, so coloring white noise
 with the root spectrum gives a stationary periodic field.  Critical points of
 the sampled field are located on a periodic bicubic-spline surrogate whose
-gradient and Hessian are analytic.  Four Newton walkers start in every cell
-whose Bezier hull lets both gradient components vanish, a test no critical
-point escapes, which keeps Morse counting consistent: on the torus,
-minima - saddles + maxima must come out to zero every time.
+value, gradient and Hessian are analytic and come from one cell gather per
+Newton step.  Four Newton walkers start in every cell whose Bezier hull lets
+both gradient components vanish, a test no critical point escapes, which
+keeps Morse counting consistent: on the torus, minima - saddles + maxima must
+come out to zero every time.  Above a threshold u, a cell gets the hull test
+only if one of the 16 spline coefficients that span it exceeds u.
 """
 
 import math
@@ -157,34 +159,28 @@ def sample_field(model, grid, seed=0):
 # periodic bicubic interpolation with analytic derivatives
 # ---------------------------------------------------------------------------
 
-def _bspline_weights(frac, order):
-    """Cubic B-spline basis (or its derivative) at offsets -1, 0, 1, 2.
+# B-spline taps of a cell along one axis: the coefficients at these offsets
+_OFFSETS = np.arange(-1, 3)
 
-    ``frac`` is the fractional position in the cell; returns the four tap
-    weights for the value (order 0), first, or second derivative.
+
+def _bspline_table(frac):
+    """Cubic B-spline weights at offsets -1, 0, 1, 2, shape (3, P, 4).
+
+    Rows hold the value, first- and second-derivative weights at ``frac`` in
+    [0, 1).  Offsets 0 and 1 lie on the inner piece of the basis, -1 and 2 on
+    the outer one; ``sign`` is that of frac - offset on either pair.
     """
-    t = frac[..., None] - np.array([-1.0, 0.0, 1.0, 2.0])
-    a = np.abs(t)
-    s = np.sign(t)
-    if order == 0:
-        return np.where(
-            a < 1.0,
-            (4.0 - 6.0 * a ** 2 + 3.0 * a ** 3) / 6.0,
-            np.where(a < 2.0, (2.0 - a) ** 3 / 6.0, 0.0),
-        )
-    if order == 1:
-        return np.where(
-            a < 1.0,
-            s * (-12.0 * a + 9.0 * a ** 2) / 6.0,
-            np.where(a < 2.0, s * -3.0 * (2.0 - a) ** 2 / 6.0, 0.0),
-        )
-    if order == 2:
-        return np.where(
-            a < 1.0,
-            (-12.0 + 18.0 * a) / 6.0,
-            np.where(a < 2.0, (2.0 - a), 0.0),
-        )
-    raise ValueError("order must be 0, 1, or 2")
+    dist = np.abs(frac[:, None] - _OFFSETS)
+    out = np.empty((3,) + dist.shape)
+    sign = np.array([1.0, -1.0])
+    a, rest = dist[:, 1:3], 2.0 - dist[:, 0::3]
+    out[0, :, 1:3] = (4.0 - 6.0 * a ** 2 + 3.0 * a ** 3) / 6.0
+    out[1, :, 1:3] = sign * (-12.0 * a + 9.0 * a ** 2) / 6.0
+    out[2, :, 1:3] = (-12.0 + 18.0 * a) / 6.0
+    out[0, :, 0::3] = rest ** 3 / 6.0
+    out[1, :, 0::3] = sign * -3.0 * rest ** 2 / 6.0
+    out[2, :, 0::3] = rest
+    return out
 
 
 class FieldSurface:
@@ -205,47 +201,35 @@ class FieldSurface:
         self.h = realization.spacing
         self.scale = float(np.sqrt(np.mean(values ** 2)))
 
-    def _tap(self, pts_grid, dx, dy):
-        base = np.floor(pts_grid).astype(np.int64)
-        frac = pts_grid - base
-        wx = _bspline_weights(frac[:, 0], dx)
-        wy = _bspline_weights(frac[:, 1], dy)
-        offs = np.array([-1, 0, 1, 2])
-        ix = (base[:, 0, None] + offs[None, :]) % self.n
-        iy = (base[:, 1, None] + offs[None, :]) % self.n
-        patch = self.coeffs[ix[:, :, None], iy[:, None, :]]
-        return np.einsum("pa,pb,pab->p", wx, wy, patch) / self.h ** (dx + dy)
+    def window(self, cells):
+        """The (P, 4, 4) coefficients that span each grid cell of ``cells``."""
+        ix, iy = ((cells[:, k, None] + _OFFSETS) % self.n for k in (0, 1))
+        return self.coeffs[ix[:, :, None], iy[:, None, :]]
 
-    def value(self, pts):
-        return self._tap(np.atleast_2d(pts) / self.h, 0, 0)
-
-    def gradient(self, pts):
+    def jet(self, pts):
+        """Value (P,), gradient (P, 2) and Hessian (P, 2, 2) from one cell gather."""
         pg = np.atleast_2d(pts) / self.h
-        return np.stack([self._tap(pg, 1, 0), self._tap(pg, 0, 1)], axis=-1)
+        base = np.floor(pg).astype(np.int64)
+        wx, wy = (_bspline_table(frac) for frac in (pg - base).T)
+        patch = self.window(base)
 
-    def hessian(self, pts):
-        pg = np.atleast_2d(pts) / self.h
-        hxx = self._tap(pg, 2, 0)
-        hxy = self._tap(pg, 1, 1)
-        hyy = self._tap(pg, 0, 2)
-        out = np.empty((pg.shape[0], 2, 2))
-        out[:, 0, 0] = hxx
-        out[:, 0, 1] = out[:, 1, 0] = hxy
-        out[:, 1, 1] = hyy
-        return out
+        def tap(dx, dy):
+            return np.einsum("pa,pb,pab->p", wx[dx], wy[dy], patch)
+
+        grad = np.stack([tap(1, 0), tap(0, 1)], axis=-1) / self.h
+        hxx, hxy, hyy = (tap(*d) / self.h ** 2 for d in ((2, 0), (1, 1), (0, 2)))
+        hess = np.stack([hxx, hxy, hxy, hyy], axis=-1).reshape(-1, 2, 2)
+        return tap(0, 0), grad, hess
 
 
-def _bezier_controls(coeffs, axis):
-    """Cubic Bezier control points of the periodic B-spline, cell by cell.
-
-    Along ``axis`` the spline on cell i is the cubic Bezier curve with these
-    four control points, stacked on a new leading axis.
-    """
-    c_prev, c_next, c_next2 = (np.roll(coeffs, s, axis) for s in (1, -1, -2))
-    return np.stack([(c_prev + 4.0 * coeffs + c_next) / 6.0,
-                     (2.0 * coeffs + c_next) / 3.0,
-                     (coeffs + 2.0 * c_next) / 3.0,
-                     (coeffs + 4.0 * c_next + c_next2) / 6.0])
+def _bezier_controls(taps):
+    """Cubic Bezier control points of the B-spline on a cell along one axis,
+    from ``taps``, its coefficients at offsets -1, 0, 1, 2, on a new axis 0."""
+    c_prev, c, c_next, c_next2 = taps
+    return np.stack([(c_prev + 4.0 * c + c_next) / 6.0,
+                     (2.0 * c + c_next) / 3.0,
+                     (c + 2.0 * c_next) / 3.0,
+                     (c + 4.0 * c_next + c_next2) / 6.0])
 
 
 def _candidate_cells(surface, u_thr=-math.inf):
@@ -256,16 +240,31 @@ def _candidate_cells(surface, u_thr=-math.inf):
     A cell is flagged iff both components' control points straddle 0, so a
     cell holding a critical point is never missed.  It is kept iff the
     largest of its 16 value control points, which bounds the patch, exceeds
-    ``u_thr``.
+    ``u_thr``.  The control points are convex combinations of the cell's
+    4 x 4 coefficient window, so unless ``u_thr`` is -inf only the cells
+    whose window maximum exceeds it are tested at all.
     """
-    ctrl = _bezier_controls(_bezier_controls(surface.coeffs, 0), 2)
+    coeffs = surface.coeffs
+    if u_thr == -math.inf:
+        cells = None
+        ctrl = _bezier_controls([np.roll(coeffs, -o, 0) for o in _OFFSETS])
+        ctrl = _bezier_controls([np.roll(ctrl, -o, 2) for o in _OFFSETS])
+    else:
+        reach = coeffs
+        for axis in (0, 1):
+            reach = np.max([np.roll(reach, -o, axis) for o in _OFFSETS], axis=0)
+        # the margin covers the rounding of the control points, a few ulps
+        cells = np.argwhere(reach > u_thr - 1e-12 * np.abs(coeffs).max())
+        ctrl = _bezier_controls(np.moveaxis(surface.window(cells), 1, 0))
+        ctrl = _bezier_controls(np.moveaxis(ctrl, 2, 0))
 
     def straddles(diff):
         return (diff.min(axis=(0, 1)) <= 0.0) & (diff.max(axis=(0, 1)) >= 0.0)
 
     mask = straddles(np.diff(ctrl, axis=0)) & straddles(np.diff(ctrl, axis=1))
-    mask &= ctrl.max(axis=(0, 1)) > u_thr
-    return np.argwhere(mask)
+    if cells is None:
+        return np.argwhere(mask)
+    return cells[mask & (ctrl.max(axis=(0, 1)) > u_thr)]
 
 
 def _close_pairs(pts, radius, extent):
@@ -300,8 +299,9 @@ def find_critical_points(realization, u_thr=-math.inf, max_iter=40,
     once its step is at most 1e-13 h.  Converged points are deduplicated on
     the torus, classified by the index rule of :func:`critfield.rice._inertia`
     and filtered by field value.  Returns the points and a diagnostics dict:
-    ``cells_flagged`` counts candidate cells and ``diverged`` counts walkers
-    that left their leash or met a singular Hessian.
+    ``cells_flagged`` counts candidate cells, ``diverged`` counts walkers
+    that left their leash or met a singular Hessian, and ``stalled`` counts
+    walkers still stepping when ``max_iter`` ran out.
     """
     surface = FieldSurface(realization)
     h, extent = surface.h, realization.extent
@@ -314,8 +314,7 @@ def find_critical_points(realization, u_thr=-math.inf, max_iter=40,
         idx = np.flatnonzero(walking)
         if idx.size == 0:
             break
-        g = surface.gradient(pts[idx])
-        hess = surface.hessian(pts[idx])
+        _, g, hess = surface.jet(pts[idx])
         det = hess[:, 0, 0] * hess[:, 1, 1] - hess[:, 0, 1] ** 2
         ok = np.abs(det) > 1e-300
         step = np.zeros_like(g)
@@ -332,30 +331,27 @@ def find_critical_points(realization, u_thr=-math.inf, max_iter=40,
         bad = (~ok) | (np.linalg.norm(drift, axis=1) > 2.5 * h)
         alive[idx[bad]] = False
         walking[idx[bad | (norm <= 1e-13 * h)]] = False
-    diagnostics = {"cells_flagged": len(cells), "diverged": int((~alive).sum())}
+    diagnostics = {"cells_flagged": len(cells), "diverged": int((~alive).sum()),
+                   "stalled": int((alive & walking).sum())}
 
     pts = np.mod(pts[alive], extent)
-    gnorm = np.linalg.norm(surface.gradient(pts), axis=1)
-    keep = gnorm < grad_tol_factor * max(surface.scale, 1e-12)
-    pts, gnorm = pts[keep], gnorm[keep]
+    vals, grad, hess = surface.jet(pts)
+    gnorm = np.linalg.norm(grad, axis=1)
+    sel = np.flatnonzero(gnorm < grad_tol_factor * max(surface.scale, 1e-12))
 
     # Torus-aware keep-first dedup over the sorted points: j goes when it
     # pairs with a kept i < j.  Walkers that found the same root agree to
     # ~1e-10 h; distinct critical points are kept however close, since tight
     # pairs are the statistic of interest downstream.  Each sweep settles one
     # more link of a chain of pairs.
-    order = np.lexsort((pts[:, 1], pts[:, 0]))
-    pts, gnorm = pts[order], gnorm[order]
-    first, second = _close_pairs(pts, 1e-3 * h, extent)[0].T
-    kept, settled = np.ones(pts.shape[0], dtype=bool), False
+    sel = sel[np.lexsort((pts[sel, 1], pts[sel, 0]))]
+    first, second = _close_pairs(pts[sel], 1e-3 * h, extent)[0].T
+    kept, settled = np.ones(sel.size, dtype=bool), False
     while not settled:
         new = np.ones_like(kept)
         new[second[kept[first]]] = False
         settled, kept = np.array_equal(new, kept), new
-    pts, gnorm = pts[kept], gnorm[kept]
-
-    vals = surface.value(pts)
-    hess = surface.hessian(pts)
+    pts, gnorm, vals, hess = (a[sel[kept]] for a in (pts, gnorm, vals, hess))
     _, index, _ = _inertia(hess)
     points = [CriticalPoint(position=pts[i].copy(), value=float(vals[i]),
                             grad_norm=float(gnorm[i]), hessian=hess[i].copy(),

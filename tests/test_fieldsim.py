@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from critfield.fieldsim import (CriticalPoint, FieldRealization, FieldSurface,
-                                GridSpec, _torus_kernel, euler_characteristic,
-                                find_critical_points, pair_statistics,
-                                sample_field)
+from critfield.fieldsim import (_OFFSETS, CriticalPoint, FieldRealization,
+                                FieldSurface, GridSpec, _bezier_controls,
+                                _bspline_table, _candidate_cells, _torus_kernel,
+                                euler_characteristic, find_critical_points,
+                                pair_statistics, sample_field)
 from critfield.models import cauchy_model, gaussian_model
 from critfield.rice import mean_critical_density
 
@@ -96,9 +97,77 @@ class TestDeterministicSurface:
     def test_interpolant_reproduces_values(self, cos_field):
         surface = FieldSurface(cos_field)
         nodes = np.array([[0.0, 0.0], [1.0, 2.0], [5.5, 0.25]])
-        got = surface.value(nodes)
+        got = surface.jet(nodes)[0]
         expected = np.cos(nodes[:, 0]) * np.cos(nodes[:, 1])
         assert np.abs(got - expected).max() < 5e-5
+
+    def test_jet_matches_analytic_derivatives(self, cos_field, rng):
+        pts = rng.uniform(0.0, cos_field.extent, size=(2000, 2))
+        value, grad, hess = FieldSurface(cos_field).jet(pts)
+        cx, cy = np.cos(pts).T
+        sx, sy = np.sin(pts).T
+        assert np.abs(value - cx * cy).max() < 2e-5
+        assert np.abs(grad - np.stack([-sx * cy, -cx * sy], axis=-1)).max() < 2e-4
+        exact = np.stack([-cx * cy, sx * sy, sx * sy, -cx * cy], axis=-1)
+        assert np.abs(hess - exact.reshape(-1, 2, 2)).max() < 1e-2
+
+    def test_no_walker_stalls(self, cos_field):
+        # every walker settles within 5 steps; cut off before that, some stall
+        assert find_critical_points(cos_field)[1]["stalled"] == 0
+        assert find_critical_points(cos_field, max_iter=4)[1]["stalled"] > 0
+
+
+def _bspline_weights_reference(frac, order):
+    """Cubic B-spline basis (or its derivative) at offsets -1, 0, 1, 2, branch by branch."""
+    t = frac[..., None] - np.array([-1.0, 0.0, 1.0, 2.0])
+    a = np.abs(t)
+    s = np.sign(t)
+    if order == 0:
+        return np.where(
+            a < 1.0,
+            (4.0 - 6.0 * a ** 2 + 3.0 * a ** 3) / 6.0,
+            np.where(a < 2.0, (2.0 - a) ** 3 / 6.0, 0.0),
+        )
+    if order == 1:
+        return np.where(
+            a < 1.0,
+            s * (-12.0 * a + 9.0 * a ** 2) / 6.0,
+            np.where(a < 2.0, s * -3.0 * (2.0 - a) ** 2 / 6.0, 0.0),
+        )
+    return np.where(
+        a < 1.0,
+        (-12.0 + 18.0 * a) / 6.0,
+        np.where(a < 2.0, (2.0 - a), 0.0),
+    )
+
+
+class TestSplineKernels:
+    def test_weight_table_matches_branch_reference(self, rng):
+        frac = np.concatenate([rng.uniform(0.0, 1.0, size=100_000),
+                               [0.0, 0.5, np.nextafter(1.0, 0.0)]])
+        table = _bspline_table(frac)
+        for order in (0, 1, 2):
+            ref = _bspline_weights_reference(frac, order)
+            # bit for bit; "+ 0.0" maps -0.0 to 0.0 and leaves all else as is
+            assert np.array_equal((table[order] + 0.0).view(np.uint64),
+                                  (ref + 0.0).view(np.uint64))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_value_bound_drops_no_cell(self, gauss2, grid, seed):
+        # the full-grid hull test, thresholded afterwards, is the reference
+        surface = FieldSurface(sample_field(gauss2, grid, seed=seed))
+        ctrl = _bezier_controls([np.roll(surface.coeffs, -o, 0) for o in _OFFSETS])
+        ctrl = _bezier_controls([np.roll(ctrl, -o, 2) for o in _OFFSETS])
+        top = ctrl.max(axis=(0, 1))
+        flagged = _candidate_cells(surface)
+        for u in (0.0, 1.5, 2.5, 4.0):
+            expected = flagged[top[flagged[:, 0], flagged[:, 1]] > u]
+            assert np.array_equal(_candidate_cells(surface, u), expected)
+
+    def test_threshold_above_every_value(self, gauss2, grid):
+        points, diag = find_critical_points(sample_field(gauss2, grid, seed=0), u_thr=10.0)
+        assert points == []
+        assert diag["cells_flagged"] == 0
 
 
 class TestRandomFields:
