@@ -152,17 +152,29 @@ class TestSplineKernels:
             assert np.array_equal((table[order] + 0.0).view(np.uint64),
                                   (ref + 0.0).view(np.uint64))
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_value_bound_drops_no_cell(self, gauss2, grid, seed):
+    @staticmethod
+    def _check_value_bound(surface, thresholds):
         # the full-grid hull test, thresholded afterwards, is the reference
-        surface = FieldSurface(sample_field(gauss2, grid, seed=seed))
         ctrl = _bezier_controls([np.roll(surface.coeffs, -o, 0) for o in _OFFSETS])
         ctrl = _bezier_controls([np.roll(ctrl, -o, 2) for o in _OFFSETS])
-        top = ctrl.max(axis=(0, 1))
         flagged = _candidate_cells(surface)
-        for u in (0.0, 1.5, 2.5, 4.0):
-            expected = flagged[top[flagged[:, 0], flagged[:, 1]] > u]
-            assert np.array_equal(_candidate_cells(surface, u), expected)
+        top = ctrl.max(axis=(0, 1))[flagged[:, 0], flagged[:, 1]]
+        for u in thresholds:
+            assert np.array_equal(_candidate_cells(surface, u), flagged[top > u])
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_value_bound_drops_no_cell(self, gauss2, grid, seed):
+        self._check_value_bound(FieldSurface(sample_field(gauss2, grid, seed=seed)),
+                                (0.0, 1.5, 2.5, 4.0))
+
+    def test_value_bound_spans_the_whole_window(self, cos_field):
+        # one unit coefficient: the 16 cells whose windows hold it bound their
+        # patches by 1/36, 1/9 or 4/9, by where in the window it sits
+        surface = FieldSurface(cos_field)
+        surface.coeffs = np.zeros_like(surface.coeffs)
+        surface.coeffs[5, 7] = 1.0
+        self._check_value_bound(surface, (0.01, 0.05, 0.2, 0.5))
+        assert len(_candidate_cells(surface, 0.01)) == 16
 
     def test_threshold_above_every_value(self, gauss2, grid):
         points, diag = find_critical_points(sample_field(gauss2, grid, seed=0), u_thr=10.0)
