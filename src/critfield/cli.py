@@ -12,6 +12,7 @@ import json
 import math
 import sys
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from . import io as cfio
 from .covariance import (OracleConvergenceError, SingularConditioningError,
                          check_qualified, conditional_covariance,
                          conditional_covariance_oracle, sigma_expansion)
-from .fieldsim import (EmbeddingError, GridSpec, euler_characteristic,
+from .fieldsim import (EmbeddingError, GridSpec, PairTable, euler_characteristic,
                        find_critical_points, pair_statistics, sample_field)
 from .models import model_from_spec
 from .rice import (InsufficientSamplesError, maxima_share, psi_ratio,
@@ -80,33 +81,47 @@ class RunConfig:
 
     def to_file_dict(self):
         """The config-file representation; feeding it back reproduces the run."""
-        return {
-            "schema": 1,
-            "command": self.command,
-            "model": {
-                "family": self.model_family,
-                "params": dict(self.model_params),
-                "N": self.n_dim,
-                "scale": self.scale,
-            },
-            "r": list(self.r_list),
-            "u": list(self.u_list),
-            "mc": {"n": self.mc_n, "seed": self.seed},
-            "sim": {
-                "grid": self.sim_grid,
-                "spacing": self.sim_spacing,
-                "realizations": self.sim_realizations,
-                "eps": self.sim_eps,
-            },
-            "output": {"path": self.out_dir, "format": self.out_format},
-            "verify": self.verify,
-            "tol": self.tol,
-        }
+        out = {"schema": cfio.SCHEMA}
+        for name, keys, _, _ in FIELDS:
+            value = getattr(self, name)
+            node = out
+            for key in keys[:-1]:
+                node = node.setdefault(key, {})
+            node[keys[-1]] = list(value) if isinstance(value, tuple) else value
+        return out
+
+
+DEFAULT = RunConfig()
+
+# RunConfig field, its path in the config file, its flag (None: no flag of
+# its own) and the flag's help.  A field's type is that of its default.
+FIELDS = (
+    ("command", ("command",), None, None),
+    ("model_family", ("model", "family"), None, None),
+    ("model_params", ("model", "params"), None, None),
+    ("n_dim", ("model", "N"), "--N", "field dimension"),
+    ("scale", ("model", "scale"), "--scale", "argument rescale factor"),
+    ("r_list", ("r",), "--r", "comma-separated radii"),
+    ("u_list", ("u",), "--u", "comma-separated thresholds"),
+    ("mc_n", ("mc", "n"), "--n", "Monte Carlo sample budget"),
+    ("seed", ("mc", "seed"), "--seed", "root seed (default 0)"),
+    ("out_dir", ("output", "path"), "--out", "output directory"),
+    ("out_format", ("output", "format"), "--format", "table format: json or csv"),
+    ("verify", ("verify",), "--verify", "sigma: cross-check against the independent oracle"),
+    ("tol", ("tol",), "--tol", "verification tolerance"),
+    ("sim_grid", ("sim", "grid"), "--grid", "simulate: cells per axis"),
+    ("sim_spacing", ("sim", "spacing"), "--spacing", "simulate: grid spacing"),
+    ("sim_realizations", ("sim", "realizations"), "--realizations",
+     "simulate: realizations"),
+    ("sim_eps", ("sim", "eps"), "--eps", "simulate: pair radius in correlation lengths"),
+)
 
 
 def _parse_model(spec):
     """'gaussian:a=1' or 'cauchy:ell=1,nu=2' -> (family, params)."""
     family, _, rest = spec.partition(":")
+    if not family.strip():
+        raise ConfigError(f"model {spec!r} names no family")
     params = {}
     if rest:
         for item in rest.split(","):
@@ -118,10 +133,18 @@ def _parse_model(spec):
 
 
 def _parse_floats(text):
+    return tuple(float(v) for v in text.split(",") if v.strip())
+
+
+def _convert(name, value):
+    """``value`` (a file entry or flag text) as the type of the field's default."""
+    kind = type(getattr(DEFAULT, name))
     try:
-        return tuple(float(v) for v in text.split(",") if v.strip())
-    except ValueError as exc:
-        raise ConfigError(f"malformed list {text!r}") from exc
+        if kind is tuple and isinstance(value, str):
+            return _parse_floats(value)
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed {name} {value!r}") from exc
 
 
 def load_config(path):
@@ -129,34 +152,18 @@ def load_config(path):
         raw = json.load(fh)
     if not isinstance(raw, dict):
         raise ConfigError("config file must hold a JSON object")
-    model = raw.get("model", {})
-    if "model" in raw and not isinstance(model, dict):
-        raise ConfigError("config 'model' must be an object")
-    if "model" in raw and "family" not in model:
+    values = {}
+    for name, keys, _, _ in FIELDS:
+        node = raw
+        for key in keys[:-1]:
+            node = node.get(key, {})
+            if not isinstance(node, dict):
+                raise ConfigError(f"config {key!r} must be an object")
+        if keys[-1] in node:  # keys no row names, such as mc.shards, are ignored
+            values[name] = _convert(name, node[keys[-1]])
+    if "model" in raw and "model_family" not in values:
         raise ConfigError("config model requires a 'family'")
-    mc = raw.get("mc", {})
-    sim = raw.get("sim", {})
-    out = raw.get("output", {})
-    default = RunConfig()
-    return RunConfig(
-        command=raw.get("command", default.command),
-        model_family=model.get("family", default.model_family),
-        model_params=dict(model.get("params", default.model_params)),
-        n_dim=int(model.get("N", default.n_dim)),
-        scale=float(model.get("scale", default.scale)),
-        r_list=tuple(raw.get("r", default.r_list)),
-        u_list=tuple(raw.get("u", default.u_list)),
-        mc_n=int(mc.get("n", default.mc_n)),
-        seed=int(mc.get("seed", default.seed)),
-        sim_grid=int(sim.get("grid", default.sim_grid)),
-        sim_spacing=float(sim.get("spacing", default.sim_spacing)),
-        sim_realizations=int(sim.get("realizations", default.sim_realizations)),
-        sim_eps=float(sim.get("eps", default.sim_eps)),
-        out_dir=out.get("path", default.out_dir),
-        out_format=out.get("format", default.out_format),
-        verify=bool(raw.get("verify", default.verify)),
-        tol=float(raw.get("tol", default.tol)),
-    )
+    return RunConfig(**values)
 
 
 def build_parser():
@@ -167,60 +174,24 @@ def build_parser():
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", help="JSON config file; flags override it")
     parser.add_argument("--model", help="family:key=val,... e.g. gaussian:a=1")
-    parser.add_argument("--N", type=int, help="field dimension")
-    parser.add_argument("--scale", type=float, help="argument rescale factor")
-    parser.add_argument("--r", help="comma-separated radii")
-    parser.add_argument("--u", help="comma-separated thresholds")
-    parser.add_argument("--n", type=int, help="Monte Carlo sample budget")
-    parser.add_argument("--seed", type=int, help="root seed (default 0)")
-    parser.add_argument("--out", help="output directory")
-    parser.add_argument("--format", choices=("json", "csv"), help="table format")
-    parser.add_argument("--verify", action="store_true",
-                        help="sigma: cross-check against the independent oracle")
-    parser.add_argument("--tol", type=float, help="verification tolerance")
-    parser.add_argument("--grid", type=int, help="simulate: cells per axis")
-    parser.add_argument("--spacing", type=float, help="simulate: grid spacing")
-    parser.add_argument("--realizations", type=int, help="simulate: realizations")
-    parser.add_argument("--eps", type=float,
-                        help="simulate: pair radius in correlation lengths")
+    for name, _, flag, text in FIELDS:
+        if flag:
+            # no argparse type: resolve_config converts, so a bad value exits 2
+            switch = isinstance(getattr(DEFAULT, name), bool)
+            parser.add_argument(flag, help=text,
+                                **({"action": "store_true", "default": None} if switch else {}))
     return parser
 
 
 def resolve_config(args):
     cfg = load_config(args.config) if args.config else RunConfig()
-    cfg = replace(cfg, command=args.command)
-    if args.model:
-        family, params = _parse_model(args.model)
-        cfg = replace(cfg, model_family=family, model_params=params)
-    if args.N is not None:
-        cfg = replace(cfg, n_dim=args.N)
-    if args.scale is not None:
-        cfg = replace(cfg, scale=args.scale)
-    if args.r:
-        cfg = replace(cfg, r_list=_parse_floats(args.r))
-    if args.u:
-        cfg = replace(cfg, u_list=_parse_floats(args.u))
-    if args.n is not None:
-        cfg = replace(cfg, mc_n=args.n)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.out:
-        cfg = replace(cfg, out_dir=args.out)
-    if args.format:
-        cfg = replace(cfg, out_format=args.format)
-    if args.verify:
-        cfg = replace(cfg, verify=True)
-    if args.tol is not None:
-        cfg = replace(cfg, tol=args.tol)
-    if args.grid is not None:
-        cfg = replace(cfg, sim_grid=args.grid)
-    if args.spacing is not None:
-        cfg = replace(cfg, sim_spacing=args.spacing)
-    if args.realizations is not None:
-        cfg = replace(cfg, sim_realizations=args.realizations)
-    if args.eps is not None:
-        cfg = replace(cfg, sim_eps=args.eps)
-    return cfg.validate()
+    changes = {"command": args.command}
+    if args.model is not None:
+        changes["model_family"], changes["model_params"] = _parse_model(args.model)
+    for name, _, flag, _ in FIELDS:
+        if flag and getattr(args, flag[2:]) is not None:
+            changes[name] = _convert(name, getattr(args, flag[2:]))
+    return replace(cfg, **changes).validate()
 
 
 def _artifact(cfg, payload):
@@ -317,11 +288,22 @@ def cmd_hpoly(cfg):
     return 0
 
 
-def _sweep(cfg, name, estimator, points):
+# command: (the estimator's name in this module, the list it sweeps); the
+# other list gives its first entry.  The name is looked up at each call.
+SWEEPS = {"ratio": ("sign_ratio", "r"), "psi": ("psi_ratio", "u"),
+          "share": ("maxima_share", "u")}
+
+
+def cmd_sweep(cfg):
+    name = cfg.command
+    estimator, axis = SWEEPS[name]
+    model = cfg.build_model()
     rows = []
     records = []
-    for label, args in points:
-        est = estimator(*args)
+    for x in cfg.r_list if axis == "r" else cfg.u_list:
+        r, u = (x, cfg.u_list[0]) if axis == "r" else (cfg.r_list[0], x)
+        est = globals()[estimator](model, r, u, n=cfg.mc_n, seed=cfg.seed)
+        label = f"{axis}={x:g}"
         rows.append((label, est.value, est.stderr, est.n))
         records.append(est.to_dict(name, {"sweep": label}))
         print(f"{name} {label}: {est.value:.6f} +- {est.stderr:.6f} (n={est.n})")
@@ -331,44 +313,13 @@ def _sweep(cfg, name, estimator, points):
     return 0
 
 
-def cmd_ratio(cfg):
-    model = cfg.build_model()
-    u = cfg.u_list[0]
-    return _sweep(
-        cfg, "ratio",
-        lambda r: sign_ratio(model, r, u, n=cfg.mc_n, seed=cfg.seed),
-        [(f"r={r:g}", (r,)) for r in cfg.r_list],
-    )
-
-
-def cmd_psi(cfg):
-    model = cfg.build_model()
-    r = cfg.r_list[0]
-    return _sweep(
-        cfg, "psi",
-        lambda u: psi_ratio(model, r, u, n=cfg.mc_n, seed=cfg.seed),
-        [(f"u={u:g}", (u,)) for u in cfg.u_list],
-    )
-
-
-def cmd_share(cfg):
-    model = cfg.build_model()
-    r = cfg.r_list[0]
-    return _sweep(
-        cfg, "share",
-        lambda u: maxima_share(model, r, u, n=cfg.mc_n, seed=cfg.seed),
-        [(f"u={u:g}", (u,)) for u in cfg.u_list],
-    )
-
-
 def cmd_simulate(cfg):
     model = cfg.build_model()
     grid = GridSpec(n=cfg.sim_grid, spacing=cfg.sim_spacing)
     u_thr = cfg.u_list[0]
     eps = cfg.sim_eps * model.correlation_length
     euler_failures = 0
-    pair_counts = {}
-    n_pairs = 0
+    pair_counts = Counter()
     n_points = 0
     point_rows = []
     out = Path(cfg.out_dir)
@@ -382,34 +333,32 @@ def cmd_simulate(cfg):
             euler_failures += 1
         above = [p for p in points if p.value > u_thr]
         n_points += len(above)
-        table = pair_statistics(above, eps, realization.extent)
-        n_pairs += table.n_pairs
-        for key, cnt in table.counts.items():
-            pair_counts[key] = pair_counts.get(key, 0) + cnt
+        pair_counts.update(pair_statistics(above, eps, realization.extent).counts)
         if k == 0:
             for p in points:
                 point_rows.append(
                     (p.position[0], p.position[1], p.value, p.index, p.grad_norm)
                 )
+    pooled = PairTable(eps=eps, n_points=n_points, n_pairs=pair_counts.total(),
+                       counts=dict(pair_counts))
     cfio.write_csv(out / "critical_points.csv",
                    ("x", "y", "value", "index", "grad_norm"), point_rows)
     pair_rows = [(f"{i}-{j}", cnt) for (i, j), cnt in sorted(pair_counts.items())]
     cfio.write_csv(out / "pairs.csv", ("index_pair", "count"), pair_rows)
-    opp = sum(c for (i, j), c in pair_counts.items() if (i == 1) != (j == 1))
     payload = {
         "realizations": cfg.sim_realizations,
         "euler_failures": euler_failures,
         "points_above_threshold": n_points,
-        "pairs_within_eps": n_pairs,
+        "pairs_within_eps": pooled.n_pairs,
         "pair_counts": {f"{i}-{j}": c for (i, j), c in pair_counts.items()},
-        "opposite_det_fraction": (opp / n_pairs) if n_pairs else None,
+        "opposite_det_fraction": pooled.frac_opposite_det if pooled.n_pairs else None,
         "threshold": u_thr,
         "eps_physical": eps,
     }
     path = cfio.write_json(out / "simulate.json", _artifact(cfg, payload))
     print(
         f"simulate: {cfg.sim_realizations} realizations, euler failures "
-        f"{euler_failures}, pairs {n_pairs} -> {path}"
+        f"{euler_failures}, pairs {pooled.n_pairs} -> {path}"
     )
     return 0
 
@@ -443,9 +392,9 @@ DISPATCH = {
     "sigma": cmd_sigma,
     "spectrum": cmd_spectrum,
     "hpoly": cmd_hpoly,
-    "ratio": cmd_ratio,
-    "psi": cmd_psi,
-    "share": cmd_share,
+    "ratio": cmd_sweep,
+    "psi": cmd_sweep,
+    "share": cmd_sweep,
     "simulate": cmd_simulate,
     "report": cmd_report,
 }

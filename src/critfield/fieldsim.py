@@ -37,7 +37,7 @@ FIELD_STREAM = 31
 
 
 class EmbeddingError(RuntimeError):
-    """The circulant spectrum stayed negative after extent doubling."""
+    """The circulant spectrum of the torus kernel is negative on the grid."""
 
 
 @dataclass(frozen=True)
@@ -119,8 +119,9 @@ def sample_field(model, grid, seed=0):
     """Exact stationary sample of the field on the periodic grid.
 
     The circulant spectrum (the DFT of the min-image kernel) must be
-    nonnegative; if it is not, the extent is doubled (same spacing) up to two
-    times and the result cropped, losing exact periodicity, before giving up.
+    nonnegative up to roundoff.  If it is not, no periodic field on this grid
+    has the model's covariance, and :class:`EmbeddingError` is raised; a
+    longer extent at the same spacing may embed.
     """
     if model.n_dim != 2:
         raise ValueError("the simulator supports N=2 fields")
@@ -129,30 +130,18 @@ def sample_field(model, grid, seed=0):
             f"grid extent {grid.extent:g} is below 8 correlation lengths "
             f"({8 * model.correlation_length:g})"
         )
+    spectrum = np.fft.fft2(_torus_kernel(model, grid)).real
+    if not spectrum.min() >= -1e-8 * spectrum.max():
+        raise EmbeddingError(
+            f"circulant spectrum is negative ({spectrum.min():.3e}) on the "
+            f"{grid.n}^2 grid of extent {grid.extent:g}"
+        )
+    n = grid.n
     rng = _chunk_rng(seed, FIELD_STREAM, 0)
-    work = grid
-    for attempt in range(3):
-        kernel = _torus_kernel(model, work)
-        spectrum = np.fft.fft2(kernel).real
-        floor = -1e-8 * spectrum.max()
-        if spectrum.min() >= floor:
-            spectrum = np.clip(spectrum, 0.0, None)
-            m = work.n
-            noise = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-            coloured = np.fft.ifft2(np.sqrt(spectrum) * noise).real * m
-            values = coloured[: grid.n, : grid.n]
-            return FieldRealization(
-                values=values,
-                spacing=grid.spacing,
-                extent=grid.extent,
-                seed=int(seed),
-                model_name=model.name,
-                periodic=(attempt == 0),
-            )
-        work = GridSpec(n=work.n * 2, spacing=work.spacing)
-    raise EmbeddingError(
-        "circulant spectrum stayed negative after two extent doublings"
-    )
+    noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    values = np.fft.ifft2(np.sqrt(np.clip(spectrum, 0.0, None)) * noise).real * n
+    return FieldRealization(values=values, spacing=grid.spacing, extent=grid.extent,
+                            seed=int(seed), model_name=model.name)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """
-Serialization of results: JSON artifacts (schema 1), CSV tables, field dumps.
+Serialization of results: JSON artifacts (schema SCHEMA), CSV tables, field dumps.
 
 Matrices travel as flat row-major arrays next to their shape metadata; every
 artifact embeds the resolved configuration and root seed that produced it so

@@ -31,6 +31,7 @@ from scipy.special import ndtr, owens_t
 
 from .covariance import (OracleConvergenceError, _g22_origin, conditional_covariance,
                          sigma_expansion)
+from .io import SCHEMA
 from .spectral import ordered_eigendecomposition
 from .symmetric import matriculate, matriculate_batch
 
@@ -81,7 +82,7 @@ class RiceEstimate:
 
     def to_dict(self, op, params=None):
         rec = {
-            "schema": 1,
+            "schema": SCHEMA,
             "op": op,
             "params": dict(params or {}),
             "value": self.value,
@@ -216,14 +217,14 @@ def _inertia(hessians):
 # factors, shifts, and the closed-form prefactor
 # ---------------------------------------------------------------------------
 
-def _factor_matrix(model, r, u_dir, which):
-    """A factor M with M M^T = Sigma(r u).
+def _factor_matrix(model, r, which):
+    """A factor M with M M^T = Sigma(r u) along the axis direction u.
 
     "sqrt" is the symmetric nonnegative square root (continuous in r);
     "eig" is P Lambda^{1/2} from the ordered eigendecomposition.  The two
     differ by an orthogonal right factor, so the induced laws agree.
     """
-    sigma = conditional_covariance(model, r, u_dir).sigma
+    sigma = conditional_covariance(model, r).sigma
     lam, vec = ordered_eigendecomposition(sigma)
     lam = np.clip(lam, 0.0, None)
     if which == "eig":
@@ -287,13 +288,11 @@ def projection_point(model, r, u_thr, u_dir=None):
     )
 
 
-def _prefactor(model, r, u_dir, u_thr):
+def _prefactor(model, r, u_thr):
     """Phibar(u)^{-1} p_grad(0)^{-1} p_t(0,0): converts the Gaussian
     expectation into the conditioned critical-point density."""
     n = model.n_dim
-    if u_dir is None:
-        u_dir = model.axis_direction()
-    t = r * np.asarray(u_dir, dtype=float)
+    t = r * np.asarray(model.axis_direction(), dtype=float)
     x = r * r
     d1 = model.d1
     cross = -2.0 * model.rho_d1(x) * np.eye(n) - 4.0 * model.rho_d2(x) * np.outer(t, t)
@@ -308,8 +307,6 @@ def _prefactor(model, r, u_dir, u_thr):
 
 
 def _resolve_shift(model, r, u_thr, sigma, factor, shift):
-    if isinstance(shift, np.ndarray):
-        return shift
     if shift == "none" or (shift == "auto" and u_thr < 2.0):
         return None
     if shift == "auto":
@@ -327,7 +324,7 @@ def _chunk_rng(seed, stream, chunk):
     return np.random.Generator(np.random.Philox(ss))
 
 def _accumulate(model, factor, u_thr, n, seed, stream, shift, antithetic,
-                num_sel=None, den_sel=None):
+                num_sel, den_sel=()):
     """One pass over the sample plan.
 
     ``antithetic`` selects the pairing of each drawn innovation y':
@@ -347,15 +344,13 @@ def _accumulate(model, factor, u_thr, n, seed, stream, shift, antithetic,
     means ``factor`` has the Hessian rows only and every sample is live.
 
     Returns per-index |det|-mass buckets and hit counts (index 0..N, then
-    degenerate) and, when ``num_sel``/``den_sel`` are given, pair-level
+    degenerate) and, for the classes in ``num_sel``/``den_sel``, pair-level
     moments for the error bars: sum(a), sum(a^2) and, per chunk, R_c =
     sum(a)/sum(b), sum((a - R_c b)^2), sum((a - R_c b) b) and sum(b^2).
     """
     n_dim = model.n_dim
     m = model.vech_dim
     L = factor.shape[1]
-    if antithetic is True:
-        antithetic = "negate"
     half_plan = antithetic in ("negate", "flip")
     n = int(n)
     if half_plan and n % 2:
@@ -367,13 +362,10 @@ def _accumulate(model, factor, u_thr, n, seed, stream, shift, antithetic,
     s_a = s_aa = 0.0
     chunk_moments = []
     n_units = 0
-    want_query = num_sel is not None
     num_mask = np.zeros(n_cls, dtype=bool)
     den_mask = np.zeros(n_cls, dtype=bool)
-    if want_query:
-        num_mask[list(num_sel)] = True
-        if den_sel is not None:
-            den_mask[list(den_sel)] = True
+    num_mask[list(num_sel)] = True
+    den_mask[list(den_sel)] = True
     hess_rows = factor[:m].T
     value_rows = factor[m:].T
     if shift is not None:
@@ -414,20 +406,19 @@ def _accumulate(model, factor, u_thr, n, seed, stream, shift, antithetic,
         buckets += np.bincount(cls, weights=mass, minlength=n_cls)
         counts += np.bincount(cls, minlength=n_cls)
 
-        if want_query:
-            a = np.zeros(take)
-            b = np.zeros(take)
-            a[rows] = np.where(num_mask[cls], mass, 0.0)
-            b[rows] = np.where(den_mask[cls], mass, 0.0)
-            if half_plan:
-                a = a[:half] + a[half:]
-                b = b[:half] + b[half:]
-            s_a += a.sum()
-            s_aa += (a * a).sum()
-            r_c = a.sum() / b.sum() if b.any() else 0.0
-            res = a - r_c * b
-            chunk_moments.append((r_c, (res * res).sum(), (res * b).sum(), (b * b).sum()))
-            n_units += a.shape[0]
+        a = np.zeros(take)
+        b = np.zeros(take)
+        a[rows] = np.where(num_mask[cls], mass, 0.0)
+        b[rows] = np.where(den_mask[cls], mass, 0.0)
+        if half_plan:
+            a = a[:half] + a[half:]
+            b = b[:half] + b[half:]
+        s_a += a.sum()
+        s_aa += (a * a).sum()
+        r_c = a.sum() / b.sum() if b.any() else 0.0
+        res = a - r_c * b
+        chunk_moments.append((r_c, (res * res).sum(), (res * b).sum(), (b * b).sum()))
+        n_units += a.shape[0]
         done += take
         chunk_id += 1
 
@@ -442,8 +433,8 @@ def _accumulate(model, factor, u_thr, n, seed, stream, shift, antithetic,
     }
 
 
-def rice_density_mc(model, r, u_thr, k=None, n=200_000, seed=0, u_dir=None,
-                    factor="sqrt", antithetic="negate", shift="auto"):
+def rice_density_mc(model, r, u_thr, k=None, n=200_000, seed=0, factor="sqrt",
+                    antithetic="negate", shift="auto"):
     """Density of conditioned critical points with index ``k`` above ``u_thr``.
 
     ``k=None`` places no index restriction.  The value carries the full
@@ -455,15 +446,15 @@ def rice_density_mc(model, r, u_thr, k=None, n=200_000, seed=0, u_dir=None,
     t0 = time.perf_counter()
     if antithetic == "flip":
         factor = "eig"
-    mat, sigma = _factor_matrix(model, r, u_dir, factor)
+    mat, sigma = _factor_matrix(model, r, factor)
     shift_vec = _resolve_shift(model, r, u_thr, sigma, mat, shift)
     sel = tuple(range(model.n_dim + 1)) if k is None else (int(k),)
     if k is not None and not (0 <= k <= model.n_dim):
         est_zero = RiceEstimate(0.0, 0.0, int(n), int(seed), k, float(r), float(u_thr))
         return est_zero
     acc = _accumulate(model, mat, u_thr, n, seed, STREAMS["density"], shift_vec,
-                      antithetic, num_sel=sel, den_sel=())
-    pref = _prefactor(model, r, u_dir, u_thr)
+                      antithetic, num_sel=sel)
+    pref = _prefactor(model, r, u_thr)
     n_eff = acc["n"]
     n_units = acc["n_units"]
     mean_unit = acc["sum_a"] / n_eff
@@ -487,8 +478,7 @@ def rice_density_mc(model, r, u_thr, k=None, n=200_000, seed=0, u_dir=None,
 
 
 def index_ratio_mc(model, r, u_thr, num_indices, den_indices, n=2_000_000, seed=0,
-                   u_dir=None, factor="sqrt", antithetic="negate", shift="auto",
-                   stream="ratio"):
+                   factor="sqrt", antithetic="negate", shift="auto", stream="ratio"):
     """Self-normalized ratio of |det|-masses over two disjoint index classes.
 
     Numerator and denominator share every sample, so the prefactor and the
@@ -502,7 +492,7 @@ def index_ratio_mc(model, r, u_thr, num_indices, den_indices, n=2_000_000, seed=
     t0 = time.perf_counter()
     if antithetic == "flip":
         factor = "eig"
-    mat, sigma = _factor_matrix(model, r, u_dir, factor)
+    mat, sigma = _factor_matrix(model, r, factor)
     shift_vec = _resolve_shift(model, r, u_thr, sigma, mat, shift)
     acc = _accumulate(model, mat, u_thr, n, seed, STREAMS[stream], shift_vec,
                       antithetic, num_sel=tuple(num_indices), den_sel=tuple(den_indices))
@@ -728,5 +718,5 @@ def rice_density_quadrature(model, r, u_thr, k, n_rad=64, n_t=24):
     frame = _cone_frame(conditional_covariance(model, r).sigma, u_thr)
     raw, err, evals = map(sum, zip(*(_cone_integral(frame, u_thr, c, n_rad, n_t)
                                      for c in ((0, 1, 2) if k is None else (k,)))))
-    pref = _prefactor(model, r, None, u_thr)
+    pref = _prefactor(model, r, u_thr)
     return RiceEstimate(pref * raw, pref * err, evals, 0, k, float(r), float(u_thr))

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from critfield.cli import RunConfig, load_config, main
+from critfield.cli import (FIELDS, RunConfig, build_parser, load_config, main,
+                           resolve_config)
 from critfield.io import load_field, matrix_from_record
 
 
@@ -48,6 +49,13 @@ class TestExitCodes:
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"r": []}))
         assert run_cli("sigma", "--config", str(cfg), "--out", str(tmp_path)) == 2
+        # an explicitly empty flag is rejected the same way, not ignored
+        assert run_cli("sigma", "--r", "", "--out", str(tmp_path)) == 2
+
+    @pytest.mark.parametrize("flag", ["--N", "--n", "--tol", "--u"])
+    def test_malformed_flag_value(self, flag, tmp_path):
+        # values are converted after parsing, so main returns 2 and does not exit
+        assert run_cli("check", flag, "x", "--out", str(tmp_path)) == 2
 
     def test_verify_failure_is_contract_error(self, tmp_path):
         code = run_cli("sigma", "--model", "gaussian:a=1", "--N", "2",
@@ -170,3 +178,53 @@ class TestArtifacts:
         assert (tmp_path / "pairs.csv").exists()
         assert run_cli("report", "--out", str(tmp_path)) == 0
         assert (tmp_path / "report.csv").exists()
+
+
+# the flag of every row of FIELDS (None: set otherwise) and a valid value
+# different from the default
+NON_DEFAULT = {
+    "command": (None, "sigma"),
+    "model_family": (None, "cauchy"),
+    "model_params": (None, {"ell": 2.0, "nu": 1.5}),
+    "n_dim": ("--N", 3),
+    "scale": ("--scale", 0.5),
+    "r_list": ("--r", (0.3, 0.02)),
+    "u_list": ("--u", (2.5, 4.0)),
+    "mc_n": ("--n", 4096),
+    "seed": ("--seed", 9),
+    "sim_grid": ("--grid", 64),
+    "sim_spacing": ("--spacing", 0.25),
+    "sim_realizations": ("--realizations", 5),
+    "sim_eps": ("--eps", 0.75),
+    "out_dir": ("--out", "elsewhere"),
+    "out_format": ("--format", "csv"),
+    "verify": ("--verify", True),
+    "tol": ("--tol", 1e-6),
+}
+
+
+def test_non_default_config_round_trips(tmp_path):
+    assert set(NON_DEFAULT) == {row[0] for row in FIELDS}
+    assert all(getattr(RunConfig(), k) != v for k, (_, v) in NON_DEFAULT.items())
+    changed = RunConfig(**{k: v for k, (_, v) in NON_DEFAULT.items()})
+    assert load_config(_write(tmp_path / "all.json", changed)) == changed
+
+
+@pytest.mark.parametrize("name", [row[0] for row in FIELDS])
+def test_field_table(name, tmp_path):
+    flag, value = NON_DEFAULT[name]
+    one = RunConfig(**{name: value})
+    assert load_config(_write(tmp_path / "one.json", one)) == one
+    if flag is None:
+        return
+    # the flag wins over the default held in a config file
+    argv = ["check", "--config", str(_write(tmp_path / "base.json", RunConfig())), flag]
+    if not isinstance(value, bool):
+        argv.append(",".join(map(str, value)) if isinstance(value, tuple) else str(value))
+    cfg = resolve_config(build_parser().parse_args(argv))
+    assert cfg == RunConfig(command="check", **{name: value})
+
+
+def _write(path, cfg):
+    path.write_text(json.dumps(cfg.to_file_dict()))
+    return path

@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from critfield.fieldsim import (_OFFSETS, CriticalPoint, FieldRealization,
-                                FieldSurface, GridSpec, _bezier_controls,
-                                _bspline_table, _candidate_cells, _torus_kernel,
-                                euler_characteristic, find_critical_points,
-                                pair_statistics, sample_field)
+from critfield.fieldsim import (_OFFSETS, CriticalPoint, EmbeddingError,
+                                FieldRealization, FieldSurface, GridSpec,
+                                _bezier_controls, _bspline_table, _candidate_cells,
+                                _torus_kernel, euler_characteristic,
+                                find_critical_points, pair_statistics, sample_field)
 from critfield.models import cauchy_model, gaussian_model
 from critfield.rice import mean_critical_density
 
@@ -59,6 +59,13 @@ class TestSampling:
     def test_requires_two_dimensions(self, gauss3, grid):
         with pytest.raises(ValueError):
             sample_field(gauss3, grid, seed=0)
+
+    def test_negative_spectrum_raises(self, gauss2):
+        # 5.66 is just past 8 correlation lengths, too short for the kernel
+        # to wrap without a negative circulant eigenvalue; a cropped field
+        # from a doubled grid would not be periodic, so none is returned
+        with pytest.raises(EmbeddingError):
+            sample_field(gauss2, GridSpec(n=64, spacing=5.66 / 64), seed=0)
 
 
 @pytest.fixture(scope="module")

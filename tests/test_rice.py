@@ -158,7 +158,7 @@ class TestRatios:
         # since it moves by 1e-13 relative when R moves by one rounding
         n, u_thr, m = rice_mod.CHUNK, 4.0, gauss2.vech_dim
         est = maxima_share(gauss2, r, u_thr, n=n, seed=1, antithetic="flip")
-        factor, sigma = rice_mod._factor_matrix(gauss2, r, None, "eig")
+        factor, sigma = rice_mod._factor_matrix(gauss2, r, "eig")
         shift = rice_mod._resolve_shift(gauss2, r, u_thr, sigma, factor, "auto")
         ys = np.empty((n, factor.shape[1]))
         rice_mod._chunk_rng(1, rice_mod.STREAMS["share"], 0).standard_normal(out=ys[: n // 2])
@@ -387,7 +387,7 @@ def test_class_hits_count_live_samples(gauss2, gauss3):
     n, u_thr = 50_000, 0.5
     est = rice_density_mc(gauss2, 0.3, u_thr, n=n, seed=4, antithetic=None,
                           shift="none")
-    factor, _ = rice_mod._factor_matrix(gauss2, 0.3, None, "sqrt")
+    factor, _ = rice_mod._factor_matrix(gauss2, 0.3, "sqrt")
     rng = rice_mod._chunk_rng(4, rice_mod.STREAMS["density"], 0)
     vals = rng.standard_normal((n, factor.shape[1])) @ factor[-2:].T
     live = int(((vals[:, 0] > u_thr) & (vals[:, 1] > u_thr)).sum())
