@@ -58,8 +58,10 @@ class RunConfig:
     out_format: str = "json"
     verify: bool = False
     tol: float = 1e-8
+    model: object = field(default=None, init=False, repr=False, compare=False)
 
     def validate(self):
+        """Check the fields and build the model; returns self."""
         if self.command not in COMMANDS:
             raise ConfigError(f"unknown command {self.command!r}")
         if not self.r_list:
@@ -72,12 +74,13 @@ class RunConfig:
             raise ConfigError("format must be json or csv")
         if self.n_dim < 2:
             raise ConfigError("N must be >= 2")
+        try:  # an unknown family, or a parameter the family does not take
+            model = model_from_spec(self.model_family, self.n_dim, scale=self.scale,
+                                    **self.model_params)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"model {self.model_family!r}: {exc}") from exc
+        object.__setattr__(self, "model", model)
         return self
-
-    def build_model(self):
-        return model_from_spec(
-            self.model_family, self.n_dim, scale=self.scale, **self.model_params
-        )
 
     def to_file_dict(self):
         """The config-file representation; feeding it back reproduces the run."""
@@ -210,7 +213,7 @@ def _emit_table(cfg, name, header, rows):
 
 
 def cmd_check(cfg):
-    model = cfg.build_model()
+    model = cfg.model
     report = check_qualified(model)
     path = cfio.write_json(Path(cfg.out_dir) / "check.json",
                            _artifact(cfg, report.to_dict()))
@@ -220,7 +223,7 @@ def cmd_check(cfg):
 
 
 def cmd_sigma(cfg):
-    model = cfg.build_model()
+    model = cfg.model
     s0, s2 = sigma_expansion(model)
     records = {
         "sigma0": cfio.matrix_record(s0, model.n_dim, r=0.0),
@@ -260,7 +263,7 @@ def cmd_sigma(cfg):
 
 
 def cmd_spectrum(cfg):
-    model = cfg.build_model()
+    model = cfg.model
     cat = spectrum_sigma0(model)
     expansion = eigenpath(model)
     payload = {"catalogue": cat.to_dict(), "expansion": expansion.to_dict()}
@@ -272,7 +275,7 @@ def cmd_spectrum(cfg):
 
 
 def cmd_hpoly(cfg):
-    model = cfg.build_model()
+    model = cfg.model
     expansion = eigenpath(model)
     poly = limit_polynomial(model, expansion=expansion)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed)))
@@ -297,7 +300,7 @@ SWEEPS = {"ratio": ("sign_ratio", "r"), "psi": ("psi_ratio", "u"),
 def cmd_sweep(cfg):
     name = cfg.command
     estimator, axis = SWEEPS[name]
-    model = cfg.build_model()
+    model = cfg.model
     rows = []
     records = []
     for x in cfg.r_list if axis == "r" else cfg.u_list:
@@ -314,7 +317,7 @@ def cmd_sweep(cfg):
 
 
 def cmd_simulate(cfg):
-    model = cfg.build_model()
+    model = cfg.model
     grid = GridSpec(n=cfg.sim_grid, spacing=cfg.sim_spacing)
     u_thr = cfg.u_list[0]
     eps = cfg.sim_eps * model.correlation_length

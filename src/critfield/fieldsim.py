@@ -139,7 +139,10 @@ def sample_field(model, grid, seed=0):
     n = grid.n
     rng = _chunk_rng(seed, FIELD_STREAM, 0)
     noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    values = np.fft.ifft2(np.sqrt(np.clip(spectrum, 0.0, None)) * noise).real * n
+    # entries below the FFT's roundoff are noise: their square roots would move
+    # the field by ~1e-8 for a 1-ulp change of the kernel
+    spectrum[spectrum < n * n * np.finfo(float).eps * spectrum.max()] = 0.0
+    values = np.fft.ifft2(np.sqrt(spectrum) * noise).real * n
     return FieldRealization(values=values, spacing=grid.spacing, extent=grid.extent,
                             seed=int(seed), model_name=model.name)
 

@@ -14,15 +14,20 @@ and index come from one LDL^T pass (a closed form at N=2), with an eigvalsh
 fallback for the rare rows whose pivots cannot settle the index.
 
 Sampling is deterministic: a root seed plus a named stream and a fixed chunk
-plan define counter-based substreams, so identical seeds reproduce identical
-estimates regardless of how chunks are scheduled.  High thresholds use a
-mean-shift importance proposal centered at the closest point of the feasible
-region, which keeps the effective sample size usable out to thresholds where
-plain sampling would see no hits at all.
+plan define counter-based substreams.  The chunks run on a thread pool with
+one worker per CPU in the affinity mask, and their partial sums are reduced
+in chunk order, so identical seeds reproduce identical estimates, bit for
+bit, whatever the number of workers.  High thresholds use a mean-shift
+importance proposal centered at the closest point of the feasible region,
+which keeps the effective sample size usable out to thresholds where plain
+sampling would see no hits at all.
 """
 
 import math
+import os
+import queue
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,6 +56,10 @@ __all__ = [
 ]
 
 CHUNK = 1 << 17  # samples per counter-based substream; fixed, scheduler-independent
+BLOCK = 1 << 15  # most sample rows a worker maps at once, which bounds its memory
+BLAS_SERIAL = 1 << 19  # multiply-adds per product; OpenBLAS threads a product from ~1e6
+
+_pool = None     # (pid, executor) of the worker pool; see _executor
 
 STREAMS = {
     "density": 11,
@@ -261,7 +270,7 @@ def _projection_from(sigma, factor, u_thr):
     return which, y
 
 
-def projection_point(model, r, u_thr, u_dir=None):
+def projection_point(model, r, u_thr):
     """Closest point of the two-threshold region in whitened coordinates.
 
     Uses the symmetric nonnegative square root of Sigma(r) (Sigma0 at r=0)
@@ -272,9 +281,9 @@ def projection_point(model, r, u_thr, u_dir=None):
     if not u_thr > 0:
         raise ValueError("the projection is defined for positive thresholds")
     if r == 0:
-        sigma, _ = sigma_expansion(model, u_dir)
+        sigma, _ = sigma_expansion(model)
     else:
-        sigma = conditional_covariance(model, r, u_dir).sigma
+        sigma = conditional_covariance(model, r).sigma
     lam, vec = np.linalg.eigh(sigma)
     root = (vec * np.sqrt(np.clip(lam, 0.0, None))[None, :]) @ vec.T
     which, y_hat = _projection_from(sigma, root, u_thr)
@@ -323,6 +332,32 @@ def _chunk_rng(seed, stream, chunk):
     ss = np.random.SeedSequence(int(seed), spawn_key=(int(stream), int(chunk)))
     return np.random.Generator(np.random.Philox(ss))
 
+
+def _executor():
+    """The worker pool: one thread per CPU in the affinity mask.
+
+    Made on first use, and again in a forked child, which inherits the pool
+    but none of its threads.  No task on the pool submits work to it.
+    """
+    global _pool
+    if _pool is None or _pool[0] != os.getpid():
+        affinity = getattr(os, "sched_getaffinity", None)
+        workers = len(affinity(0)) if affinity else os.cpu_count() or 1
+        _pool = (os.getpid(), ThreadPoolExecutor(workers))
+    return _pool[1]
+
+
+def _serial_matmul(a, b, out):
+    """a @ b into ``out``, in row slices that OpenBLAS runs on the calling thread.
+
+    A threaded product leaves OpenBLAS threads spinning on the other workers' cores.
+    """
+    step = max(1, BLAS_SERIAL // b.size)
+    for i in range(0, a.shape[0], step):
+        np.matmul(a[i:i + step], b, out=out[i:i + step])
+    return out
+
+
 def _accumulate(model, factor, u_thr, n, seed, stream, shift, antithetic,
                 num_sel, den_sel=()):
     """One pass over the sample plan.
@@ -334,14 +369,17 @@ def _accumulate(model, factor, u_thr, n, seed, stream, shift, antithetic,
     classes in the r -> 0 limit and all but removes the shared noise from
     sign ratios.
 
-    Each chunk's draws, partners and mean shift are written in place into
-    one preallocated buffer.  The chunk is then mapped through the last two
-    rows of ``factor`` only, the two field values, to keep the live samples,
-    those with both values above ``u_thr``; every other sample has zero
-    mass.  Only the live samples are mapped to Hessians, weighted, and passed
-    to :func:`_inertia`, one LDL^T pass for determinant and index, with an
-    eigvalsh fallback for the few rows it cannot settle.  ``u_thr=None``
-    means ``factor`` has the Hessian rows only and every sample is live.
+    The chunks run on the worker pool.  A worker maps its chunk BLOCK rows
+    at a time: the draws, their partners and the mean shift are written in
+    place into a block buffer made by the caller, and the block is mapped
+    through the last two rows of ``factor`` only, the two field values, to
+    keep the live samples, those with both values above ``u_thr``; every
+    other sample has zero mass.  Only the live samples are mapped to
+    Hessians, weighted, and passed to :func:`_inertia`, one LDL^T pass for
+    determinant and index, with an eigvalsh fallback for the few rows it
+    cannot settle.  ``u_thr=None`` means ``factor`` has the Hessian rows only
+    and every sample is live.  Each chunk's partial sums are reduced in chunk
+    order, so the estimates do not depend on the number of workers.
 
     Returns per-index |det|-mass buckets and hit counts (index 0..N, then
     degenerate) and, for the classes in ``num_sel``/``den_sel``, pair-level
@@ -351,86 +389,86 @@ def _accumulate(model, factor, u_thr, n, seed, stream, shift, antithetic,
     n_dim = model.n_dim
     m = model.vech_dim
     L = factor.shape[1]
-    half_plan = antithetic in ("negate", "flip")
-    n = int(n)
-    if half_plan and n % 2:
-        n += 1
+    parts = 2 if antithetic in ("negate", "flip") else 1  # samples per pair unit
+    n = int(n) + int(n) % parts
     rank0 = L - n_dim - 1
     n_cls = n_dim + 2  # index 0..N, then degenerate
-    buckets = np.zeros(n_cls)
-    counts = np.zeros(n_cls, dtype=np.int64)
-    s_a = s_aa = 0.0
-    chunk_moments = []
-    n_units = 0
-    num_mask = np.zeros(n_cls, dtype=bool)
-    den_mask = np.zeros(n_cls, dtype=bool)
-    num_mask[list(num_sel)] = True
-    den_mask[list(den_sel)] = True
-    hess_rows = factor[:m].T
-    value_rows = factor[m:].T
+    num_mask, den_mask = (np.isin(np.arange(n_cls), sel) for sel in (num_sel, den_sel))
+    # C-ordered, as OpenBLAS threads a product with a transposed operand far sooner
+    hess_rows = np.ascontiguousarray(factor[:m].T)
+    value_rows = np.ascontiguousarray(factor[m:].T)
     if shift is not None:
         half_shift_sq = 0.5 * float(shift @ shift)
+    n_chunks = -(-n // CHUNK)
+    pool = _executor()
+    # block buffers are made here: what a worker thread allocates stays in its own malloc arena
+    free = queue.SimpleQueue()
+    for _ in range(min(pool._max_workers, n_chunks)):
+        free.put((np.empty((BLOCK, L)), np.empty((BLOCK, 2)), np.empty(BLOCK),
+                  np.empty((BLOCK, L)), np.empty((BLOCK, m))))
 
-    buf = np.empty((min(CHUNK, n), L))
-    done = 0
-    chunk_id = 0
-    while done < n:
-        take = min(CHUNK, n - done)
-        rng = _chunk_rng(seed, stream, chunk_id)
-        ys = buf[:take]
-        if half_plan:
-            half = take // 2
-            rng.standard_normal(out=ys[:half])
-            if antithetic == "flip":
-                ys[half:] = ys[:half]
-                ys[half:, rank0:] *= -1.0
-            else:
-                np.negative(ys[:half], out=ys[half:])
-        else:
-            rng.standard_normal(out=ys)
-        if shift is not None:
-            # the weight needs the draws before the shift is added in place
-            log_w = -(ys @ shift) - half_shift_sq
-            ys += shift
-        if u_thr is None:
-            rows = slice(None)
-        else:
-            vals = ys @ value_rows
-            rows = np.flatnonzero((vals[:, 0] > u_thr) & (vals[:, 1] > u_thr))
-        hess = matriculate_batch(ys[rows] @ hess_rows, n_dim)
-        dets, idx, degen = _inertia(hess)
-        mass = np.abs(dets)
-        if shift is not None:
-            mass *= np.exp(log_w[rows])
-        cls = np.where(degen, n_dim + 1, idx)
-        buckets += np.bincount(cls, weights=mass, minlength=n_cls)
-        counts += np.bincount(cls, minlength=n_cls)
-
+    def chunk_sums(chunk):
+        take = min(CHUNK, n - chunk * CHUNK)
+        units = take // parts
+        rng = _chunk_rng(seed, stream, chunk)
+        drawn, partners = [], []  # place in the chunk, class and mass of the live rows
+        bufs = free.get()
+        try:
+            for lo in range(0, units, BLOCK // parts):
+                k = min(BLOCK // parts, units - lo)
+                ys, vals, log_w, picked, hess = (buf[:parts * k] for buf in bufs)
+                rng.standard_normal(out=ys[:k])
+                if antithetic == "flip":
+                    ys[k:] = ys[:k]
+                    ys[k:, rank0:] *= -1.0
+                elif parts == 2:
+                    np.negative(ys[:k], out=ys[k:])
+                if shift is not None:
+                    # the weight needs the draws before the shift is added in place
+                    np.negative(np.matmul(ys, shift, out=log_w), out=log_w)
+                    log_w -= half_shift_sq
+                    ys += shift
+                if u_thr is None:
+                    rows = np.arange(parts * k)
+                else:
+                    _serial_matmul(ys, value_rows, vals)
+                    rows = np.flatnonzero((vals[:, 0] > u_thr) & (vals[:, 1] > u_thr))
+                picked, hess = picked[:rows.size], hess[:rows.size]
+                _serial_matmul(np.take(ys, rows, axis=0, out=picked), hess_rows, hess)
+                dets, idx, degen = _inertia(matriculate_batch(hess, n_dim))
+                mass = np.abs(dets)
+                if shift is not None:
+                    mass *= np.exp(log_w[rows])
+                cut = np.searchsorted(rows, k)  # rows from k on are the partners
+                at = rows + lo
+                at[cut:] += units - k
+                live = (at, np.where(degen, n_dim + 1, idx), mass)
+                drawn.append([x[:cut] for x in live])
+                partners.append([x[cut:] for x in live])
+        finally:
+            free.put(bufs)
+        at, cls, mass = map(np.concatenate, zip(*drawn, *partners))
         a = np.zeros(take)
         b = np.zeros(take)
-        a[rows] = np.where(num_mask[cls], mass, 0.0)
-        b[rows] = np.where(den_mask[cls], mass, 0.0)
-        if half_plan:
-            a = a[:half] + a[half:]
-            b = b[:half] + b[half:]
-        s_a += a.sum()
-        s_aa += (a * a).sum()
+        a[at] = np.where(num_mask[cls], mass, 0.0)
+        b[at] = np.where(den_mask[cls], mass, 0.0)
+        if parts == 2:
+            a = a[:units] + a[units:]
+            b = b[:units] + b[units:]
         r_c = a.sum() / b.sum() if b.any() else 0.0
         res = a - r_c * b
-        chunk_moments.append((r_c, (res * res).sum(), (res * b).sum(), (b * b).sum()))
-        n_units += a.shape[0]
-        done += take
-        chunk_id += 1
+        return (np.bincount(cls, weights=mass, minlength=n_cls),
+                np.bincount(cls, minlength=n_cls), a.sum(), (a * a).sum(),
+                (r_c, (res * res).sum(), (res * b).sum(), (b * b).sum()), units)
 
-    return {
-        "buckets": buckets,
-        "counts": counts,
-        "n": n,
-        "sum_a": s_a,
-        "sum_aa": s_aa,
-        "chunk_moments": np.array(chunk_moments).reshape(-1, 4),
-        "n_units": n_units,
-    }
+    buckets, counts, s_a, s_aa, n_units = np.zeros(n_cls), np.zeros(n_cls, np.int64), 0.0, 0.0, 0
+    chunk_moments = []
+    for bucket, count, sum_a, sum_aa, moments, units in pool.map(chunk_sums, range(n_chunks)):
+        buckets, counts, s_a, s_aa = buckets + bucket, counts + count, s_a + sum_a, s_aa + sum_aa
+        n_units += units
+        chunk_moments.append(moments)
+    return {"buckets": buckets, "counts": counts, "n": n, "sum_a": s_a, "sum_aa": s_aa,
+            "chunk_moments": np.array(chunk_moments).reshape(-1, 4), "n_units": n_units}
 
 
 def rice_density_mc(model, r, u_thr, k=None, n=200_000, seed=0, factor="sqrt",
@@ -598,8 +636,9 @@ def _bvn_survival(lo1, lo2, rho):
     """P(Z1 > lo1, Z2 > lo2) for a standard bivariate normal, via Owen's T."""
     h, k = (np.where(lo == 0.0, 1e-13, -np.asarray(lo, dtype=float)) for lo in (lo1, lo2))
     denom = math.sqrt(max(1.0 - rho * rho, 1e-300))
-    out = (0.5 * (ndtr(h) + ndtr(k)) - owens_t(h, (k - rho * h) / (h * denom))
-           - owens_t(k, (h - rho * k) / (k * denom)) - np.where(h * k < 0.0, 0.5, 0.0))
+    t_h, t_k = _executor().map(owens_t, (h, k), ((k - rho * h) / (h * denom),
+                                                 (h - rho * k) / (k * denom)))
+    out = 0.5 * (ndtr(h) + ndtr(k)) - t_h - t_k - np.where(h * k < 0.0, 0.5, 0.0)
     return np.clip(out, 0.0, 1.0)
 
 

@@ -34,6 +34,12 @@ class TestExitCodes:
     def test_malformed_model_flag(self, tmp_path):
         assert run_cli("check", "--model", "gaussian:a", "--out", str(tmp_path)) == 2
 
+    @pytest.mark.parametrize("spec", ["foo", "gaussian:b=1"])
+    def test_unbuildable_model_is_config_error(self, spec, tmp_path, capsys):
+        # an unknown family and a parameter the family does not take
+        assert run_cli("check", "--model", spec, "--out", str(tmp_path)) == 2
+        assert "configuration error" in capsys.readouterr().err
+
     def test_config_missing_family(self, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"model": {"N": 2}}))

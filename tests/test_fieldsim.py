@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -51,6 +52,14 @@ class TestSampling:
         ref = np.array([[float(model.rho(a * a + b * b)) for b in ax] for a in ax])
         np.testing.assert_allclose(_torus_kernel(model, grid), ref,
                                    rtol=4 * np.finfo(float).eps, atol=0.0)
+
+    def test_ulp_change_of_kernel_barely_moves_field(self, gauss2, grid):
+        # the spectrum's roundoff tail is zeroed, so the field is a smooth
+        # function of the kernel; its square roots used to move it by ~1e-7
+        bumped = replace(gauss2, rho=lambda x: gauss2.rho(x) * (1.0 + 2.0 ** -52))
+        for seed in range(5):
+            moved = sample_field(bumped, grid, seed=seed).values
+            assert np.abs(moved - sample_field(gauss2, grid, seed=seed).values).max() <= 1e-9
 
     def test_extent_precondition(self, gauss2):
         with pytest.raises(ValueError):

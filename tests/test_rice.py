@@ -1,4 +1,8 @@
 import math
+import multiprocessing
+import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -352,12 +356,10 @@ class TestInertiaKernel:
         assert sum(seen) < 0.01 * (1 << 15)
 
 
-@pytest.mark.parametrize("model_name", ["gauss2", "gauss3"])
-def test_estimates_match_eigvalsh_route(request, monkeypatch, model_name):
-    # the eigvalsh route survives only here, as the oracle of the fast path
-    model = request.getfixturevalue(model_name)
-    n = 150_000  # one full chunk and a partial one
-    runs = {
+def _estimator_runs(model):
+    """Every sampling estimator, at n = one full chunk and a partial one."""
+    n = 150_000
+    return {
         "density": lambda: rice_density_mc(model, 0.3, 0.5, k=None, n=n, seed=4),
         "share": lambda: maxima_share(model, 0.05, 3.0, n=n, seed=1),
         "share_flip": lambda: maxima_share(model, 0.05, 3.0, n=n, seed=1,
@@ -368,6 +370,12 @@ def test_estimates_match_eigvalsh_route(request, monkeypatch, model_name):
         "unconditional_top": lambda: mean_critical_density(model, k=model.n_dim,
                                                            n=n, seed=5),
     }
+
+
+@pytest.mark.parametrize("model_name", ["gauss2", "gauss3"])
+def test_estimates_match_eigvalsh_route(request, monkeypatch, model_name):
+    # the eigvalsh route survives only here, as the oracle of the fast path
+    runs = _estimator_runs(request.getfixturevalue(model_name))
     fast = {name: run() for name, run in runs.items()}
     monkeypatch.setattr(rice_mod, "_inertia", _reference_inertia)
     for name, run in runs.items():
@@ -380,6 +388,48 @@ def test_estimates_match_eigvalsh_route(request, monkeypatch, model_name):
                                        slow.extras["bucket_sums"], rtol=1e-12, atol=0)
             np.testing.assert_array_equal(fast[name].extras["class_hits"],
                                           slow.extras["class_hits"])
+
+
+@pytest.mark.parametrize("model_name", ["gauss2", "gauss3"])
+def test_estimates_do_not_depend_on_worker_count(request, monkeypatch, model_name):
+    model = request.getfixturevalue(model_name)
+    runs = _estimator_runs(model)
+    # a short last chunk, which finishes first, so chunk order is put to the test
+    runs["share_3_chunks"] = lambda: maxima_share(model, 0.05, 3.0, n=2 * rice_mod.CHUNK + 64)
+    by_workers = []
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # more workers than cores, switching often
+    try:
+        for workers in (1, 3):
+            with ThreadPoolExecutor(workers) as pool:
+                monkeypatch.setattr(rice_mod, "_executor", lambda: pool)
+                by_workers.append({name: run() for name, run in runs.items()})
+    finally:
+        sys.setswitchinterval(switch)
+    one, three = by_workers
+    for name in runs:
+        assert one[name].value == three[name].value, name
+        assert one[name].stderr == three[name].stderr, name
+        assert one[name].n_degenerate == three[name].n_degenerate, name
+        np.testing.assert_array_equal(one[name].extras.get("class_hits"),
+                                      three[name].extras.get("class_hits"))
+
+
+def test_forked_child_makes_its_own_pool(gauss2):
+    def share():
+        return maxima_share(gauss2, 0.05, 3.0, n=rice_mod.CHUNK, seed=1).value
+
+    expected = share()  # the parent's pool now has threads, which a fork does not copy
+    ctx = multiprocessing.get_context("fork")
+    results = ctx.SimpleQueue()
+    child = ctx.Process(target=lambda: results.put((share(), rice_mod._pool[0] == os.getpid())))
+    child.start()
+    try:
+        child.join(timeout=120)
+        assert child.exitcode == 0
+    finally:
+        child.kill()
+    assert results.get() == (expected, True)
 
 
 def test_class_hits_count_live_samples(gauss2, gauss3):
