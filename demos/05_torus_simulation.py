@@ -22,8 +22,9 @@ print("\n=== one realization, full critical set ===")
 field = sample_field(model, grid, seed=1)
 points, diag = find_critical_points(field)
 counts = Counter(p.index for p in points)
-print(f"minima {counts[0]}, saddles {counts[1]}, maxima {counts[2]} "
-      f"(candidate cells {diag['cells_flagged']})")
+print(f"minima {counts[0]}, saddles {counts[1]}, maxima {counts[2]}")
+print(f"finder: {diag['cells_flagged']} candidate cells, {diag['diverged']} walkers "
+      f"diverged, {diag['stalled']} stopped without settling")
 print(f"Morse alternating sum: {euler_characteristic(points)} (torus: must be 0)")
 
 print("\n=== close pairs above a high threshold ===")

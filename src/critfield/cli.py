@@ -324,6 +324,7 @@ def cmd_simulate(cfg):
     euler_failures = 0
     pair_counts = Counter()
     n_points = 0
+    finder = Counter()
     point_rows = []
     out = Path(cfg.out_dir)
     for k in range(cfg.sim_realizations):
@@ -331,7 +332,8 @@ def cmd_simulate(cfg):
         realization = sample_field(model, grid, seed=seed)
         if k == 0:
             cfio.save_field(realization, out / "field_000")
-        points, _ = find_critical_points(realization)
+        points, diagnostics = find_critical_points(realization)
+        finder.update(diagnostics)
         if euler_characteristic(points) != 0:
             euler_failures += 1
         above = [p for p in points if p.value > u_thr]
@@ -357,6 +359,7 @@ def cmd_simulate(cfg):
         "opposite_det_fraction": pooled.frac_opposite_det if pooled.n_pairs else None,
         "threshold": u_thr,
         "eps_physical": eps,
+        "finder": {key: finder[key] for key in ("cells_flagged", "diverged", "stalled")},
     }
     path = cfio.write_json(out / "simulate.json", _artifact(cfg, payload))
     print(

@@ -9,10 +9,12 @@ value, gradient and Hessian are analytic and come from one cell gather per
 Newton step.  Four Newton walkers start in every cell whose Bezier hull lets
 both gradient components vanish, a test no critical point escapes, which
 keeps Morse counting consistent: on the torus, minima - saddles + maxima must
-come out to zero every time.  Above a threshold u, a cell gets the hull test
-only if one of the 16 spline coefficients that span it exceeds u.
+come out to zero every time; a walker whose Newton step stops shrinking is
+retired.  Above a threshold u, a cell gets the hull test only if one of the
+16 spline coefficients that span it exceeds u.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -106,13 +108,27 @@ class PairTable:
         return opp / self.n_pairs
 
 
-def _torus_kernel(model, grid):
+def _torus_kernel(rho, grid):
     """Min-image covariance kernel on the torus, from one vectorized call of rho."""
     n, h = grid.n, grid.spacing
     ax = np.arange(n) * h
     ax = np.minimum(ax, grid.extent - ax)
     d2 = ax[:, None] ** 2 + ax[None, :] ** 2
-    return np.broadcast_to(model.rho(d2), d2.shape).astype(float)
+    return np.broadcast_to(rho(d2), d2.shape).astype(float)
+
+
+@functools.lru_cache(maxsize=1)  # a run draws its fields from one model on one grid
+def _root_spectrum(rho, grid):
+    """Read-only square root of the circulant spectrum, cached per (rho, grid)."""
+    # a copy, so that the cache does not keep the complex transform alive
+    spectrum = np.fft.fft2(_torus_kernel(rho, grid)).real.copy()
+    if not spectrum.min() >= -1e-8 * spectrum.max():
+        raise EmbeddingError(f"circulant spectrum is negative ({spectrum.min():.3e}) on "
+                             f"the {grid.n}^2 grid of extent {grid.extent:g}")
+    # zero the roundoff tail, whose square roots would move the field ~1e-8 per kernel ulp
+    spectrum[spectrum < grid.n ** 2 * np.finfo(float).eps * spectrum.max()] = 0.0
+    np.sqrt(spectrum, out=spectrum).setflags(write=False)
+    return spectrum
 
 
 def sample_field(model, grid, seed=0):
@@ -130,19 +146,10 @@ def sample_field(model, grid, seed=0):
             f"grid extent {grid.extent:g} is below 8 correlation lengths "
             f"({8 * model.correlation_length:g})"
         )
-    spectrum = np.fft.fft2(_torus_kernel(model, grid)).real
-    if not spectrum.min() >= -1e-8 * spectrum.max():
-        raise EmbeddingError(
-            f"circulant spectrum is negative ({spectrum.min():.3e}) on the "
-            f"{grid.n}^2 grid of extent {grid.extent:g}"
-        )
     n = grid.n
     rng = _chunk_rng(seed, FIELD_STREAM, 0)
     noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    # entries below the FFT's roundoff are noise: their square roots would move
-    # the field by ~1e-8 for a 1-ulp change of the kernel
-    spectrum[spectrum < n * n * np.finfo(float).eps * spectrum.max()] = 0.0
-    values = np.fft.ifft2(np.sqrt(spectrum) * noise).real * n
+    values = np.fft.ifft2(_root_spectrum(model.rho, grid) * noise).real * n
     return FieldRealization(values=values, spacing=grid.spacing, extent=grid.extent,
                             seed=int(seed), model_name=model.name)
 
@@ -186,9 +193,9 @@ class FieldSurface:
     def __init__(self, realization):
         values = realization.values
         n = values.shape[0]
-        freqs = 2.0 * math.pi * np.fft.fftfreq(n)
-        gain = (4.0 + 2.0 * np.cos(freqs)) / 6.0
-        self.coeffs = np.fft.ifft2(np.fft.fft2(values) / np.outer(gain, gain)).real
+        gx, gy = ((4.0 + 2.0 * np.cos(2.0 * math.pi * f)) / 6.0
+                  for f in (np.fft.fftfreq(n), np.fft.rfftfreq(n)))
+        self.coeffs = np.fft.irfft2(np.fft.rfft2(values) / np.outer(gx, gy), s=values.shape)
         self.n = n
         self.h = realization.spacing
         self.scale = float(np.sqrt(np.mean(values ** 2)))
@@ -203,15 +210,11 @@ class FieldSurface:
         pg = np.atleast_2d(pts) / self.h
         base = np.floor(pg).astype(np.int64)
         wx, wy = (_bspline_table(frac) for frac in (pg - base).T)
-        patch = self.window(base)
-
-        def tap(dx, dy):
-            return np.einsum("pa,pb,pab->p", wx[dx], wy[dy], patch)
-
-        grad = np.stack([tap(1, 0), tap(0, 1)], axis=-1) / self.h
-        hxx, hxy, hyy = (tap(*d) / self.h ** 2 for d in ((2, 0), (1, 1), (0, 2)))
-        hess = np.stack([hxx, hxy, hxy, hyy], axis=-1).reshape(-1, 2, 2)
-        return tap(0, 0), grad, hess
+        # d[p, i, j]: the derivative of order i in x and j in y at point p
+        d = wx.transpose(1, 0, 2) @ self.window(base) @ wy.transpose(1, 2, 0)
+        grad = d[:, [1, 0], [0, 1]] / self.h
+        hess = d[:, [2, 1, 1, 0], [0, 1, 1, 2]].reshape(-1, 2, 2) / self.h ** 2
+        return d[:, 0, 0], grad, hess
 
 
 def _bezier_controls(taps):
@@ -280,6 +283,7 @@ def _close_pairs(pts, radius, extent):
 
 # Newton starts per flagged cell, in cell units: one cell can hold two points.
 _STARTS = np.array([[0.25, 0.25], [0.25, 0.75], [0.75, 0.25], [0.75, 0.75]])
+_CONTRACT_AFTER = 8  # Newton steps after which each step must be shorter than the last
 
 
 def find_critical_points(realization, u_thr=-math.inf, max_iter=40,
@@ -287,13 +291,16 @@ def find_critical_points(realization, u_thr=-math.inf, max_iter=40,
     """Locate, refine, classify, and threshold the critical points.
 
     Newton iterations on the interpolated gradient start from four points
-    of every candidate cell (see :func:`_candidate_cells`); a walker stops
-    once its step is at most 1e-13 h.  Converged points are deduplicated on
-    the torus, classified by the index rule of :func:`critfield.rice._inertia`
-    and filtered by field value.  Returns the points and a diagnostics dict:
-    ``cells_flagged`` counts candidate cells, ``diverged`` counts walkers
-    that left their leash or met a singular Hessian, and ``stalled`` counts
-    walkers still stepping when ``max_iter`` ran out.
+    of every candidate cell (see :func:`_candidate_cells`); a walker settles
+    once its step is at most 1e-13 h.  Newton contracts on every step inside
+    a basin, so after ``_CONTRACT_AFTER`` steps a walker whose step does not
+    shrink is retired: it is cycling or at the roundoff floor.  The points
+    that pass the gradient test are deduplicated on the torus, classified by
+    the index rule of :func:`critfield.rice._inertia` and filtered by field
+    value.  Returns the points and a diagnostics dict: ``cells_flagged``
+    counts candidate cells, ``diverged`` counts walkers that left their leash
+    or met a singular Hessian, and ``stalled`` counts the other walkers that
+    stopped without settling.
     """
     surface = FieldSurface(realization)
     h, extent = surface.h, realization.extent
@@ -302,7 +309,8 @@ def find_critical_points(realization, u_thr=-math.inf, max_iter=40,
     start = pts.copy()
     alive = np.ones(pts.shape[0], dtype=bool)
     walking = alive.copy()
-    for _ in range(max_iter):
+    last = np.full(pts.shape[0], np.inf)  # each walker's latest step length
+    for it in range(max_iter):
         idx = np.flatnonzero(walking)
         if idx.size == 0:
             break
@@ -317,14 +325,16 @@ def find_critical_points(realization, u_thr=-math.inf, max_iter=40,
         step[big] *= (1.5 * h / norm[big])[:, None]
         pts[idx] -= step
         # kill walkers that leave a 2.5-cell ball around their start or hit a
-        # singular Hessian; retire those whose step fell below 1e-13 h
+        # singular Hessian; stop those whose step is below 1e-13 h or not shrinking
         drift = pts[idx] - start[idx]
         drift -= extent * np.round(drift / extent)
         bad = (~ok) | (np.linalg.norm(drift, axis=1) > 2.5 * h)
         alive[idx[bad]] = False
-        walking[idx[bad | (norm <= 1e-13 * h)]] = False
+        stuck = (norm >= last[idx]) & (it >= _CONTRACT_AFTER)
+        last[idx] = norm
+        walking[idx[bad | (norm <= 1e-13 * h) | stuck]] = False
     diagnostics = {"cells_flagged": len(cells), "diverged": int((~alive).sum()),
-                   "stalled": int((alive & walking).sum())}
+                   "stalled": int((alive & (last > 1e-13 * h)).sum())}
 
     pts = np.mod(pts[alive], extent)
     vals, grad, hess = surface.jet(pts)

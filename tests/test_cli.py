@@ -178,6 +178,11 @@ class TestArtifacts:
         assert code == 0
         sim = read(tmp_path / "simulate.json")
         assert sim["euler_failures"] == 0
+        # finder counters summed over the realizations
+        finder = sim["finder"]
+        assert set(finder) == {"cells_flagged", "diverged", "stalled"}
+        assert finder["cells_flagged"] > 3 * 100
+        assert all(isinstance(v, int) and v >= 0 for v in finder.values())
         field = load_field(tmp_path / "field_000")
         assert field.values.shape == (128, 128)
         assert (tmp_path / "critical_points.csv").exists()

@@ -291,6 +291,15 @@ def test_mean_critical_density_total_partition(gauss2):
     assert sum(p.value for p in parts) == pytest.approx(total.value, rel=1e-12)
 
 
+@pytest.mark.parametrize("k, factor", [(0, 1.0), (1, 2.0), (2, 1.0)])
+def test_mean_critical_density_closed_form_n2(gauss2, k, factor):
+    # at N=2 each extremum class has density d2 / (-d1) / (pi sqrt 3) and the
+    # saddles twice that (Adler & Taylor, Random Fields and Geometry, ch. 11)
+    exact = factor * gauss2.d2 / -gauss2.d1 / (math.pi * math.sqrt(3.0))
+    est = mean_critical_density(gauss2, k=k, n=4_000_000, seed=0)
+    assert abs(est.value - exact) < 4.0 * est.stderr
+
+
 def _reference_inertia(hessians):
     """The eigvalsh route the LDL^T kernel replaced: det plus _batch_index."""
     idx, degen = rice_mod._batch_index(hessians)
