@@ -209,7 +209,7 @@ class FieldSurface:
         """Value (P,), gradient (P, 2) and Hessian (P, 2, 2) from one cell gather."""
         pg = np.atleast_2d(pts) / self.h
         base = np.floor(pg).astype(np.int64)
-        wx, wy = (_bspline_table(frac) for frac in (pg - base).T)
+        wx, wy = np.split(_bspline_table((pg - base).T.ravel()), 2, axis=1)
         # d[p, i, j]: the derivative of order i in x and j in y at point p
         d = wx.transpose(1, 0, 2) @ self.window(base) @ wy.transpose(1, 2, 0)
         grad = d[:, [1, 0], [0, 1]] / self.h
@@ -354,7 +354,7 @@ def find_critical_points(realization, u_thr=-math.inf, max_iter=40,
         new[second[kept[first]]] = False
         settled, kept = np.array_equal(new, kept), new
     pts, gnorm, vals, hess = (a[sel[kept]] for a in (pts, gnorm, vals, hess))
-    _, index, _ = _inertia(hess)
+    _, index, _ = _inertia(hess[:, [0, 0, 1], [0, 1, 1]], 2)  # packed (h11, h12, h22)
     points = [CriticalPoint(position=pts[i].copy(), value=float(vals[i]),
                             grad_norm=float(gnorm[i]), hessian=hess[i].copy(),
                             index=int(index[i]))

@@ -9,9 +9,13 @@ threshold.  All reported ratios are self-normalized on a common sample, so
 the closed-form prefactor cancels exactly.
 
 Only live samples, those with both field values above the threshold, are
-mapped to Hessians; the rest carry no mass.  A live Hessian's determinant
-and index come from one LDL^T pass (a closed form at N=2), with an eigvalsh
-fallback for the rare rows whose pivots cannot settle the index.
+shifted and mapped to packed Hessian rows; the rest carry no mass, and
+the values take the mean shift as its image.  A live Hessian's determinant
+and index come from one LDL^T pass on its row (a closed form at N=2), with
+an eigvalsh fallback for the rare rows whose pivots cannot settle the index.
+The N=2 quadrature oracle takes P(both values > u) as Phibar of the larger
+bound wherever the bound Phibar(hi) Phi(-(rho hi - low) / sqrt(1 - rho^2))
+on the rest is below 1e-19 of it, and from Owen's T near the diagonal.
 
 Sampling is deterministic: a root seed plus a named stream and a fixed chunk
 plan define counter-based substreams.  The chunks run on a thread pool with
@@ -38,7 +42,7 @@ from .covariance import (OracleConvergenceError, _g22_origin, conditional_covari
                          sigma_expansion)
 from .io import SCHEMA
 from .spectral import ordered_eigendecomposition
-from .symmetric import matriculate, matriculate_batch
+from .symmetric import matriculate, matriculate_batch, vech_indices
 
 __all__ = [
     "RiceEstimate",
@@ -149,14 +153,12 @@ PIVOT_FLOOR = 1e-3   # smallest |leading pivot| / ||H||_F the LDL^T result is ke
 DET_FLOOR = 1e-8     # 100 times the degeneracy tolerance of _batch_index, per ||H||_F
 
 
-def _ldl_pivots(hessians):
+def _ldl_pivots(s, n_dim):
     """Pivots d_1..d_N of H = L D L^T without pivoting, one array per step.
 
-    The elimination runs over the upper triangle, entry by entry, each entry
-    an array across the batch; a zero pivot yields inf/nan further down.
+    ``s`` maps each (i, j), i <= j, to that entry across the batch; the
+    elimination updates it in place.  A zero pivot yields inf/nan further down.
     """
-    n_dim = hessians.shape[-1]
-    s = {(i, j): hessians[:, i, j] for i in range(n_dim) for j in range(i, n_dim)}
     pivots = []
     for p in range(n_dim):
         pivots.append(s[p, p])
@@ -167,15 +169,17 @@ def _ldl_pivots(hessians):
     return pivots
 
 
-def _inertia(hessians):
-    """Determinant, index and degeneracy flags of a (m, N, N) symmetric batch.
+def _inertia(packed, n_dim):
+    """Determinant, index and degeneracy flags of (k, N(N+1)/2) packed rows.
 
-    One factorization gives all three.  At N=2 the closed form det = ac - b^2
-    gives the index (1 if det < 0, else 0 or 2 by the sign of the trace); at
-    N=3, 4 an unrolled LDL^T gives the determinant as the product of the
-    pivots and, by Sylvester's law of inertia, the index as the number of
-    negative pivots.  A row keeps this result only where it must agree with
-    :func:`_batch_index`.  With floor = ``DET_FLOOR * ||H||_F``:
+    Each row is a half-vectorized symmetric matrix (see
+    :mod:`critfield.symmetric`), and entry (i, j) is read as a column view of
+    the rows.  One factorization gives all three.  At N=2 the closed form
+    det = ac - b^2 gives the index (1 if det < 0, else 0 or 2 by the sign of
+    the trace); at N=3, 4 an unrolled LDL^T gives the determinant as the
+    product of the pivots and, by Sylvester's law of inertia, the index as
+    the number of negative pivots.  A row keeps this result only where it
+    must agree with :func:`_batch_index`.  With floor = ``DET_FLOOR * ||H||_F``:
 
     - every pivot but the last exceeds ``PIVOT_FLOOR * ||H||_F`` in
       magnitude, which bounds the multipliers of the elimination, and the
@@ -186,28 +190,29 @@ def _inertia(hessians):
       floor, a hundred times the degeneracy tolerance, so the row is not
       degenerate.
 
-    Every other row, and every row at N >= 5, takes ``np.linalg.det`` and
-    :func:`_batch_index`, which keeps its index and degeneracy flag exactly.
-    The last pivot is held only to the lower floor because near a
-    conditioned critical point the small eigenvalue lies along the last axis
-    and lands in that pivot; with ``PIVOT_FLOOR`` there, 15-20 % of such
-    Hessians at N=3, 4 would fall back instead of well under 0.1 %.
+    Every other row, and every row at N >= 5, is rebuilt as a matrix for
+    ``np.linalg.det`` and :func:`_batch_index`, which keeps its index and
+    degeneracy flag exactly.  The last pivot is held only to the lower floor
+    because near a conditioned critical point the small eigenvalue lies
+    along the last axis and lands in that pivot; with ``PIVOT_FLOOR`` there,
+    15-20 % of such Hessians at N=3, 4 would fall back, not under 0.1 %.
     """
-    hessians = np.asarray(hessians, dtype=float)
-    count, n_dim = hessians.shape[0], hessians.shape[-1]
-    det = np.zeros(count)
-    idx = np.zeros(count, dtype=np.intp)
-    ok = np.zeros(count, dtype=bool)
+    packed = np.asarray(packed, dtype=float)
+    count = packed.shape[0]
+    det, idx, ok = np.zeros(count), np.zeros(count, dtype=np.intp), np.zeros(count, dtype=bool)
     if n_dim <= 4:
-        norm = np.maximum(np.sqrt(np.einsum("kij,kij->k", hessians, hessians)), 1e-300)
+        rows, cols = vech_indices(n_dim)
+        s = {(i, j): packed[:, p] for p, (i, j) in enumerate(zip(rows.tolist(), cols.tolist()))}
+        twice = np.where(rows == cols, 1.0, 2.0)  # off-diagonal entries, in the Frobenius norm
+        norm = np.maximum(np.sqrt(np.einsum("km,km,m->k", packed, packed, twice)), 1e-300)
         with np.errstate(all="ignore"):
             if n_dim == 2:
-                a, b, c = hessians[:, 0, 0], hessians[:, 0, 1], hessians[:, 1, 1]
+                a, b, c = s[0, 0], s[0, 1], s[1, 1]
                 det = a * c - b * b
                 idx = np.where(det < 0.0, 1, np.where(a + c > 0.0, 0, 2))
                 ok = np.abs(det) / norm / norm > DET_FLOOR
             else:
-                pivots = np.stack(_ldl_pivots(hessians))
+                pivots = np.stack(_ldl_pivots(s, n_dim))
                 det = pivots.prod(axis=0)
                 idx = (pivots < 0.0).sum(axis=0)
                 rel = np.abs(pivots) / norm
@@ -216,7 +221,7 @@ def _inertia(hessians):
     degen = np.zeros(count, dtype=bool)
     slow = np.flatnonzero(~ok)
     if slow.size:
-        sub = hessians[slow]
+        sub = matriculate_batch(packed[slow], n_dim)
         det[slow] = np.linalg.det(sub)
         idx[slow], degen[slow] = _batch_index(sub)
     return det, idx, degen
@@ -370,16 +375,18 @@ def _accumulate(model, factor, u_thr, n, seed, stream, shift, antithetic,
     sign ratios.
 
     The chunks run on the worker pool.  A worker maps its chunk BLOCK rows
-    at a time: the draws, their partners and the mean shift are written in
-    place into a block buffer made by the caller, and the block is mapped
-    through the last two rows of ``factor`` only, the two field values, to
-    keep the live samples, those with both values above ``u_thr``; every
-    other sample has zero mass.  Only the live samples are mapped to
-    Hessians, weighted, and passed to :func:`_inertia`, one LDL^T pass for
-    determinant and index, with an eigvalsh fallback for the few rows it
-    cannot settle.  ``u_thr=None`` means ``factor`` has the Hessian rows only
-    and every sample is live.  Each chunk's partial sums are reduced in chunk
-    order, so the estimates do not depend on the number of workers.
+    at a time: the draws and their partners are written in place into a
+    block buffer made by the caller, and the block is mapped through the
+    last two rows of ``factor`` only, the two field values, to which the
+    mean shift adds its image; this keeps the live samples, those with both
+    values above ``u_thr``, and every other sample has zero mass.  Only the
+    live samples are shifted, mapped to packed Hessian rows, weighted, and
+    passed to :func:`_inertia`, one LDL^T pass for determinant and index,
+    with an eigvalsh fallback for the few rows it cannot settle.
+    ``u_thr=None`` means ``factor`` has the Hessian rows only and every
+    sample is live.  A chunk's pair sums are bincounts over its live rows,
+    and the chunks' partial sums are reduced in chunk order, so the
+    estimates do not depend on the number of workers.
 
     Returns per-index |det|-mass buckets and hit counts (index 0..N, then
     degenerate) and, for the classes in ``num_sel``/``den_sel``, pair-level
@@ -399,6 +406,7 @@ def _accumulate(model, factor, u_thr, n, seed, stream, shift, antithetic,
     value_rows = np.ascontiguousarray(factor[m:].T)
     if shift is not None:
         half_shift_sq = 0.5 * float(shift @ shift)
+        shift_vals = shift @ value_rows  # the shift's image on the two field values
     n_chunks = -(-n // CHUNK)
     pool = _executor()
     # block buffers are made here: what a worker thread allocates stays in its own malloc arena
@@ -408,10 +416,9 @@ def _accumulate(model, factor, u_thr, n, seed, stream, shift, antithetic,
                   np.empty((BLOCK, L)), np.empty((BLOCK, m))))
 
     def chunk_sums(chunk):
-        take = min(CHUNK, n - chunk * CHUNK)
-        units = take // parts
+        units = min(CHUNK, n - chunk * CHUNK) // parts
         rng = _chunk_rng(seed, stream, chunk)
-        drawn, partners = [], []  # place in the chunk, class and mass of the live rows
+        drawn, partners = [], []  # pair unit, class and mass of the live rows
         bufs = free.get()
         try:
             for lo in range(0, units, BLOCK // parts):
@@ -423,38 +430,36 @@ def _accumulate(model, factor, u_thr, n, seed, stream, shift, antithetic,
                     ys[k:, rank0:] *= -1.0
                 elif parts == 2:
                     np.negative(ys[:k], out=ys[k:])
-                if shift is not None:
-                    # the weight needs the draws before the shift is added in place
+                if shift is not None:  # ys stay unshifted: the weight needs the draws
                     np.negative(np.matmul(ys, shift, out=log_w), out=log_w)
                     log_w -= half_shift_sq
-                    ys += shift
                 if u_thr is None:
                     rows = np.arange(parts * k)
                 else:
                     _serial_matmul(ys, value_rows, vals)
+                    if shift is not None:
+                        vals += shift_vals
                     rows = np.flatnonzero((vals[:, 0] > u_thr) & (vals[:, 1] > u_thr))
                 picked, hess = picked[:rows.size], hess[:rows.size]
-                _serial_matmul(np.take(ys, rows, axis=0, out=picked), hess_rows, hess)
-                dets, idx, degen = _inertia(matriculate_batch(hess, n_dim))
+                np.take(ys, rows, axis=0, out=picked)
+                if shift is not None:
+                    picked += shift
+                dets, idx, degen = _inertia(_serial_matmul(picked, hess_rows, hess), n_dim)
                 mass = np.abs(dets)
                 if shift is not None:
                     mass *= np.exp(log_w[rows])
                 cut = np.searchsorted(rows, k)  # rows from k on are the partners
                 at = rows + lo
-                at[cut:] += units - k
+                at[cut:] -= k
                 live = (at, np.where(degen, n_dim + 1, idx), mass)
                 drawn.append([x[:cut] for x in live])
                 partners.append([x[cut:] for x in live])
         finally:
             free.put(bufs)
         at, cls, mass = map(np.concatenate, zip(*drawn, *partners))
-        a = np.zeros(take)
-        b = np.zeros(take)
-        a[at] = np.where(num_mask[cls], mass, 0.0)
-        b[at] = np.where(den_mask[cls], mass, 0.0)
-        if parts == 2:
-            a = a[:units] + a[units:]
-            b = b[:units] + b[units:]
+        # pair sums over the live rows, each unit's drawn row first
+        a, b = (np.bincount(at, np.where(mask[cls], mass, 0.0), units)
+                for mask in (num_mask, den_mask))
         r_c = a.sum() / b.sum() if b.any() else 0.0
         res = a - r_c * b
         return (np.bincount(cls, weights=mass, minlength=n_cls),
@@ -488,8 +493,7 @@ def rice_density_mc(model, r, u_thr, k=None, n=200_000, seed=0, factor="sqrt",
     shift_vec = _resolve_shift(model, r, u_thr, sigma, mat, shift)
     sel = tuple(range(model.n_dim + 1)) if k is None else (int(k),)
     if k is not None and not (0 <= k <= model.n_dim):
-        est_zero = RiceEstimate(0.0, 0.0, int(n), int(seed), k, float(r), float(u_thr))
-        return est_zero
+        return RiceEstimate(0.0, 0.0, int(n), int(seed), k, float(r), float(u_thr))
     acc = _accumulate(model, mat, u_thr, n, seed, STREAMS["density"], shift_vec,
                       antithetic, num_sel=sel)
     pref = _prefactor(model, r, u_thr)
@@ -633,12 +637,23 @@ def mean_critical_density(model, k=None, n=500_000, seed=0):
 # ---------------------------------------------------------------------------
 
 def _bvn_survival(lo1, lo2, rho):
-    """P(Z1 > lo1, Z2 > lo2) for a standard bivariate normal, via Owen's T."""
-    h, k = (np.where(lo == 0.0, 1e-13, -np.asarray(lo, dtype=float)) for lo in (lo1, lo2))
+    """P(Z1 > lo1, Z2 > lo2) for a standard bivariate normal, correlation rho.
+
+    With hi and low the larger and the smaller bound and rho >= 0, low cuts
+    at most Phibar(hi) Phi(-(rho hi - low) / sqrt(1 - rho^2)) from Phibar(hi),
+    below 1e-19 of it where rho hi - low >= 9 sqrt(1 - rho^2); there
+    Phibar(hi) is returned.  Only the nodes nearer the diagonal lo1 = lo2 take
+    the Owen's T pair, which reads a zero bound as -1e-150.
+    """
+    lo1, lo2 = np.broadcast_arrays(np.asarray(lo1, dtype=float), np.asarray(lo2, dtype=float))
+    hi = np.maximum(lo1, lo2)
+    out = ndtr(-hi)
     denom = math.sqrt(max(1.0 - rho * rho, 1e-300))
+    near = ~(rho * hi - np.minimum(lo1, lo2) >= 9.0 * denom) | (rho < 0.0)
+    h, k = (np.where(lo == 0.0, 1e-150, -lo) for lo in (lo1[near], lo2[near]))
     t_h, t_k = _executor().map(owens_t, (h, k), ((k - rho * h) / (h * denom),
                                                  (h - rho * k) / (k * denom)))
-    out = 0.5 * (ndtr(h) + ndtr(k)) - t_h - t_k - np.where(h * k < 0.0, 0.5, 0.0)
+    out[near] = 0.5 * (ndtr(h) + ndtr(k)) - t_h - t_k - np.where(h * k < 0.0, 0.5, 0.0)
     return np.clip(out, 0.0, 1.0)
 
 

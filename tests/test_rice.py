@@ -6,6 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from scipy.special import ndtr, owens_t
 
 import critfield.rice as rice_mod
 from critfield.covariance import OracleConvergenceError, conditional_covariance
@@ -15,7 +16,7 @@ from critfield.rice import (InsufficientSamplesError, hessian_index,
                             mean_critical_density, projection_point, psi_ratio,
                             rice_density_mc, rice_density_quadrature,
                             sign_ratio)
-from critfield.symmetric import matriculate_batch
+from critfield.symmetric import matriculate_batch, vech_indices
 
 
 class TestHessianIndex:
@@ -128,6 +129,40 @@ class TestQuadratureOracle:
         assert est.stderr > 0.0
         assert abs(est.value - dense.value) <= est.stderr
 
+    @staticmethod
+    def _owens_t_survival(lo1, lo2, rho):
+        # P(Z1 > lo1, Z2 > lo2) from the Owen's T pair alone, at every node
+        h, k = (np.where(lo == 0.0, 1e-150, -lo) for lo in (lo1, lo2))
+        denom = math.sqrt(max(1.0 - rho * rho, 1e-300))
+        out = (0.5 * (ndtr(h) + ndtr(k)) - owens_t(h, (k - rho * h) / (h * denom))
+               - owens_t(k, (h - rho * k) / (k * denom)) - np.where(h * k < 0.0, 0.5, 0.0))
+        return np.clip(out, 0.0, 1.0)
+
+    @pytest.mark.parametrize("eta", [1.0 - 1.6e-15, 1.0 - 1e-9, 0.99, 0.5, 0.0, -0.5, -0.99])
+    def test_survival_shortcut_matches_owens_t(self, eta):
+        lo1 = np.linspace(-3.0, 8.0, 1101)
+        for gap in (0.0, 1e-9, -1e-9, 1e-7, -1e-7, 1e-3, 1.0, 12.0):  # 12 reaches the shortcut at eta = 0.5, 0
+            for a, b in ((lo1, lo1 + gap), (lo1 + gap, lo1)):
+                got = rice_mod._bvn_survival(a, b, eta)
+                np.testing.assert_allclose(got, self._owens_t_survival(a, b, eta),
+                                           rtol=0, atol=1e-15)
+                if eta == 0.0:
+                    np.testing.assert_allclose(got, ndtr(-a) * ndtr(-b), rtol=0, atol=1e-15)
+
+    def test_few_survival_nodes_reach_owens_t(self, gauss2, monkeypatch):
+        # at the desk scale the values' correlation is 1 - 1.6e-15, so only
+        # the nodes next to the diagonal lo1 = lo2 need the Owen's T pair
+        nodes, owens = [], []
+        survival, owens_t_route = rice_mod._bvn_survival, rice_mod.owens_t
+        monkeypatch.setattr(rice_mod, "_bvn_survival",
+                            lambda lo1, lo2, rho: nodes.append(lo1.size) or survival(lo1, lo2, rho))
+        monkeypatch.setattr(rice_mod, "owens_t",
+                            lambda h, a: owens.append(h.size) or owens_t_route(h, a))
+        for k in (1, 2):
+            rice_density_quadrature(gauss2, 0.02, 4.0, k)
+        assert sum(nodes) > 0
+        assert 0.5 * sum(owens) < 0.2 * sum(nodes)  # the pair makes two calls per node
+
     def test_unconverged_rule_raises(self, gauss2, monkeypatch):
         # too few radial and rho nodes: more angular nodes cannot help
         with pytest.raises(OracleConvergenceError):
@@ -155,28 +190,37 @@ class TestRatios:
         assert top.extras["num_sum"] + other.extras["num_sum"] == top.extras["den_sum"]
         assert top.value + other.value == pytest.approx(1.0, abs=1e-14)
 
-    @pytest.mark.parametrize("r", [0.02, 0.001])
-    def test_ratio_stderr_matches_two_pass(self, gauss2, r):
-        # one chunk of the flip-paired share, its pair contributions rebuilt
-        # from the stream; sum((a - R b)^2) is taken at the estimator's own R,
-        # since it moves by 1e-13 relative when R moves by one rounding
-        n, u_thr, m = rice_mod.CHUNK, 4.0, gauss2.vech_dim
-        est = maxima_share(gauss2, r, u_thr, n=n, seed=1, antithetic="flip")
-        factor, sigma = rice_mod._factor_matrix(gauss2, r, "eig")
-        shift = rice_mod._resolve_shift(gauss2, r, u_thr, sigma, factor, "auto")
+    @pytest.mark.parametrize("model_name, antithetic, r", [
+        ("gauss2", "flip", 0.02), ("gauss2", "flip", 0.001),
+        ("gauss3", "negate", 0.02), ("gauss4", "negate", 0.02)],
+        ids=["0.02", "0.001", "gauss3-negate-0.02", "gauss4-negate-0.02"])
+    def test_ratio_stderr_matches_two_pass(self, request, model_name, antithetic, r):
+        # one chunk of the paired share, its pair contributions rebuilt from
+        # the stream with the mean shift added to every draw and a zeroed
+        # array per sample; sum((a - R b)^2) is taken at the estimator's own
+        # R, since it moves by 1e-13 relative when R moves by one rounding
+        model = request.getfixturevalue(model_name)
+        n, u_thr, m, n_dim = rice_mod.CHUNK, 4.0, model.vech_dim, model.n_dim
+        est = maxima_share(model, r, u_thr, n=n, seed=1, antithetic=antithetic)
+        factor, sigma = rice_mod._factor_matrix(model, r,
+                                                "eig" if antithetic == "flip" else "sqrt")
+        shift = rice_mod._resolve_shift(model, r, u_thr, sigma, factor, "auto")
         ys = np.empty((n, factor.shape[1]))
         rice_mod._chunk_rng(1, rice_mod.STREAMS["share"], 0).standard_normal(out=ys[: n // 2])
-        ys[n // 2:] = ys[: n // 2]
-        ys[n // 2:, factor.shape[1] - gauss2.n_dim - 1:] *= -1.0
+        if antithetic == "flip":
+            ys[n // 2:] = ys[: n // 2]
+            ys[n // 2:, factor.shape[1] - n_dim - 1:] *= -1.0
+        else:
+            ys[n // 2:] = -ys[: n // 2]
         log_w = -(ys @ shift) - 0.5 * float(shift @ shift)
         ys += shift
         vals = ys @ factor[m:].T
         rows = np.flatnonzero((vals[:, 0] > u_thr) & (vals[:, 1] > u_thr))
-        det, idx, degen = rice_mod._inertia(matriculate_batch(ys[rows] @ factor[:m].T, 2))
+        det, idx, degen = rice_mod._inertia(ys[rows] @ factor[:m].T, n_dim)
         mass = np.where(degen, 0.0, np.abs(det) * np.exp(log_w[rows]))
         a, b = np.zeros(n), np.zeros(n)
-        a[rows] = np.where(idx == 2, mass, 0.0)
-        b[rows] = np.where(idx >= 1, mass, 0.0)
+        a[rows] = np.where(idx == n_dim, mass, 0.0)
+        b[rows] = np.where(idx >= n_dim - 1, mass, 0.0)
         a, b = a[: n // 2] + a[n // 2:], b[: n // 2] + b[n // 2:]
         assert est.value == pytest.approx(a.sum() / b.sum(), rel=1e-12)
         two_pass = math.sqrt(((a - est.value * b) ** 2).sum()) / b.sum()
@@ -300,20 +344,26 @@ def test_mean_critical_density_closed_form_n2(gauss2, k, factor):
     assert abs(est.value - exact) < 4.0 * est.stderr
 
 
-def _reference_inertia(hessians):
+def _reference_inertia(packed, n_dim):
     """The eigvalsh route the LDL^T kernel replaced: det plus _batch_index."""
+    hessians = matriculate_batch(packed, n_dim)
     idx, degen = rice_mod._batch_index(hessians)
     return np.linalg.det(hessians), idx, degen
 
 
+def _pack(hessians):
+    rows, cols = vech_indices(hessians.shape[-1])
+    return hessians[:, rows, cols]
+
+
 def _symmetric_batch(rng, count, n_dim):
     g = rng.standard_normal((count, n_dim, n_dim))
-    return 0.5 * (g + g.transpose(0, 2, 1))
+    return _pack(0.5 * (g + g.transpose(0, 2, 1)))
 
 
-def _assert_same_inertia(hessians):
-    det, idx, degen = rice_mod._inertia(hessians)
-    ref_det, ref_idx, ref_degen = _reference_inertia(hessians)
+def _assert_same_inertia(packed, n_dim):
+    det, idx, degen = rice_mod._inertia(packed, n_dim)
+    ref_det, ref_idx, ref_degen = _reference_inertia(packed, n_dim)
     np.testing.assert_array_equal(idx, ref_idx)
     np.testing.assert_array_equal(degen, ref_degen)
     np.testing.assert_allclose(det, ref_det, rtol=1e-10, atol=0.0)
@@ -322,7 +372,7 @@ def _assert_same_inertia(hessians):
 class TestInertiaKernel:
     @pytest.mark.parametrize("n_dim", [2, 3, 4])
     def test_matches_eigvalsh_on_random_batches(self, rng, n_dim):
-        _assert_same_inertia(_symmetric_batch(rng, 1 << 17, n_dim))
+        _assert_same_inertia(_symmetric_batch(rng, 1 << 17, n_dim), n_dim)
 
     @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
     def test_zero_pivots_and_singular(self, rng, scale):
@@ -336,17 +386,17 @@ class TestInertiaKernel:
         ]
         with np.errstate(over="ignore"):  # det overflows at 1e150, on both routes
             for mat in cases:
-                _assert_same_inertia(scale * mat[None])
+                _assert_same_inertia(_pack(scale * mat[None]), len(mat))
             for n_dim in (2, 3, 4):
-                _assert_same_inertia(scale * _symmetric_batch(rng, 4096, n_dim))
-        det, idx, degen = rice_mod._inertia(scale * np.diag([1.0, 0.0, -2.0])[None])
+                _assert_same_inertia(scale * _symmetric_batch(rng, 4096, n_dim), n_dim)
+        det, idx, degen = rice_mod._inertia(_pack(scale * np.diag([1.0, 0.0, -2.0])[None]), 3)
         assert degen[0] and idx[0] == 1
-        assert rice_mod._inertia(scale * np.ones((1, 2, 2)))[2][0]
+        assert rice_mod._inertia(_pack(scale * np.ones((1, 2, 2))), 2)[2][0]
 
     def test_five_dimensions_fall_back(self, rng):
         hess = _symmetric_batch(rng, 2048, 5)
-        det, idx, degen = rice_mod._inertia(hess)
-        ref_det, ref_idx, ref_degen = _reference_inertia(hess)
+        det, idx, degen = rice_mod._inertia(hess, 5)
+        ref_det, ref_idx, ref_degen = _reference_inertia(hess, 5)
         np.testing.assert_array_equal(det, ref_det)
         np.testing.assert_array_equal(idx, ref_idx)
         np.testing.assert_array_equal(degen, ref_degen)
@@ -361,7 +411,7 @@ class TestInertiaKernel:
             return original(hessians, *args)
 
         monkeypatch.setattr(rice_mod, "_batch_index", counting)
-        rice_mod._inertia(_symmetric_batch(rng, 1 << 15, n_dim))
+        rice_mod._inertia(_symmetric_batch(rng, 1 << 15, n_dim), n_dim)
         assert sum(seen) < 0.01 * (1 << 15)
 
 
