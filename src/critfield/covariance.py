@@ -67,10 +67,10 @@ class CondCov:
     def eigenvalues(self):
         return np.linalg.eigvalsh(self.sigma)
 
-    def is_positive_semidefinite(self, tol_factor=1e-10):
+    def is_positive_semidefinite(self):
         """Nonnegative spectrum up to a trace-relative floor (floating-point Schur)."""
         eigs = self.eigenvalues()
-        return bool(eigs.min() >= -tol_factor * max(self.sigma.trace(), 1.0))
+        return bool(eigs.min() >= -PSD_TOL * max(self.sigma.trace(), 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -81,6 +81,9 @@ M_NODES = 256       # nodes on each circle; every other node gives the check rul
 R_START = 1.0       # first radius beyond the reach, in units of x = ||t||^2
 MAX_HALVINGS = 8    # radii tried: R_START / 2^j for j = 0..MAX_HALVINGS
 AGREE_RTOL = 1e-12  # M- vs M/2-node coefficients, relative to max|f| on the circle
+PSD_TOL = 1e-10     # most negative eigenvalue of a PSD Sigma, relative to its trace
+QUAL_GRID = 256     # log-spaced points of check_qualified's scalar inequalities
+PROBE_RADII = (0.25, 0.5, 1.0)  # fractions of the validity radius of the joint probe
 _ROOTS = np.exp(2j * np.pi * np.arange(M_NODES) / M_NODES)
 
 
@@ -481,13 +484,13 @@ class QualReport:
         }
 
 
-def check_qualified(model, n_grid=256, probe_radii=(0.25, 0.5, 1.0)):
+def check_qualified(model):
     """Evaluate the regularity conditions on the profile and report each one.
 
-    Scalar inequalities are checked on a grid of ``n_grid`` log-spaced points
+    Scalar inequalities are checked on a grid of ``QUAL_GRID`` log-spaced points
     in (0, delta^2].  The joint non-degeneracy condition has no closed form
     for general profiles; it is probed through the smallest eigenvalue of the
-    assembled joint covariance at a few radii.
+    assembled joint covariance at the ``PROBE_RADII``.
     """
     checks = []
     d1, d2, d3 = model.d1, model.d2, model.d3
@@ -513,7 +516,7 @@ def check_qualified(model, n_grid=256, probe_radii=(0.25, 0.5, 1.0)):
     )
 
     delta2 = model.validity_radius ** 2
-    grid = np.geomspace(1e-8 * delta2, delta2, n_grid)
+    grid = np.geomspace(1e-8 * delta2, delta2, QUAL_GRID)
     p1 = np.array([model.rho_d1(x) for x in grid])
     p2 = np.array([model.rho_d2(x) for x in grid])
     grad_margin = float((-d1 - np.abs(p1)).min())
@@ -556,7 +559,7 @@ def check_qualified(model, n_grid=256, probe_radii=(0.25, 0.5, 1.0)):
     # covariance at sampled radii, relative to its trace.
     worst = np.inf
     ok = True
-    for frac in probe_radii:
+    for frac in PROBE_RADII:
         r = frac * model.validity_radius
         try:
             cc = conditional_covariance(model, r, u0)

@@ -284,10 +284,10 @@ def _close_pairs(pts, radius, extent):
 # Newton starts per flagged cell, in cell units: one cell can hold two points.
 _STARTS = np.array([[0.25, 0.25], [0.25, 0.75], [0.75, 0.25], [0.75, 0.75]])
 _CONTRACT_AFTER = 8  # Newton steps after which each step must be shorter than the last
+_GRAD_TOL = 1e-8     # largest gradient norm of a point, relative to the field's scale
 
 
-def find_critical_points(realization, u_thr=-math.inf, max_iter=40,
-                         grad_tol_factor=1e-8):
+def find_critical_points(realization, u_thr=-math.inf, max_iter=40):
     """Locate, refine, classify, and threshold the critical points.
 
     Newton iterations on the interpolated gradient start from four points
@@ -339,7 +339,7 @@ def find_critical_points(realization, u_thr=-math.inf, max_iter=40,
     pts = np.mod(pts[alive], extent)
     vals, grad, hess = surface.jet(pts)
     gnorm = np.linalg.norm(grad, axis=1)
-    sel = np.flatnonzero(gnorm < grad_tol_factor * max(surface.scale, 1e-12))
+    sel = np.flatnonzero(gnorm < _GRAD_TOL * max(surface.scale, 1e-12))
 
     # Torus-aware keep-first dedup over the sorted points: j goes when it
     # pairs with a kept i < j.  Walkers that found the same root agree to

@@ -248,7 +248,11 @@ def _separation_quartic(model, c):
     return ((k1 - 8.0 * model.d2) * c2 + k4) ** 2 - (k1 * c2 - k4) ** 2 - 4.0 * k2 * k3 * c2
 
 
-def find_rescaling(model, max_doublings=60, rel_margin=1e-6):
+MAX_DOUBLINGS = 60         # rescale factors tried: 2^j for j = 0..MAX_DOUBLINGS
+SEPARATION_MARGIN = 1e-6   # least relative gap of the separation
+
+
+def find_rescaling(model):
     """Rescale factor C >= 1 for which the small distinguished eigenvalue
     drops below 4 rho''(0) (so the limit spectrum has no multiplicity
     collisions).
@@ -263,12 +267,12 @@ def find_rescaling(model, max_doublings=60, rel_margin=1e-6):
         scaled = rescale(model, c)
         _, lam_m = w_eigenvalues(scaled)
         four = 4.0 * scaled.d2
-        return four - lam_m > rel_margin * max(four, 1.0)
+        return four - lam_m > SEPARATION_MARGIN * max(four, 1.0)
 
     if separated(1.0) and _separation_quartic(model, 1.0) < 0.0:
         return 1.0
     c = 1.0
-    for _ in range(max_doublings):
+    for _ in range(MAX_DOUBLINGS):
         c *= 2.0
         if _separation_quartic(model, c) < 0.0 and separated(c):
             return c

@@ -5,8 +5,10 @@ The density of critical points above a threshold near a conditioned critical
 point reduces to a Gaussian expectation over the conditional covariance: draw
 y ~ N(0, I_L), map through a factor of Sigma(r), weight by |det| of the
 rebuilt Hessian, and restrict by index and by both field values exceeding the
-threshold.  All reported ratios are self-normalized on a common sample, so
-the closed-form prefactor cancels exactly.
+threshold.  Every Monte Carlo estimate is a ratio sum(a)/sum(b) over the
+antithetic pair units of one sample, with one delta-method error bar: a
+ratio of index classes takes b as the denominator classes' |det| mass, so
+the closed-form prefactor cancels exactly, and a density takes b = 1.
 
 Only live samples, those with both field values above the threshold, are
 shifted and mapped to packed Hessian rows; the rest carry no mass, and
@@ -32,7 +34,7 @@ import os
 import queue
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -126,22 +128,25 @@ class ProjectionDiag:
         return int((self.hessian_eigs < -tol).sum())
 
 
-def hessian_index(mat, tol_factor=1e-10):
+DEGEN_TOL = 1e-10    # an eigenvalue within this times ||H||_F of zero is degenerate
+
+
+def hessian_index(mat):
     """Number of negative eigenvalues; flags near-singular input.
 
     Returns (index, degenerate).  Degeneracy (an eigenvalue within
-    ``tol_factor`` times the Frobenius norm of zero) is flagged rather than
+    ``DEGEN_TOL`` times the Frobenius norm of zero) is flagged rather than
     raised: it has probability zero under the sampled laws.
     """
     mat = np.asarray(mat, dtype=float)
-    (idx,), (degen,) = _batch_index((0.5 * (mat + mat.T))[None], tol_factor)
+    (idx,), (degen,) = _batch_index((0.5 * (mat + mat.T))[None])
     return int(idx), bool(degen)
 
 
-def _batch_index(hessians, tol_factor=1e-10):
+def _batch_index(hessians):
     """Vectorized index + degeneracy flags for a (m, N, N) batch."""
     eigs = np.linalg.eigvalsh(hessians)
-    tol = tol_factor * np.maximum(
+    tol = DEGEN_TOL * np.maximum(
         np.sqrt((hessians ** 2).sum(axis=(1, 2))), 1e-300
     )
     idx = (eigs < -tol[:, None]).sum(axis=1)
@@ -150,7 +155,7 @@ def _batch_index(hessians, tol_factor=1e-10):
 
 
 PIVOT_FLOOR = 1e-3   # smallest |leading pivot| / ||H||_F the LDL^T result is kept at
-DET_FLOOR = 1e-8     # 100 times the degeneracy tolerance of _batch_index, per ||H||_F
+DET_FLOOR = 100 * DEGEN_TOL  # per ||H||_F, far above the degeneracy tolerance
 
 
 def _ldl_pivots(s, n_dim):
@@ -231,21 +236,19 @@ def _inertia(packed, n_dim):
 # factors, shifts, and the closed-form prefactor
 # ---------------------------------------------------------------------------
 
-def _factor_matrix(model, r, which):
-    """A factor M with M M^T = Sigma(r u) along the axis direction u.
+def _factor_matrix(model, r, flip):
+    """A factor M with M M^T = Sigma(r u) along the axis direction u, and Sigma.
 
-    "sqrt" is the symmetric nonnegative square root (continuous in r);
-    "eig" is P Lambda^{1/2} from the ordered eigendecomposition.  The two
-    differ by an orthogonal right factor, so the induced laws agree.
+    With ``flip``, M = P Lambda^{1/2} from the ordered eigendecomposition,
+    whose last N+1 columns are the kernel coordinates that the flip pairing
+    negates; otherwise the symmetric nonnegative square root, which is
+    continuous in r.  The two differ by an orthogonal right factor, so the
+    induced laws agree.
     """
     sigma = conditional_covariance(model, r).sigma
     lam, vec = ordered_eigendecomposition(sigma)
-    lam = np.clip(lam, 0.0, None)
-    if which == "eig":
-        return vec * np.sqrt(lam)[None, :], sigma
-    if which == "sqrt":
-        return (vec * np.sqrt(lam)[None, :]) @ vec.T, sigma
-    raise ValueError(f"unknown factor {which!r} (expected 'sqrt' or 'eig')")
+    root = vec * np.sqrt(np.clip(lam, 0.0, None))[None, :]
+    return (root if flip else root @ vec.T), sigma
 
 
 def _projection_from(sigma, factor, u_thr):
@@ -320,7 +323,7 @@ def _prefactor(model, r, u_thr):
     return p_t00 / (p_grad0 * survival)
 
 
-def _resolve_shift(model, r, u_thr, sigma, factor, shift):
+def _resolve_shift(u_thr, sigma, factor, shift):
     if shift == "none" or (shift == "auto" and u_thr < 2.0):
         return None
     if shift == "auto":
@@ -364,7 +367,7 @@ def _serial_matmul(a, b, out):
 
 
 def _accumulate(model, factor, u_thr, n, seed, stream, shift, antithetic,
-                num_sel, den_sel=()):
+                num_sel, den_sel=None):
     """One pass over the sample plan.
 
     ``antithetic`` selects the pairing of each drawn innovation y':
@@ -389,9 +392,11 @@ def _accumulate(model, factor, u_thr, n, seed, stream, shift, antithetic,
     estimates do not depend on the number of workers.
 
     Returns per-index |det|-mass buckets and hit counts (index 0..N, then
-    degenerate) and, for the classes in ``num_sel``/``den_sel``, pair-level
-    moments for the error bars: sum(a), sum(a^2) and, per chunk, R_c =
-    sum(a)/sum(b), sum((a - R_c b)^2), sum((a - R_c b) b) and sum(b^2).
+    degenerate) and R = sum(a)/sum(b) over pair units, a and b a unit's mass
+    in the classes of ``num_sel`` and ``den_sel`` (b = 1 if ``den_sel`` is
+    None), with the delta-method error bar sqrt(sum((a - R b)^2)) / sum(b)
+    from each chunk's moments about its own R_c, which do not cancel.
+    Raises InsufficientSamplesError if sum(b) is 0.
     """
     n_dim = model.n_dim
     m = model.vech_dim
@@ -400,7 +405,8 @@ def _accumulate(model, factor, u_thr, n, seed, stream, shift, antithetic,
     n = int(n) + int(n) % parts
     rank0 = L - n_dim - 1
     n_cls = n_dim + 2  # index 0..N, then degenerate
-    num_mask, den_mask = (np.isin(np.arange(n_cls), sel) for sel in (num_sel, den_sel))
+    num_mask = np.isin(np.arange(n_cls), num_sel)
+    den_mask = None if den_sel is None else np.isin(np.arange(n_cls), den_sel)
     # C-ordered, as OpenBLAS threads a product with a transposed operand far sooner
     hess_rows = np.ascontiguousarray(factor[:m].T)
     value_rows = np.ascontiguousarray(factor[m:].T)
@@ -458,26 +464,51 @@ def _accumulate(model, factor, u_thr, n, seed, stream, shift, antithetic,
             free.put(bufs)
         at, cls, mass = map(np.concatenate, zip(*drawn, *partners))
         # pair sums over the live rows, each unit's drawn row first
-        a, b = (np.bincount(at, np.where(mask[cls], mass, 0.0), units)
-                for mask in (num_mask, den_mask))
+        a = np.bincount(at, np.where(num_mask[cls], mass, 0.0), units)
+        b = (np.ones(units) if den_mask is None
+             else np.bincount(at, np.where(den_mask[cls], mass, 0.0), units))
         r_c = a.sum() / b.sum() if b.any() else 0.0
         res = a - r_c * b
         return (np.bincount(cls, weights=mass, minlength=n_cls),
-                np.bincount(cls, minlength=n_cls), a.sum(), (a * a).sum(),
+                np.bincount(cls, minlength=n_cls),
                 (r_c, (res * res).sum(), (res * b).sum(), (b * b).sum()), units)
 
-    buckets, counts, s_a, s_aa, n_units = np.zeros(n_cls), np.zeros(n_cls, np.int64), 0.0, 0.0, 0
-    chunk_moments = []
-    for bucket, count, sum_a, sum_aa, moments, units in pool.map(chunk_sums, range(n_chunks)):
-        buckets, counts, s_a, s_aa = buckets + bucket, counts + count, s_a + sum_a, s_aa + sum_aa
-        n_units += units
-        chunk_moments.append(moments)
-    return {"buckets": buckets, "counts": counts, "n": n, "sum_a": s_a, "sum_aa": s_aa,
-            "chunk_moments": np.array(chunk_moments).reshape(-1, 4), "n_units": n_units}
+    buckets, counts, n_units, moments = np.zeros(n_cls), np.zeros(n_cls, np.int64), 0, []
+    for bucket, count, chunk_moments, units in pool.map(chunk_sums, range(n_chunks)):
+        buckets, counts, n_units = buckets + bucket, counts + count, n_units + units
+        moments.append(chunk_moments)
+    # first moments from the per-index buckets, so complementary class
+    # selections partition the denominator mass exactly
+    num = float(np.sum(buckets[list(num_sel)]))
+    den = float(n_units) if den_sel is None else float(np.sum(buckets[list(den_sel)]))
+    if den <= 0.0:
+        raise InsufficientSamplesError(f"denominator saw no mass at u={u_thr} with n={n}")
+    ratio = num / den
+    r_c, res_sq, res_b, b_sq = np.array(moments).reshape(-1, 4).T
+    var = float(np.sum(res_sq - 2.0 * (ratio - r_c) * res_b + (ratio - r_c) ** 2 * b_sq))
+    return {"buckets": buckets, "counts": counts, "n": n, "n_units": n_units,
+            "num": num, "den": den, "ratio": ratio, "stderr": math.sqrt(max(var, 0.0)) / den}
 
 
-def rice_density_mc(model, r, u_thr, k=None, n=200_000, seed=0, factor="sqrt",
-                    antithetic="negate", shift="auto"):
+def _sample(model, r, u_thr, n, seed, stream, antithetic, shift, num_sel, den_sel=None):
+    """:func:`_accumulate` on the factor of Sigma(r) and the shift policy ``shift``."""
+    factor, sigma = _factor_matrix(model, r, antithetic == "flip")
+    return _accumulate(model, factor, u_thr, n, seed, STREAMS[stream],
+                       _resolve_shift(u_thr, sigma, factor, shift), antithetic, num_sel, den_sel)
+
+
+def _estimate(acc, t0, value, stderr, seed, k, r, u_thr, **extras):
+    """The RiceEstimate of ``acc``'s sample, timed from ``t0``, with its per-index
+    |det| mass (``bucket_sums``) and hits (``class_hits``) in ``extras``."""
+    return RiceEstimate(value, stderr, acc["n"], int(seed), k, float(r), float(u_thr),
+                        n_degenerate=int(acc["counts"][-1]),
+                        wall_ms=(time.perf_counter() - t0) * 1e3,
+                        extras={"bucket_sums": acc["buckets"][:-1].copy(),
+                                "class_hits": acc["counts"].copy(), **extras})
+
+
+def rice_density_mc(model, r, u_thr, k=None, n=200_000, seed=0, antithetic="negate",
+                    shift="auto"):
     """Density of conditioned critical points with index ``k`` above ``u_thr``.
 
     ``k=None`` places no index restriction.  The value carries the full
@@ -486,84 +517,34 @@ def rice_density_mc(model, r, u_thr, k=None, n=200_000, seed=0, factor="sqrt",
     """
     if n <= 0:
         raise ValueError("need a positive sample count")
-    t0 = time.perf_counter()
-    if antithetic == "flip":
-        factor = "eig"
-    mat, sigma = _factor_matrix(model, r, factor)
-    shift_vec = _resolve_shift(model, r, u_thr, sigma, mat, shift)
-    sel = tuple(range(model.n_dim + 1)) if k is None else (int(k),)
     if k is not None and not (0 <= k <= model.n_dim):
         return RiceEstimate(0.0, 0.0, int(n), int(seed), k, float(r), float(u_thr))
-    acc = _accumulate(model, mat, u_thr, n, seed, STREAMS["density"], shift_vec,
-                      antithetic, num_sel=sel)
+    t0 = time.perf_counter()
+    sel = tuple(range(model.n_dim + 1)) if k is None else (int(k),)
+    acc = _sample(model, r, u_thr, n, seed, "density", antithetic, shift, sel)
     pref = _prefactor(model, r, u_thr)
-    n_eff = acc["n"]
-    n_units = acc["n_units"]
-    mean_unit = acc["sum_a"] / n_eff
-    var_unit = max(acc["sum_aa"] / n_units - (acc["sum_a"] / n_units) ** 2, 0.0)
-    stderr = pref * math.sqrt(var_unit / n_units) * (n_units / n_eff)
-    raw = float(np.sum(acc["buckets"][list(sel)]))
-    return RiceEstimate(
-        value=pref * raw / n_eff,
-        stderr=stderr,
-        n=n_eff,
-        seed=int(seed),
-        k=k,
-        r=float(r),
-        u_threshold=float(u_thr),
-        n_degenerate=int(acc["counts"][-1]),
-        wall_ms=(time.perf_counter() - t0) * 1e3,
-        extras={"raw_sum": raw, "bucket_sums": acc["buckets"][: model.n_dim + 1].copy(),
-                "prefactor": pref, "mean_unit": mean_unit,
-                "class_hits": acc["counts"].copy()},
-    )
+    return _estimate(acc, t0, pref * acc["num"] / acc["n"],
+                     pref * acc["stderr"] * acc["n_units"] / acc["n"], seed, k, r, u_thr,
+                     raw_sum=acc["num"], prefactor=pref)
 
 
 def index_ratio_mc(model, r, u_thr, num_indices, den_indices, n=2_000_000, seed=0,
-                   factor="sqrt", antithetic="negate", shift="auto", stream="ratio"):
+                   antithetic="negate", shift="auto", stream="ratio"):
     """Self-normalized ratio of |det|-masses over two disjoint index classes.
 
     Numerator and denominator share every sample, so the prefactor and the
     overall normalization cancel exactly; the error bar is the delta-method
     standard error at the antithetic-pair level.  ``antithetic="flip"``
-    (which forces the eigen-factor so the kernel coordinates are the last
+    (which takes the eigen-factor so the kernel coordinates are the last
     N+1) pairs each sample with its class-swapping reflection and resolves
     the small systematic deviation of sign ratios far below plain-sampling
     noise.
     """
     t0 = time.perf_counter()
-    if antithetic == "flip":
-        factor = "eig"
-    mat, sigma = _factor_matrix(model, r, factor)
-    shift_vec = _resolve_shift(model, r, u_thr, sigma, mat, shift)
-    acc = _accumulate(model, mat, u_thr, n, seed, STREAMS[stream], shift_vec,
-                      antithetic, num_sel=tuple(num_indices), den_sel=tuple(den_indices))
-    # first moments from the per-index buckets, so complementary class
-    # selections partition the denominator mass exactly
-    num_sum = float(np.sum(acc["buckets"][list(num_indices)]))
-    den_sum = float(np.sum(acc["buckets"][list(den_indices)]))
-    if den_sum <= 0.0:
-        raise InsufficientSamplesError(
-            f"denominator saw no mass at r={r}, u={u_thr} with n={acc['n']}"
-        )
-    ratio = num_sum / den_sum
-    r_c, res_sq, res_b, b_sq = acc["chunk_moments"].T  # about each chunk's own ratio
-    var = float(np.sum(res_sq - 2.0 * (ratio - r_c) * res_b + (ratio - r_c) ** 2 * b_sq))
-    stderr = math.sqrt(max(var, 0.0)) / den_sum
-    return RiceEstimate(
-        value=ratio,
-        stderr=stderr,
-        n=acc["n"],
-        seed=int(seed),
-        k=(tuple(num_indices), tuple(den_indices)),
-        r=float(r),
-        u_threshold=float(u_thr),
-        n_degenerate=int(acc["counts"][-1]),
-        wall_ms=(time.perf_counter() - t0) * 1e3,
-        extras={"num_sum": num_sum, "den_sum": den_sum,
-                "bucket_sums": acc["buckets"][: model.n_dim + 1].copy(),
-                "class_hits": acc["counts"].copy()},
-    )
+    num_sel, den_sel = tuple(num_indices), tuple(den_indices)
+    acc = _sample(model, r, u_thr, n, seed, stream, antithetic, shift, num_sel, den_sel)
+    return _estimate(acc, t0, acc["ratio"], acc["stderr"], seed, (num_sel, den_sel), r, u_thr,
+                     num_sum=acc["num"], den_sum=acc["den"])
 
 
 def sign_ratio(model, r, u_thr, n=2_000_000, seed=0, **kw):
@@ -574,9 +555,8 @@ def sign_ratio(model, r, u_thr, n=2_000_000, seed=0, **kw):
     """
     evens = tuple(k for k in range(model.n_dim + 1) if k % 2 == 0)
     odds = tuple(k for k in range(model.n_dim + 1) if k % 2 == 1)
-    est = index_ratio_mc(model, r, u_thr, evens, odds, n=n, seed=seed,
-                         stream="ratio", **kw)
-    return RiceEstimate(**{**est.__dict__, "k": "+/-"})
+    est = index_ratio_mc(model, r, u_thr, evens, odds, n=n, seed=seed, **kw)
+    return replace(est, k="+/-")
 
 
 def psi_ratio(model, r, u_thr, n=2_000_000, seed=0, **kw):
@@ -584,7 +564,7 @@ def psi_ratio(model, r, u_thr, n=2_000_000, seed=0, **kw):
     n_dim = model.n_dim
     est = index_ratio_mc(model, r, u_thr, tuple(range(n_dim - 1)),
                          (n_dim - 1, n_dim), n=n, seed=seed, stream="psi", **kw)
-    return RiceEstimate(**{**est.__dict__, "k": "psi"})
+    return replace(est, k="psi")
 
 
 def maxima_share(model, r, u_thr, n=2_000_000, seed=0, **kw):
@@ -592,7 +572,7 @@ def maxima_share(model, r, u_thr, n=2_000_000, seed=0, **kw):
     n_dim = model.n_dim
     est = index_ratio_mc(model, r, u_thr, (n_dim,), (n_dim - 1, n_dim),
                          n=n, seed=seed, stream="share", **kw)
-    return RiceEstimate(**{**est.__dict__, "k": "share"})
+    return replace(est, k="share")
 
 
 def mean_critical_density(model, k=None, n=500_000, seed=0):
@@ -605,31 +585,18 @@ def mean_critical_density(model, k=None, n=500_000, seed=0):
     conditioned estimators, with the stationary Hessian factor, no threshold
     and no pairing.
     """
-    t0 = time.perf_counter()
     n_dim = model.n_dim
+    if k is not None and not (0 <= k <= n_dim):
+        return RiceEstimate(0.0, 0.0, int(n), int(seed), k, 0.0, -math.inf)
+    t0 = time.perf_counter()
     lam, vec = np.linalg.eigh(_g22_origin(model.d2, n_dim))
     root = vec * np.sqrt(np.clip(lam, 0.0, None))[None, :]
     p_grad0 = (-4.0 * math.pi * model.d1) ** (-n_dim / 2.0)
-    if k is None:
-        sel = tuple(range(n_dim + 1))
-    else:
-        sel = (int(k),) if 0 <= k <= n_dim else ()
-    acc = _accumulate(model, root, None, n, seed, STREAMS["unconditional"], None,
-                      None, num_sel=sel)
-    n = acc["n"]
-    mean = acc["sum_a"] / n
-    var = max(acc["sum_aa"] / n - mean ** 2, 0.0)
-    return RiceEstimate(
-        value=p_grad0 * mean,
-        stderr=p_grad0 * math.sqrt(var / n),
-        n=n,
-        seed=int(seed),
-        k=k,
-        r=0.0,
-        u_threshold=-math.inf,
-        n_degenerate=int(acc["counts"][-1]),
-        wall_ms=(time.perf_counter() - t0) * 1e3,
-    )
+    sel = tuple(range(n_dim + 1)) if k is None else (int(k),)
+    acc = _accumulate(model, root, None, n, seed, STREAMS["unconditional"], None, None, sel)
+    # unpaired, so a pair unit is one sample
+    return _estimate(acc, t0, p_grad0 * acc["num"] / acc["n"], p_grad0 * acc["stderr"],
+                     seed, k, 0.0, -math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -643,7 +610,8 @@ def _bvn_survival(lo1, lo2, rho):
     at most Phibar(hi) Phi(-(rho hi - low) / sqrt(1 - rho^2)) from Phibar(hi),
     below 1e-19 of it where rho hi - low >= 9 sqrt(1 - rho^2); there
     Phibar(hi) is returned.  Only the nodes nearer the diagonal lo1 = lo2 take
-    the Owen's T pair, which reads a zero bound as -1e-150.
+    the Owen's T pair, which reads a zero bound as -1e-150 and takes k - rho h
+    as (k - h) + (1 - rho) h, whose 1 - rho is exact near rho = 1.
     """
     lo1, lo2 = np.broadcast_arrays(np.asarray(lo1, dtype=float), np.asarray(lo2, dtype=float))
     hi = np.maximum(lo1, lo2)
@@ -651,8 +619,8 @@ def _bvn_survival(lo1, lo2, rho):
     denom = math.sqrt(max(1.0 - rho * rho, 1e-300))
     near = ~(rho * hi - np.minimum(lo1, lo2) >= 9.0 * denom) | (rho < 0.0)
     h, k = (np.where(lo == 0.0, 1e-150, -lo) for lo in (lo1[near], lo2[near]))
-    t_h, t_k = _executor().map(owens_t, (h, k), ((k - rho * h) / (h * denom),
-                                                 (h - rho * k) / (k * denom)))
+    t_h, t_k = _executor().map(owens_t, (h, k), (((k - h) + (1.0 - rho) * h) / (h * denom),
+                                                 ((h - k) + (1.0 - rho) * k) / (k * denom)))
     out[near] = 0.5 * (ndtr(h) + ndtr(k)) - t_h - t_k - np.where(h * k < 0.0, 0.5, 0.0)
     return np.clip(out, 0.0, 1.0)
 

@@ -42,6 +42,11 @@ __all__ = [
 
 # Grid used to fit the expansion coefficients; descending toward 0.
 DEFAULT_R_GRID = (5e-2, 2e-2, 1e-2, 5e-3, 2e-3, 1e-3)
+TIE_TOL = 1e-9       # eigenvalue gap of a tie, relative to the trace scale
+SCALING_RADII = (1e-2, 1e-3, 1e-4)  # radii of scaling_class's log-log slope
+SCALING_FLOOR = 1e-11  # coefficients below this at every radius are o(r)
+SCALING_SLOPE = 1.5  # mean slope below which a coefficient is Theta(r)
+COEFF_TOL = 1e-12    # monomial coefficients kept, relative to the largest
 
 
 class EigenvalueCollisionError(RuntimeError):
@@ -52,10 +57,10 @@ class EigenpathError(RuntimeError):
     """Continuity of the eigenpath could not be maintained across the grid."""
 
 
-def ordered_eigendecomposition(mat, tie_tol_factor=1e-9):
+def ordered_eigendecomposition(mat):
     """Eigenvalues in descending order with a deterministic eigenvector gauge.
 
-    Within numerically equal eigenvalues (gap below ``tie_tol_factor`` times
+    Within numerically equal eigenvalues (gap below ``TIE_TOL`` times
     the trace scale) columns are sign-normalized (first significant
     coordinate positive) and ordered lexicographically, so repeated calls and
     different platforms produce the same matrix.  The eigenvector basis
@@ -70,7 +75,7 @@ def ordered_eigendecomposition(mat, tie_tol_factor=1e-9):
     lam, vec = np.linalg.eigh(0.5 * (mat + mat.T))
     lam = lam[::-1].copy()
     vec = vec[:, ::-1].copy()
-    tol = tie_tol_factor * max(abs(float(np.trace(mat))), 1.0)
+    tol = TIE_TOL * max(abs(float(np.trace(mat))), 1.0)
     i = 0
     n = lam.shape[0]
     while i < n:
@@ -417,19 +422,17 @@ def perm_symmetrized_bv(factor, v):
     return float(_bv_dets(factor, list(itertools.permutations(v))).sum())
 
 
-def scaling_class(model, v, u=None, expansion=None, radii=(1e-2, 1e-3, 1e-4),
-                  abs_floor=1e-11, slope_cut=1.5):
+def scaling_class(model, v, u=None, expansion=None):
     """Classify the permutation-symmetrized determinant coefficient as
     Theta(r) or o(r) from its log-log slope over shrinking radii."""
     if expansion is None:
         expansion = eigenpath(model, u)
-    vals = np.array([perm_symmetrized_bv(expansion.factor_at(r), v) for r in radii])
-    if np.abs(vals).max() < abs_floor:
+    vals = np.array([perm_symmetrized_bv(expansion.factor_at(r), v) for r in SCALING_RADII])
+    if np.abs(vals).max() < SCALING_FLOOR:
         return "o(r)"
-    radii = np.asarray(radii, dtype=float)
     mags = np.maximum(np.abs(vals), 1e-300)
-    slopes = np.diff(np.log(mags)) / np.diff(np.log(radii))
-    return "Theta(r)" if float(np.mean(slopes)) < slope_cut else "o(r)"
+    slopes = np.diff(np.log(mags)) / np.diff(np.log(SCALING_RADII))
+    return "Theta(r)" if float(np.mean(slopes)) < SCALING_SLOPE else "o(r)"
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +482,7 @@ class LimitPolynomial:
         y[..., self.rank0:] = -y[..., self.rank0:]
         return y
 
-    def coefficients(self, tol=1e-12):
+    def coefficients(self):
         """Monomial map {sorted 1-based index tuple: coefficient}.
 
         Every surviving monomial has exactly one index in the kernel range
@@ -502,7 +505,7 @@ class LimitPolynomial:
             total += _mixed_dets(mats, monomials[:, perm])
         mult = [math.prod(map(math.factorial, np.bincount(m).tolist())) for m in monomials]
         coefs = total / mult
-        cut = tol * max(np.abs(coefs).max(), 1.0)
+        cut = COEFF_TOL * max(np.abs(coefs).max(), 1.0)
         return {
             tuple(int(i) + 1 for i in m): float(c)
             for m, c in zip(monomials, coefs) if abs(c) > cut

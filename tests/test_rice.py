@@ -9,7 +9,8 @@ import pytest
 from scipy.special import ndtr, owens_t
 
 import critfield.rice as rice_mod
-from critfield.covariance import OracleConvergenceError, conditional_covariance
+from critfield.covariance import (OracleConvergenceError, _g22_origin,
+                                  conditional_covariance)
 from critfield.models import gaussian_model
 from critfield.rice import (InsufficientSamplesError, hessian_index,
                             index_ratio_mc, maxima_share,
@@ -52,9 +53,15 @@ class TestDensityEstimator:
         b = rice_density_mc(gauss2, 0.5, 0.0, k=2, n=40_000, seed=9)
         assert a.value == b.value and a.stderr == b.stderr
 
-    def test_out_of_range_index_is_exact_zero(self, gauss2):
-        assert rice_density_mc(gauss2, 0.5, 0.0, k=5, n=1000, seed=0).value == 0.0
-        assert rice_density_mc(gauss2, 0.5, 0.0, k=-1, n=1000, seed=0).value == 0.0
+    def test_out_of_range_index_is_exact_zero(self, gauss2, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("an out-of-range index needs no samples")
+
+        monkeypatch.setattr(rice_mod, "_accumulate", no_sampling)
+        for k in (5, 3, -1):
+            assert rice_density_mc(gauss2, 0.5, 0.0, k=k, n=1000, seed=0).value == 0.0
+            est = mean_critical_density(gauss2, k=k, n=1000, seed=0)
+            assert est.value == 0.0 and est.stderr == 0.0
 
     def test_partition_is_bitwise(self, gauss2):
         est = rice_density_mc(gauss2, 0.5, 0.0, k=None, n=120_000, seed=3)
@@ -81,8 +88,6 @@ class TestDensityEstimator:
     def test_rejects_bad_inputs(self, gauss2):
         with pytest.raises(ValueError):
             rice_density_mc(gauss2, 0.5, 0.0, n=0)
-        with pytest.raises(ValueError):
-            rice_density_mc(gauss2, 0.5, 0.0, factor="qr", n=100)
 
 
 class TestQuadratureOracle:
@@ -134,8 +139,9 @@ class TestQuadratureOracle:
         # P(Z1 > lo1, Z2 > lo2) from the Owen's T pair alone, at every node
         h, k = (np.where(lo == 0.0, 1e-150, -lo) for lo in (lo1, lo2))
         denom = math.sqrt(max(1.0 - rho * rho, 1e-300))
-        out = (0.5 * (ndtr(h) + ndtr(k)) - owens_t(h, (k - rho * h) / (h * denom))
-               - owens_t(k, (h - rho * k) / (k * denom)) - np.where(h * k < 0.0, 0.5, 0.0))
+        out = (0.5 * (ndtr(h) + ndtr(k)) - owens_t(h, ((k - h) + (1.0 - rho) * h) / (h * denom))
+               - owens_t(k, ((h - k) + (1.0 - rho) * k) / (k * denom))
+               - np.where(h * k < 0.0, 0.5, 0.0))
         return np.clip(out, 0.0, 1.0)
 
     @pytest.mark.parametrize("eta", [1.0 - 1.6e-15, 1.0 - 1e-9, 0.99, 0.5, 0.0, -0.5, -0.99])
@@ -148,6 +154,22 @@ class TestQuadratureOracle:
                                            rtol=0, atol=1e-15)
                 if eta == 0.0:
                     np.testing.assert_allclose(got, ndtr(-a) * ndtr(-b), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("eta", [1.0 - 1.6e-15, 1.0 - 1e-9])
+    def test_survival_on_the_diagonal_matches_mpmath(self, eta):
+        # P(Z1 > lo, Z2 > lo) = int_lo^inf phi(x) Phi((eta x - lo) / s) dx at 40
+        # digits, with breakpoints across the step of width s = sqrt(1 - eta^2)
+        mpmath = pytest.importorskip("mpmath")
+        lo = np.array([-1.0, 0.0, 1e-3, 0.37, 1.0, 4.0])
+        got = rice_mod._bvn_survival(lo, lo, eta)
+        with mpmath.workdps(40):
+            e = mpmath.mpf(eta)
+            s = mpmath.sqrt((1 - e) * (1 + e))
+            for b, value in zip(lo, got):
+                b = mpmath.mpf(b)
+                ref = mpmath.quad(lambda x: mpmath.npdf(x) * mpmath.ncdf((e * x - b) / s),
+                                  [b] + [b + j * s for j in (1, 4, 16, 64)] + [mpmath.inf])
+                assert abs(value - float(ref)) <= 1e-14, (float(b), value, float(ref))
 
     def test_few_survival_nodes_reach_owens_t(self, gauss2, monkeypatch):
         # at the desk scale the values' correlation is 1 - 1.6e-15, so only
@@ -190,41 +212,69 @@ class TestRatios:
         assert top.extras["num_sum"] + other.extras["num_sum"] == top.extras["den_sum"]
         assert top.value + other.value == pytest.approx(1.0, abs=1e-14)
 
-    @pytest.mark.parametrize("model_name, antithetic, r", [
-        ("gauss2", "flip", 0.02), ("gauss2", "flip", 0.001),
-        ("gauss3", "negate", 0.02), ("gauss4", "negate", 0.02)],
-        ids=["0.02", "0.001", "gauss3-negate-0.02", "gauss4-negate-0.02"])
-    def test_ratio_stderr_matches_two_pass(self, request, model_name, antithetic, r):
-        # one chunk of the paired share, its pair contributions rebuilt from
-        # the stream with the mean shift added to every draw and a zeroed
-        # array per sample; sum((a - R b)^2) is taken at the estimator's own
-        # R, since it moves by 1e-13 relative when R moves by one rounding
+    @pytest.mark.parametrize("model_name, estimator, antithetic, r, u_thr", [
+        ("gauss2", "share", "flip", 0.02, 4.0), ("gauss2", "share", "flip", 0.001, 4.0),
+        ("gauss3", "share", "negate", 0.02, 4.0), ("gauss4", "share", "negate", 0.02, 4.0),
+        ("gauss2", "density", None, 0.3, 0.5), ("gauss3", "density", "negate", 0.05, 3.0),
+        ("gauss3", "unconditional", None, 0.0, None)],
+        ids=["0.02", "0.001", "gauss3-negate-0.02", "gauss4-negate-0.02",
+             "density-plain", "gauss3-density-negate-shift", "gauss3-unconditional"])
+    def test_ratio_stderr_matches_two_pass(self, request, model_name, estimator, antithetic,
+                                           r, u_thr):
+        # one chunk of the estimator, its pair contributions rebuilt from the
+        # stream with the mean shift added to every draw and a zeroed array
+        # per sample; sum((a - R b)^2) is taken at the estimator's own R,
+        # since it moves by 1e-13 relative when R moves by one rounding.  A
+        # density is the ratio with b = 1 per pair unit, scaled to a mean per
+        # sample and by its prefactor
         model = request.getfixturevalue(model_name)
-        n, u_thr, m, n_dim = rice_mod.CHUNK, 4.0, model.vech_dim, model.n_dim
-        est = maxima_share(model, r, u_thr, n=n, seed=1, antithetic=antithetic)
-        factor, sigma = rice_mod._factor_matrix(model, r,
-                                                "eig" if antithetic == "flip" else "sqrt")
-        shift = rice_mod._resolve_shift(model, r, u_thr, sigma, factor, "auto")
+        n, m, n_dim = rice_mod.CHUNK, model.vech_dim, model.n_dim
+        parts, shift = (1 if antithetic is None else 2), None
+        if estimator == "unconditional":
+            est = mean_critical_density(model, k=None, n=n, seed=1)
+            lam, vec = np.linalg.eigh(_g22_origin(model.d2, n_dim))
+            factor = vec * np.sqrt(np.clip(lam, 0.0, None))
+            scale = (-4.0 * math.pi * model.d1) ** (-n_dim / 2.0)
+        else:
+            if estimator == "share":
+                est = maxima_share(model, r, u_thr, n=n, seed=1, antithetic=antithetic)
+                scale = 1.0
+            else:
+                est = rice_density_mc(model, r, u_thr, n=n, seed=1, antithetic=antithetic)
+                scale = est.extras["prefactor"] / parts
+            factor, sigma = rice_mod._factor_matrix(model, r, antithetic == "flip")
+            shift = rice_mod._resolve_shift(u_thr, sigma, factor, "auto")
+        assert (shift is not None) == (u_thr is not None and u_thr >= 2.0)
         ys = np.empty((n, factor.shape[1]))
-        rice_mod._chunk_rng(1, rice_mod.STREAMS["share"], 0).standard_normal(out=ys[: n // 2])
+        rice_mod._chunk_rng(1, rice_mod.STREAMS[estimator], 0).standard_normal(out=ys[: n // parts])
         if antithetic == "flip":
             ys[n // 2:] = ys[: n // 2]
             ys[n // 2:, factor.shape[1] - n_dim - 1:] *= -1.0
-        else:
+        elif antithetic == "negate":
             ys[n // 2:] = -ys[: n // 2]
-        log_w = -(ys @ shift) - 0.5 * float(shift @ shift)
-        ys += shift
-        vals = ys @ factor[m:].T
-        rows = np.flatnonzero((vals[:, 0] > u_thr) & (vals[:, 1] > u_thr))
+        log_w = np.zeros(n)
+        if shift is not None:
+            log_w = -(ys @ shift) - 0.5 * float(shift @ shift)
+            ys += shift
+        if u_thr is None:
+            rows = np.arange(n)
+        else:
+            vals = ys @ factor[m:].T
+            rows = np.flatnonzero((vals[:, 0] > u_thr) & (vals[:, 1] > u_thr))
         det, idx, degen = rice_mod._inertia(ys[rows] @ factor[:m].T, n_dim)
         mass = np.where(degen, 0.0, np.abs(det) * np.exp(log_w[rows]))
         a, b = np.zeros(n), np.zeros(n)
-        a[rows] = np.where(idx == n_dim, mass, 0.0)
-        b[rows] = np.where(idx >= n_dim - 1, mass, 0.0)
-        a, b = a[: n // 2] + a[n // 2:], b[: n // 2] + b[n // 2:]
-        assert est.value == pytest.approx(a.sum() / b.sum(), rel=1e-12)
-        two_pass = math.sqrt(((a - est.value * b) ** 2).sum()) / b.sum()
-        assert est.stderr == pytest.approx(two_pass, rel=1e-12, abs=0)
+        if estimator == "share":
+            a[rows] = np.where(idx == n_dim, mass, 0.0)
+            b[rows] = np.where(idx >= n_dim - 1, mass, 0.0)
+        else:
+            a[rows] = mass
+        a = a.reshape(parts, -1).sum(axis=0)
+        b = b.reshape(parts, -1).sum(axis=0) if estimator == "share" else np.ones(n // parts)
+        assert est.value == pytest.approx(scale * a.sum() / b.sum(), rel=1e-12)
+        ratio = est.value / scale
+        two_pass = math.sqrt(((a - ratio * b) ** 2).sum()) / b.sum()
+        assert est.stderr == pytest.approx(scale * two_pass, rel=1e-12, abs=0)
 
     def test_share_within_unit_interval(self, gauss2):
         est = maxima_share(gauss2, 0.3, 0.0, n=50_000, seed=7)
@@ -233,11 +283,6 @@ class TestRatios:
     def test_two_seeds_agree(self, gauss2):
         a = sign_ratio(gauss2, 0.1, 1.0, n=400_000, seed=1)
         b = sign_ratio(gauss2, 0.1, 1.0, n=400_000, seed=2)
-        assert abs(a.value - b.value) < 3.0 * math.hypot(a.stderr, b.stderr)
-
-    def test_factor_choice_agrees_in_distribution(self, gauss2):
-        a = rice_density_mc(gauss2, 0.4, 0.0, k=2, n=400_000, seed=11, factor="sqrt")
-        b = rice_density_mc(gauss2, 0.4, 0.0, k=2, n=400_000, seed=12, factor="eig")
         assert abs(a.value - b.value) < 3.0 * math.hypot(a.stderr, b.stderr)
 
     def test_psi_numerator_is_low_indices(self, gauss2):
@@ -496,7 +541,7 @@ def test_class_hits_count_live_samples(gauss2, gauss3):
     n, u_thr = 50_000, 0.5
     est = rice_density_mc(gauss2, 0.3, u_thr, n=n, seed=4, antithetic=None,
                           shift="none")
-    factor, _ = rice_mod._factor_matrix(gauss2, 0.3, "sqrt")
+    factor, _ = rice_mod._factor_matrix(gauss2, 0.3, False)
     rng = rice_mod._chunk_rng(4, rice_mod.STREAMS["density"], 0)
     vals = rng.standard_normal((n, factor.shape[1])) @ factor[-2:].T
     live = int(((vals[:, 0] > u_thr) & (vals[:, 1] > u_thr)).sum())
