@@ -46,7 +46,7 @@ TIE_TOL = 1e-9       # eigenvalue gap of a tie, relative to the trace scale
 SCALING_RADII = (1e-2, 1e-3, 1e-4)  # radii of scaling_class's log-log slope
 SCALING_FLOOR = 1e-11  # coefficients below this at every radius are o(r)
 SCALING_SLOPE = 1.5  # mean slope below which a coefficient is Theta(r)
-COEFF_TOL = 1e-12    # monomial coefficients kept, relative to the largest
+COEFF_TOL = 1e-12    # monomial coefficients dropped up to this, relative to the largest
 
 
 class EigenvalueCollisionError(RuntimeError):
