@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .rice import _chunk_rng, _inertia
 
@@ -266,19 +265,38 @@ def _close_pairs(pts, radius, extent):
     """Index pairs (i < j) of points closer than ``radius`` on the torus.
 
     Returns the pairs in lexicographic order and their min-image distances.
-    The tree query, padded for rounding, gives a superset; the min-image
-    ``<`` test then selects the pairs.
+    A sort-and-sweep on the folded x coordinate gives the candidates: each
+    point's forward window [x, x + reach] and the window that wraps past the
+    seam, with reach the radius padded for rounding, so n points cost about
+    n^2 2 radius / extent candidates.  Once 2 reach >= extent every pair is a
+    candidate.  The exact min-image ``<`` test then selects the pairs.
     """
-    folded = np.mod(pts, extent)
-    folded[folded >= extent] = 0.0  # np.mod(-1e-17, L) == L, which the tree rejects
-    pairs = cKDTree(folded, boxsize=extent).query_pairs(
-        radius + 1e-12 * extent, output_type="ndarray")
+    reach = radius + 1e-12 * extent
+    x = np.mod(pts[:, 0], extent)
+    order = np.argsort(x)
+    xs, n = x[order], x.size
+    if 2.0 * reach >= extent:
+        first, second = np.triu_indices(n, 1)
+    else:
+        first, second = _windows(np.arange(1, n + 1), np.searchsorted(xs, xs + reach, "right"))
+        seam_first, seam_second = _windows(
+            np.zeros(n, dtype=np.intp), np.searchsorted(xs, xs + reach - extent, "right"))
+        first = np.concatenate([first, seam_first])
+        second = np.concatenate([second, seam_second])
+    pairs = np.sort(np.stack([order[first], order[second]], axis=1), axis=1)
     d = pts[pairs[:, 0]] - pts[pairs[:, 1]]
     d -= extent * np.round(d / extent)
     dist = np.linalg.norm(d, axis=1)
     pairs, dist = pairs[dist < radius], dist[dist < radius]
     order = np.lexsort((pairs[:, 1], pairs[:, 0]))
     return pairs[order], dist[order]
+
+
+def _windows(lo, hi):
+    """(owner, member) for every member of [lo[a], hi[a]) of every owner a."""
+    size = hi - lo
+    owner = np.repeat(np.arange(size.size), size)
+    return owner, np.arange(size.sum()) + np.repeat(lo - np.cumsum(size) + size, size)
 
 
 # Newton starts per flagged cell, in cell units: one cell can hold two points.

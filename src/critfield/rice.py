@@ -38,7 +38,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import ndtr, owens_t
 
 from .covariance import (OracleConvergenceError, _g22_origin, conditional_covariance,
                          sigma_expansion)
@@ -308,6 +307,8 @@ def projection_point(model, r, u_thr):
 def _prefactor(model, r, u_thr):
     """Phibar(u)^{-1} p_grad(0)^{-1} p_t(0,0): converts the Gaussian
     expectation into the conditioned critical-point density."""
+    from scipy.special import ndtr
+
     n = model.n_dim
     t = r * np.asarray(model.axis_direction(), dtype=float)
     x = r * r
@@ -396,8 +397,11 @@ def _accumulate(model, factor, u_thr, n, seed, stream, shift, antithetic,
     in the classes of ``num_sel`` and ``den_sel`` (b = 1 if ``den_sel`` is
     None), with the delta-method error bar sqrt(sum((a - R b)^2)) / sum(b)
     from each chunk's moments about its own R_c, which do not cancel.
-    Raises InsufficientSamplesError if sum(b) is 0.
+    Raises ValueError if ``n`` is not positive and InsufficientSamplesError
+    if sum(b) is 0.
     """
+    if n <= 0:
+        raise ValueError(f"need a positive sample count, got n={n}")
     n_dim = model.n_dim
     m = model.vech_dim
     L = factor.shape[1]
@@ -515,8 +519,6 @@ def rice_density_mc(model, r, u_thr, k=None, n=200_000, seed=0, antithetic="nega
     closed-form prefactor; only the absolute level depends on it, every
     ratio estimator cancels it.
     """
-    if n <= 0:
-        raise ValueError("need a positive sample count")
     if k is not None and not (0 <= k <= model.n_dim):
         return RiceEstimate(0.0, 0.0, int(n), int(seed), k, float(r), float(u_thr))
     t0 = time.perf_counter()
@@ -613,10 +615,12 @@ def _bvn_survival(lo1, lo2, rho):
     the Owen's T pair, which reads a zero bound as -1e-150 and takes k - rho h
     as (k - h) + (1 - rho) h, whose 1 - rho is exact near rho = 1.
     """
+    from scipy.special import ndtr, owens_t
+
     lo1, lo2 = np.broadcast_arrays(np.asarray(lo1, dtype=float), np.asarray(lo2, dtype=float))
     hi = np.maximum(lo1, lo2)
     out = ndtr(-hi)
-    denom = math.sqrt(max(1.0 - rho * rho, 1e-300))
+    denom = math.sqrt(max((1.0 - rho) * (1.0 + rho), 1e-300))
     near = ~(rho * hi - np.minimum(lo1, lo2) >= 9.0 * denom) | (rho < 0.0)
     h, k = (np.where(lo == 0.0, 1e-150, -lo) for lo in (lo1[near], lo2[near]))
     t_h, t_k = _executor().map(owens_t, (h, k), (((k - h) + (1.0 - rho) * h) / (h * denom),

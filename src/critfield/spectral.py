@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .covariance import conditional_covariance, sigma_expansion
 from .models import w_eigenvalues
@@ -206,6 +205,8 @@ def _align_to_reference(lam, vec, ref_vec, tie_tol):
     orthogonal Procrustes fit (sign alignment in the non-degenerate case).
     Returns the aligned pair plus the smallest post-alignment overlap.
     """
+    from scipy.optimize import linear_sum_assignment
+
     overlap = ref_vec.T @ vec
     row, col = linear_sum_assignment(-np.abs(overlap))
     order = col[np.argsort(row)]

@@ -63,6 +63,11 @@ class TestExitCodes:
         # values are converted after parsing, so main returns 2 and does not exit
         assert run_cli("check", flag, "x", "--out", str(tmp_path)) == 2
 
+    @pytest.mark.parametrize("n", ["0", "-5"])
+    def test_nonpositive_sample_count_is_config_error(self, n, tmp_path, capsys):
+        assert run_cli("share", "--n", n, "--out", str(tmp_path)) == 2
+        assert "configuration error" in capsys.readouterr().err
+
     def test_verify_failure_is_contract_error(self, tmp_path):
         code = run_cli("sigma", "--model", "gaussian:a=1", "--N", "2",
                        "--r", "0.5", "--verify", "--tol", "1e-20",

@@ -7,6 +7,7 @@ import pytest
 from critfield.fieldsim import (_OFFSETS, CriticalPoint, EmbeddingError,
                                 FieldRealization, FieldSurface, GridSpec,
                                 _bezier_controls, _bspline_table, _candidate_cells,
+                                _close_pairs,
                                 _root_spectrum, _torus_kernel, euler_characteristic,
                                 find_critical_points, pair_statistics, sample_field)
 from critfield.models import cauchy_model, gaussian_model
@@ -296,7 +297,56 @@ class TestRandomFields:
         assert gap < 3.0 * math.hypot(se, expected.stderr * area)
 
 
+def _min_image_pairs(pts, radius, extent):
+    """Every pair i < j closer than ``radius`` on the torus, by the min-image loop."""
+    pairs, dists = [], []
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            d = pts[i] - pts[j]
+            d -= extent * np.round(d / extent)
+            dist = float(np.linalg.norm(d))
+            if dist < radius:
+                pairs.append([i, j])
+                dists.append(dist)
+    return pairs, dists
+
+
+def _seam_points(rng):
+    # on and past the box edges: np.mod(-1e-17, 10) is 10
+    return np.concatenate([rng.uniform(0.0, 10.0, size=(150, 2)),
+                           [[0.0, 5.0], [-1e-17, 5.1], [10.0, 5.2], [10.05, 5.3]]])
+
+
+def _near_duplicates(rng):
+    # the dedup radius 1e-3 h over clusters of walkers, some across the seam
+    h = 11.3 / 128
+    centres = rng.uniform(0.0, 11.3, size=(40, 2))
+    centres[:4, 0] = [0.0, 1e-9, 11.3 - 1e-9, 11.3]
+    scale = h * rng.choice([1e-10, 5e-4, 9.99e-4, 1.01e-3, 2e-3], size=(160, 1))
+    return centres[np.arange(160) % 40] + scale * rng.normal(size=(160, 2)), 1e-3 * h, 11.3
+
+
+# (points, radius, extent) from a generator
+CLOSE_PAIR_CASES = {
+    "empty": lambda rng: (np.empty((0, 2)), 0.4, 10.0),
+    "single": lambda rng: (np.array([[3.0, 4.0]]), 0.4, 10.0),
+    "seams": lambda rng: (_seam_points(rng), 0.4, 10.0),
+    "near_duplicates": _near_duplicates,
+    "below_half_extent": lambda rng: (rng.uniform(-10.0, 20.0, size=(80, 2)), 4.99, 10.0),
+    "half_extent": lambda rng: (rng.uniform(-10.0, 20.0, size=(80, 2)), 5.0, 10.0),
+    "wide": lambda rng: (rng.uniform(-10.0, 20.0, size=(80, 2)), 6.0, 10.0),
+}
+
+
 class TestPairStatistics:
+    @pytest.mark.parametrize("case", CLOSE_PAIR_CASES)
+    def test_close_pairs_match_min_image_loop(self, rng, case):
+        pts, radius, extent = CLOSE_PAIR_CASES[case](rng)
+        pairs, dists = _min_image_pairs(pts, radius, extent)
+        got_pairs, got_dists = _close_pairs(pts, radius, extent)
+        assert got_pairs.tolist() == pairs
+        assert got_dists.tolist() == pytest.approx(dists, rel=1e-14)
+
     def test_empty_input(self):
         table = pair_statistics([], eps=0.5, extent=10.0)
         assert table.n_pairs == 0

@@ -1,0 +1,30 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# The torus path runs on numpy alone; scipy.special arrives with the quadrature.
+COLD_START = """
+import sys
+import critfield, critfield.cli
+from critfield import (GridSpec, find_critical_points, gaussian_model, pair_statistics,
+                       rice_density_quadrature, sample_field)
+model = gaussian_model(2)
+field = sample_field(model, GridSpec(n=32, spacing=11.3 / 32), seed=0)
+points, _ = find_critical_points(field)
+table = pair_statistics(points, 0.5 * model.correlation_length, field.extent)
+assert len(points) > 0 and table.n_pairs > 0
+loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+assert not loaded, loaded[:5]
+rice_density_quadrature(model, 0.5, 0.0, 2)
+assert "scipy.special" in sys.modules
+"""
+
+
+def test_torus_path_loads_no_scipy():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", COLD_START], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr

@@ -6,6 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+import scipy.special
 from scipy.special import ndtr, owens_t
 
 import critfield.rice as rice_mod
@@ -138,7 +139,7 @@ class TestQuadratureOracle:
     def _owens_t_survival(lo1, lo2, rho):
         # P(Z1 > lo1, Z2 > lo2) from the Owen's T pair alone, at every node
         h, k = (np.where(lo == 0.0, 1e-150, -lo) for lo in (lo1, lo2))
-        denom = math.sqrt(max(1.0 - rho * rho, 1e-300))
+        denom = math.sqrt(max((1.0 - rho) * (1.0 + rho), 1e-300))
         out = (0.5 * (ndtr(h) + ndtr(k)) - owens_t(h, ((k - h) + (1.0 - rho) * h) / (h * denom))
                - owens_t(k, ((h - k) + (1.0 - rho) * k) / (k * denom))
                - np.where(h * k < 0.0, 0.5, 0.0))
@@ -155,34 +156,51 @@ class TestQuadratureOracle:
                 if eta == 0.0:
                     np.testing.assert_allclose(got, ndtr(-a) * ndtr(-b), rtol=0, atol=1e-15)
 
-    @pytest.mark.parametrize("eta", [1.0 - 1.6e-15, 1.0 - 1e-9])
-    def test_survival_on_the_diagonal_matches_mpmath(self, eta):
+    @staticmethod
+    def _diagonal_survival_mpmath(lo, eta):
         # P(Z1 > lo, Z2 > lo) = int_lo^inf phi(x) Phi((eta x - lo) / s) dx at 40
         # digits, with breakpoints across the step of width s = sqrt(1 - eta^2)
         mpmath = pytest.importorskip("mpmath")
-        lo = np.array([-1.0, 0.0, 1e-3, 0.37, 1.0, 4.0])
-        got = rice_mod._bvn_survival(lo, lo, eta)
         with mpmath.workdps(40):
             e = mpmath.mpf(eta)
             s = mpmath.sqrt((1 - e) * (1 + e))
-            for b, value in zip(lo, got):
-                b = mpmath.mpf(b)
-                ref = mpmath.quad(lambda x: mpmath.npdf(x) * mpmath.ncdf((e * x - b) / s),
-                                  [b] + [b + j * s for j in (1, 4, 16, 64)] + [mpmath.inf])
-                assert abs(value - float(ref)) <= 1e-14, (float(b), value, float(ref))
+            refs = []
+            for b in map(mpmath.mpf, lo):
+                refs.append(float(mpmath.quad(
+                    lambda x: mpmath.npdf(x) * mpmath.ncdf((e * x - b) / s),
+                    [b] + [b + j * s for j in (1, 4, 16, 64)] + [mpmath.inf])))
+        return refs
+
+    @pytest.mark.parametrize("eta", [1.0 - 1.6e-15, 1.0 - 1e-9])
+    def test_survival_on_the_diagonal_matches_mpmath(self, eta):
+        lo = np.array([-1.0, 0.0, 1e-3, 0.37, 1.0, 4.0])
+        got = rice_mod._bvn_survival(lo, lo, eta)
+        for b, value, ref in zip(lo, got, self._diagonal_survival_mpmath(lo, eta)):
+            assert abs(value - ref) <= 1e-14, (b, value, ref)
+
+    @pytest.mark.parametrize("eta", [1.0 - 1e-9, 1.0 - 1e-6])
+    def test_survival_near_unit_correlation_keeps_every_digit(self, eta):
+        # sqrt(1 - rho^2) taken as sqrt((1 - rho)(1 + rho)): rounding rho^2
+        # would cost about 1e-15 here
+        lo = np.array([-1.0, 0.0, 0.37])
+        got = rice_mod._bvn_survival(lo, lo, eta)
+        for b, value, ref in zip(lo, got, self._diagonal_survival_mpmath(lo, eta)):
+            assert abs(value - ref) <= 3e-16, (b, value, ref)
 
     def test_few_survival_nodes_reach_owens_t(self, gauss2, monkeypatch):
         # at the desk scale the values' correlation is 1 - 1.6e-15, so only
         # the nodes next to the diagonal lo1 = lo2 need the Owen's T pair
         nodes, owens = [], []
-        survival, owens_t_route = rice_mod._bvn_survival, rice_mod.owens_t
+        survival = rice_mod._bvn_survival
         monkeypatch.setattr(rice_mod, "_bvn_survival",
                             lambda lo1, lo2, rho: nodes.append(lo1.size) or survival(lo1, lo2, rho))
-        monkeypatch.setattr(rice_mod, "owens_t",
-                            lambda h, a: owens.append(h.size) or owens_t_route(h, a))
+        # rice imports owens_t from scipy.special when the survival runs
+        monkeypatch.setattr(scipy.special, "owens_t",
+                            lambda h, a: owens.append(h.size) or owens_t(h, a))
         for k in (1, 2):
             rice_density_quadrature(gauss2, 0.02, 4.0, k)
         assert sum(nodes) > 0
+        assert sum(owens) > 0  # the patch reaches the survival
         assert 0.5 * sum(owens) < 0.2 * sum(nodes)  # the pair makes two calls per node
 
     def test_unconverged_rule_raises(self, gauss2, monkeypatch):
@@ -308,6 +326,20 @@ class TestRatios:
         b = psi_ratio(gauss2, 0.3, -math.inf, n=300_000, seed=10, shift="none")
         assert a.value > 0.0
         assert abs(a.value - b.value) < 3.0 * math.hypot(a.stderr, b.stderr)
+
+    @pytest.mark.parametrize("n", [0, -5])
+    @pytest.mark.parametrize("estimator", [
+        lambda m, n: rice_density_mc(m, 0.5, 0.0, n=n),
+        lambda m, n: index_ratio_mc(m, 0.5, 0.0, (2,), (1,), n=n),
+        lambda m, n: sign_ratio(m, 0.5, 0.0, n=n),
+        lambda m, n: psi_ratio(m, 0.5, 0.0, n=n),
+        lambda m, n: maxima_share(m, 0.5, 0.0, n=n),
+        lambda m, n: mean_critical_density(m, n=n),
+    ], ids=["density", "index_ratio", "sign", "psi", "share", "mean_density"])
+    def test_nonpositive_sample_count_is_caller_error(self, gauss2, estimator, n):
+        # a caller error, not a sample that saw no mass
+        with pytest.raises(ValueError, match="positive sample count"):
+            estimator(gauss2, n)
 
     def test_empty_denominator_raises(self, gauss2):
         with pytest.raises(InsufficientSamplesError):
