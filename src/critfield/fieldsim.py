@@ -277,12 +277,13 @@ def _close_pairs(pts, radius, extent):
     xs, n = x[order], x.size
     if 2.0 * reach >= extent:
         first, second = np.triu_indices(n, 1)
-    else:
-        first, second = _windows(np.arange(1, n + 1), np.searchsorted(xs, xs + reach, "right"))
-        seam_first, seam_second = _windows(
-            np.zeros(n, dtype=np.intp), np.searchsorted(xs, xs + reach - extent, "right"))
-        first = np.concatenate([first, seam_first])
-        second = np.concatenate([second, seam_second])
+    else:  # each point's forward window, then its window across the seam
+        lo = np.concatenate([np.arange(1, n + 1), np.zeros(n, dtype=np.intp)])
+        hi = np.searchsorted(xs, np.concatenate([xs + reach, xs + reach - extent]), "right")
+        size = hi - lo
+        owner = np.repeat(np.arange(2 * n), size)
+        first = owner % n
+        second = lo[owner] + np.arange(owner.size) - np.repeat(np.cumsum(size) - size, size)
     pairs = np.sort(np.stack([order[first], order[second]], axis=1), axis=1)
     d = pts[pairs[:, 0]] - pts[pairs[:, 1]]
     d -= extent * np.round(d / extent)
@@ -290,13 +291,6 @@ def _close_pairs(pts, radius, extent):
     pairs, dist = pairs[dist < radius], dist[dist < radius]
     order = np.lexsort((pairs[:, 1], pairs[:, 0]))
     return pairs[order], dist[order]
-
-
-def _windows(lo, hi):
-    """(owner, member) for every member of [lo[a], hi[a]) of every owner a."""
-    size = hi - lo
-    owner = np.repeat(np.arange(size.size), size)
-    return owner, np.arange(size.sum()) + np.repeat(lo - np.cumsum(size) + size, size)
 
 
 # Newton starts per flagged cell, in cell units: one cell can hold two points.
