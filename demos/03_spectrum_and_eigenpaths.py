@@ -3,10 +3,10 @@ Eigenstructure of the conditional covariance along the ray.
 
 At coincidence the spectrum is fully explicit: two simple eigenvalues from a
 2x2 reduction, two multiple eigenvalues proportional to rho''(0), and an
-(N+1)-dimensional kernel.  For r > 0 the kernel opens up at order r^2; the
-tracked eigenpath recovers the curvatures, and the surviving first-order
-terms assemble the degree-N limit polynomial whose sign classifies close
-critical-point pairs.
+(N+1)-dimensional kernel.  For r > 0 the kernel opens up at order r^2, with
+curvatures in closed form; the eigenpath, anchored on the closed-form basis,
+recovers them by a fit, and the surviving first-order terms assemble the
+degree-N limit polynomial whose sign classifies close critical-point pairs.
 """
 
 import numpy as np
@@ -21,7 +21,7 @@ for value, mult in cat.entries:
     print(f"  value {value:9.4f}  multiplicity {mult}")
 print(f"  distinguished pair: {cat.lambda_plus:.4f} / {cat.lambda_minus:.4f}")
 
-print("\n=== tracked eigenpath ===")
+print("\n=== anchored eigenpath ===")
 ex = eigenpath(model)
 print(f"rank of the limit: {ex.rank0} of {ex.L}")
 print("limit eigenvalues:", np.round(ex.Lambda0, 6))
@@ -31,7 +31,7 @@ print("last eigenvector is the antisymmetric field difference:")
 print(np.round(ex.P0[:, -1], 6))
 
 print("\n=== limit polynomial ===")
-poly = limit_polynomial(model, expansion=ex)
+poly = limit_polynomial(model)
 print("monomial coefficients (1-based factor positions):")
 for key, coef in sorted(poly.coefficients().items()):
     print(f"  y{key}: {coef:+.6f}")

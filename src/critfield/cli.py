@@ -275,9 +275,7 @@ def cmd_spectrum(cfg):
 
 
 def cmd_hpoly(cfg):
-    model = cfg.model
-    expansion = eigenpath(model)
-    poly = limit_polynomial(model, expansion=expansion)
+    poly = limit_polynomial(cfg.model)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed)))
     ys = rng.standard_normal((N_POLY_SAMPLES, poly.L))
     vals = poly.evaluate(ys)

@@ -367,6 +367,11 @@ def _serial_matmul(a, b, out):
     return out
 
 
+def _check_n(n):
+    if n <= 0:
+        raise ValueError(f"need a positive sample count, got n={n}")
+
+
 def _accumulate(model, factor, u_thr, n, seed, stream, shift, antithetic,
                 num_sel, den_sel=None):
     """One pass over the sample plan.
@@ -400,8 +405,7 @@ def _accumulate(model, factor, u_thr, n, seed, stream, shift, antithetic,
     Raises ValueError if ``n`` is not positive and InsufficientSamplesError
     if sum(b) is 0.
     """
-    if n <= 0:
-        raise ValueError(f"need a positive sample count, got n={n}")
+    _check_n(n)
     n_dim = model.n_dim
     m = model.vech_dim
     L = factor.shape[1]
@@ -520,6 +524,7 @@ def rice_density_mc(model, r, u_thr, k=None, n=200_000, seed=0, antithetic="nega
     ratio estimator cancels it.
     """
     if k is not None and not (0 <= k <= model.n_dim):
+        _check_n(n)
         return RiceEstimate(0.0, 0.0, int(n), int(seed), k, float(r), float(u_thr))
     t0 = time.perf_counter()
     sel = tuple(range(model.n_dim + 1)) if k is None else (int(k),)
@@ -589,6 +594,7 @@ def mean_critical_density(model, k=None, n=500_000, seed=0):
     """
     n_dim = model.n_dim
     if k is not None and not (0 <= k <= n_dim):
+        _check_n(n)
         return RiceEstimate(0.0, 0.0, int(n), int(seed), k, 0.0, -math.inf)
     t0 = time.perf_counter()
     lam, vec = np.linalg.eigh(_g22_origin(model.d2, n_dim))

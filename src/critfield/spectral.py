@@ -3,17 +3,20 @@ Spectral structure of the conditional covariance along a ray.
 
 The limit matrix at coincidence has a fully explicit spectrum (two simple
 distinguished eigenvalues from a 2x2 reduction, two multiple eigenvalues
-tied to the Hessian blocks, and an (N+1)-dimensional kernel).  For r > 0 the
-ordered eigenvalues and eigenvectors form continuous paths; this module
-tracks them on a grid, extrapolates the expansion coefficients
-Lambda(r) = Lambda0 + Lambda2 r^2 + o(r^2) and P(r) = P0 + P1 r + o(r), and
-builds the degree-N limit polynomial of r^{-1} det(Matri(A(r) y)) whose sign
-splits close critical-point pairs by Hessian-determinant sign.
+tied to the Hessian blocks, and an (N+1)-dimensional kernel).  Its eigenvalue
+blocks, with the kernel split by the exact r^2 curvatures read off Sigma2,
+give one closed-form orthonormal basis whose gauge does not depend on the
+eigensolver.  That basis alone builds the degree-N limit polynomial of
+r^{-1} det(Matri(A(r) y)), whose sign splits close critical-point pairs by
+Hessian-determinant sign.  For r > 0 the eigendecomposition of Sigma(r) is
+anchored on the same basis, and a fit over a grid of radii gives
+Lambda(r) = Lambda0 + Lambda2 r^2 + o(r^2) and P(r) = P0 + P1 r + o(r).
 """
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,13 +42,14 @@ __all__ = [
     "h_r",
 ]
 
-# Grid used to fit the expansion coefficients; descending toward 0.
+# Radii of the eigenpath's expansion fit; descending toward 0.
 DEFAULT_R_GRID = (5e-2, 2e-2, 1e-2, 5e-3, 2e-3, 1e-3)
 TIE_TOL = 1e-9       # eigenvalue gap of a tie, relative to the trace scale
 SCALING_RADII = (1e-2, 1e-3, 1e-4)  # radii of scaling_class's log-log slope
 SCALING_FLOOR = 1e-11  # coefficients below this at every radius are o(r)
 SCALING_SLOPE = 1.5  # mean slope below which a coefficient is Theta(r)
 COEFF_TOL = 1e-12    # monomial coefficients dropped up to this, relative to the largest
+GS_CUT = 0.3         # Gram-Schmidt keeps a projector column whose residual exceeds this
 
 
 class EigenvalueCollisionError(RuntimeError):
@@ -194,41 +198,92 @@ def h_matrix(u):
 
 
 # ---------------------------------------------------------------------------
-# eigenpaths and the small-r expansion
+# the closed-form basis and the eigenpath anchored on it
 # ---------------------------------------------------------------------------
 
-def _align_to_reference(lam, vec, ref_vec, tie_tol):
-    """Permute/rotate columns of (lam, vec) to continue the path in ref_vec.
+class _ClosedFormBasis(NamedTuple):
+    vectors: np.ndarray  # (L, L) orthonormal columns, block after block
+    lam0: np.ndarray     # limit eigenvalue of each column (0 on the kernel)
+    curv: np.ndarray     # r^2 curvature of each kernel column
+    sizes: tuple         # block sizes in column order
+    margin: float        # least distance of a Gram-Schmidt residual to GS_CUT
 
-    Columns are matched by maximal absolute overlap; inside each numerically
-    degenerate eigenvalue block the basis is rotated onto the reference by an
-    orthogonal Procrustes fit (sign alignment in the non-degenerate case).
-    Returns the aligned pair plus the smallest post-alignment overlap.
+
+def _projector_basis(proj, size):
+    """Gram-Schmidt on the projector's columns in coordinate order.
+
+    A column is kept when its residual norm exceeds ``GS_CUT``, so the basis
+    depends on the projector alone, not on the eigensolver's basis.  Returns
+    the ``size`` kept columns and the least distance of a residual to the cut.
     """
-    from scipy.optimize import linear_sum_assignment
+    kept, margin = [], math.inf
+    for col in proj.T:
+        for k in kept:
+            col = col - (k @ col) * k
+        norm = float(np.linalg.norm(col))
+        margin = min(margin, abs(norm - GS_CUT))
+        if norm > GS_CUT:
+            kept.append(col / norm)
+            if len(kept) == size:
+                return np.stack(kept, axis=1), margin
+    raise EigenpathError(f"Gram-Schmidt kept {len(kept)} of {size} projector columns")
 
-    overlap = ref_vec.T @ vec
-    row, col = linear_sum_assignment(-np.abs(overlap))
-    order = col[np.argsort(row)]
-    lam = lam[order]
-    vec = vec[:, order]
-    n = lam.shape[0]
-    i = 0
-    while i < n:
-        j = i + 1
-        while j < n and abs(lam[j] - lam[i]) <= tie_tol:
-            j += 1
-        block = vec[:, i:j]
-        ref_block = ref_vec[:, i:j]
-        if j - i == 1:
-            if float(block[:, 0] @ ref_block[:, 0]) < 0.0:
-                vec[:, i] = -vec[:, i]
-        else:
-            uu, _, vvt = np.linalg.svd(block.T @ ref_block)
-            vec[:, i:j] = block @ (uu @ vvt)
-        i = j
-    quality = float(np.abs(np.einsum("ij,ij->j", ref_vec, vec)).min())
-    return lam, vec, quality
+
+def _tie_blocks(values):
+    """Index blocks of the descending ``values`` split where neighbours do not
+    tie, and the values with each block's mean in place of its entries."""
+    cuts = np.flatnonzero(-np.diff(values) > TIE_TOL * max(np.abs(values).max(), 1.0)) + 1
+    blocks = np.split(np.arange(values.size), cuts)
+    return blocks, np.concatenate([np.full(blk.size, values[blk].mean()) for blk in blocks])
+
+
+def _closed_form_basis(model, u=None):
+    """Orthonormal basis of the r -> 0 eigenstructure of Sigma(ru), block by block.
+
+    The rank blocks are the tied eigenvalues of Sigma0; along the axis
+    direction they are the catalogue's blocks.  The kernel ker Sigma0 =
+    span Q splits by the tied eigenvalues of Q^T Sigma2 Q: by first-order
+    degenerate perturbation theory these are the exact r^2 curvatures of the
+    small eigenvalues.  The last block, the field difference, has curvature
+    exactly 0 (its eigenvalue is O(r^4)).  Blocks come in descending order,
+    which is the descending order of Sigma(r) for small r.
+    """
+    s0, s2 = sigma_expansion(model, u)
+    lam, vec = np.linalg.eigh(s0)
+    lam, vec = lam[::-1], vec[:, ::-1]
+    rank = model.cond_dim - model.n_dim - 1
+    q = vec[:, rank:]
+    curv, w = np.linalg.eigh(q.T @ s2 @ q)
+    w = w[:, ::-1]
+    rank_blocks, lam0 = _tie_blocks(lam[:rank])
+    kernel_blocks, curv = _tie_blocks(curv[::-1])
+    curv[kernel_blocks[-1]] = 0.0
+    spans = [vec[:, blk] for blk in rank_blocks] + [q @ w[:, blk] for blk in kernel_blocks]
+    cols, margins = zip(*(_projector_basis(v @ v.T, v.shape[1]) for v in spans))
+    lam0 = np.concatenate([lam0, np.zeros(curv.size)])
+    return _ClosedFormBasis(np.concatenate(cols, axis=1), lam0, np.clip(curv, 0.0, None),
+                            tuple(v.shape[1] for v in spans), min(margins))
+
+
+def _anchored_eigh(sig, ref, sizes, r):
+    """Descending eigendecomposition of sig, each block of columns (assigned
+    by position) Procrustes-fit onto its block of the basis ``ref``.
+
+    Returns the eigenvalues, the aligned eigenvectors and their least overlap
+    with ``ref``; an overlap below 0.5 raises :class:`EigenpathError`.
+    """
+    lam, vec = np.linalg.eigh(sig)
+    lam, vec = lam[::-1], vec[:, ::-1]
+    out = np.empty_like(vec)
+    edges = np.cumsum((0,) + tuple(sizes))
+    for i, j in zip(edges[:-1], edges[1:]):
+        uu, _, vvt = np.linalg.svd(vec[:, i:j].T @ ref[:, i:j])
+        out[:, i:j] = vec[:, i:j] @ (uu @ vvt)
+    quality = float(np.einsum("ij,ij->j", ref, out).min())
+    if quality < 0.5:
+        raise EigenpathError(f"the eigenbasis at r={r:g} does not continue the closed-form "
+                             f"blocks (min overlap {quality:.3f})")
+    return lam, out, quality
 
 
 def _poly_fit(rs, values, degrees):
@@ -238,153 +293,93 @@ def _poly_fit(rs, values, degrees):
     with the normalization undone.
     """
     rmax = rs.max()
-    z = rs / rmax
-    design = np.stack([z ** d for d in degrees], axis=1)
-    flat = values.reshape(len(rs), -1)
-    coef, *_ = np.linalg.lstsq(design, flat, rcond=None)
-    out = {}
-    for k, d in enumerate(degrees):
-        out[d] = (coef[k] / rmax ** d).reshape(values.shape[1:])
-    return out
+    design = np.stack([(rs / rmax) ** d for d in degrees], axis=1)
+    coef = np.linalg.lstsq(design, values.reshape(len(rs), -1), rcond=None)[0]
+    return {d: (c / rmax ** d).reshape(values.shape[1:]) for d, c in zip(degrees, coef)}
 
 
 @dataclass(frozen=True)
 class SpectralExpansion:
-    """Tracked eigenpath of Sigma(r) and its fitted expansion coefficients.
+    """Eigenpath of Sigma(r) on ``DEFAULT_R_GRID`` and its fitted expansion.
 
-    Lambda0/Lambda2 come from an even fit (the covariance is exactly even in
-    r), Lambda1 from a fit with odd terms included and is reported as a
-    diagnostic of the expected vanishing linear term.  A0 and A1 are the
-    factor coefficients: rank columns scale P1 by sqrt(lambda0), kernel
-    columns scale P0 by sqrt(lambda2).
+    Every radius is anchored on ``closed_form``, so the path has no free
+    rotation.  Lambda0/Lambda2 come from an even fit (the covariance is exactly
+    even in r), Lambda1 from a fit with odd terms included and is reported as
+    a diagnostic of the expected vanishing linear term.
     """
 
     model: object
     u: np.ndarray
     L: int
     rank0: int
-    r_grid: np.ndarray
-    lambdas: np.ndarray      # (n_grid, L) matched eigenvalue paths
-    vectors: tuple           # n_grid matrices of matched eigenvectors
+    closed_form: _ClosedFormBasis
     Lambda0: np.ndarray
     Lambda1: np.ndarray
     Lambda2: np.ndarray
     P0: np.ndarray
     P1: np.ndarray
-    A0: np.ndarray
-    A1: np.ndarray
     path_quality: float
-    _tie_tol: float = field(repr=False, default=1e-10)
 
     def factor_at(self, r):
-        """Path-consistent factor A(r) = P(r) Lambda(r)^{1/2} at any radius."""
-        for k, rk in enumerate(self.r_grid):
-            if abs(rk - r) <= 1e-15 * max(rk, r):
-                lam = np.clip(self.lambdas[k], 0.0, None)
-                return self.vectors[k] * np.sqrt(lam)[None, :]
+        """Factor A(r) = P(r) Lambda(r)^{1/2} in the closed-form gauge at any radius."""
         sig = conditional_covariance(self.model, r, self.u).sigma
-        lam, vec = ordered_eigendecomposition(sig)
-        nearest = int(np.argmin(np.abs(np.log(self.r_grid) - math.log(r))))
-        lam, vec, quality = _align_to_reference(
-            lam, vec, self.vectors[nearest], self._tie_tol
-        )
-        if quality < 0.5:
-            raise EigenpathError(
-                f"cannot align the eigenbasis at r={r} to the tracked path "
-                f"(min overlap {quality:.3f})"
-            )
+        lam, vec, _ = _anchored_eigh(sig, self.closed_form.vectors, self.closed_form.sizes, r)
         return vec * np.sqrt(np.clip(lam, 0.0, None))[None, :]
 
     def to_dict(self):
         return {
             "L": self.L,
             "rank0": self.rank0,
-            "r_grid": self.r_grid.tolist(),
+            "r_grid": list(DEFAULT_R_GRID),
             "lambda0": self.Lambda0.tolist(),
             "lambda1": self.Lambda1.tolist(),
             "lambda2": self.Lambda2.tolist(),
             "P0": self.P0.ravel().tolist(),
             "P1": self.P1.ravel().tolist(),
-            "A0": self.A0.ravel().tolist(),
-            "A1": self.A1.ravel().tolist(),
             "path_quality": self.path_quality,
         }
 
 
-def eigenpath(model, u=None, r_grid=DEFAULT_R_GRID):
-    """Track the ordered eigendecomposition of Sigma(ru) down the grid.
-
-    The grid runs from its largest radius (where splittings are widest and
-    the descending order is unambiguous) toward 0, matching each point to the
-    previous one.  Failure to maintain continuity (an eigenvalue crossing
-    between grid points, say) raises :class:`EigenpathError` naming the
-    radius.
+def eigenpath(model, u=None):
+    """Eigendecomposition of Sigma(ru) at each radius of ``DEFAULT_R_GRID``,
+    anchored on the closed-form basis, and its fitted expansion.  An
+    eigenbasis that does not continue the closed-form blocks (an eigenvalue
+    crossing, say) raises :class:`EigenpathError` naming the radius.
     """
     if u is None:
         u = model.axis_direction()
-    rs = np.sort(np.asarray(r_grid, dtype=float))[::-1]
-    if rs.size < 5 or rs.min() <= 0:
-        raise ValueError("need at least five positive radii")
-    L = model.cond_dim
-    lam_path = np.empty((rs.size, L))
-    vec_path = []
-    tie_tol = None
-    quality = 1.0
-    for k, r in enumerate(rs):
-        sig = conditional_covariance(model, r, u).sigma
-        lam, vec = ordered_eigendecomposition(sig)
-        if k == 0:
-            tie_tol = max(1e-12, 1e-10 * abs(float(np.trace(sig))))
-        else:
-            lam, vec, q = _align_to_reference(lam, vec, vec_path[-1], tie_tol)
-            if q < 0.5:
-                raise EigenpathError(
-                    f"eigenpath alignment broke between r={rs[k-1]:g} and r={r:g} "
-                    f"(min overlap {q:.3f}); refine the grid"
-                )
-            quality = min(quality, q)
-        lam_path[k] = lam
-        vec_path.append(vec)
-
+    basis = _closed_form_basis(model, u)
+    rs = np.array(DEFAULT_R_GRID)
+    lam_path, vec_path, qualities = zip(*(
+        _anchored_eigh(conditional_covariance(model, r, u).sigma, basis.vectors, basis.sizes, r)
+        for r in rs))
     # The covariance is exactly even in r, so the production fit uses even
     # powers only; the odd-inclusive fit exists to measure the linear term.
+    lam_path = np.stack(lam_path)
     lam_even = _poly_fit(rs, lam_path, (0, 2, 4, 6))
     lam_full = _poly_fit(rs, lam_path, (0, 1, 2, 3, 4))
     vec_fit = _poly_fit(rs, np.stack(vec_path), (0, 1, 2, 3, 4))
     lam0 = lam_even[0]
-    lam2 = lam_even[2]
-    p0, p1 = vec_fit[0], vec_fit[1]
 
+    L = model.cond_dim
     rank0 = L - model.n_dim - 1
-    scale = max(lam0.max(), 1.0)
-    if np.abs(lam0[rank0:]).max() > 1e-6 * scale:
+    kernel0 = np.abs(lam0[rank0:]).max()
+    if kernel0 > 1e-6 * max(lam0.max(), 1.0):
         raise EigenpathError(
-            "fitted limit eigenvalues of the kernel block do not vanish; "
-            f"max {np.abs(lam0[rank0:]).max():.3e}"
-        )
-    lam0 = lam0.copy()
-    lam0[rank0:] = 0.0  # exact kernel; keeps the factor columns exactly zero
-    a0 = p0 * np.sqrt(np.clip(lam0, 0.0, None))[None, :]
-    a1 = np.empty_like(a0)
-    a1[:, :rank0] = p1[:, :rank0] * np.sqrt(np.clip(lam0[:rank0], 0.0, None))[None, :]
-    a1[:, rank0:] = p0[:, rank0:] * np.sqrt(np.clip(lam2[rank0:], 0.0, None))[None, :]
+            f"fitted limit eigenvalues of the kernel block do not vanish; max {kernel0:.3e}")
+    lam0[rank0:] = 0.0  # exact kernel
     return SpectralExpansion(
         model=model,
         u=np.asarray(u, dtype=float),
         L=L,
         rank0=rank0,
-        r_grid=rs,
-        lambdas=lam_path,
-        vectors=tuple(vec_path),
+        closed_form=basis,
         Lambda0=lam0,
         Lambda1=lam_full[1],
-        Lambda2=lam2,
-        P0=p0,
-        P1=p1,
-        A0=a0,
-        A1=a1,
-        path_quality=quality,
-        _tie_tol=tie_tol,
+        Lambda2=lam_even[2],
+        P0=vec_fit[0],
+        P1=vec_fit[1],
+        path_quality=min(qualities),
     )
 
 
@@ -444,9 +439,10 @@ def scaling_class(model, v, u=None, expansion=None):
 class LimitPolynomial:
     """Degree-N homogeneous limit of r^{-1} det(Matri(A(r) y)).
 
-    Built from the kernel-side factor expansion: the matrix part from the
-    rank columns of A0, the linear-in-r part from the kernel columns of P0
-    scaled by sqrt(lambda2).  Flipping the sign of the kernel coordinates
+    Built from the closed-form basis: the matrix part from its rank columns
+    scaled by sqrt(lambda0) (``a0``, zero on the kernel columns), the
+    linear-in-r part from its kernel columns scaled by the square roots of
+    their r^2 curvatures.  Flipping the sign of the kernel coordinates
     negates the value exactly.
     """
 
@@ -513,24 +509,23 @@ class LimitPolynomial:
         }
 
 
-def limit_polynomial(model, u=None, expansion=None):
-    """Assemble the limit polynomial from a tracked spectral expansion."""
-    if expansion is None:
-        expansion = eigenpath(model, u)
+def limit_polynomial(model, u=None):
+    """Assemble the limit polynomial from the closed-form basis."""
+    basis = _closed_form_basis(model, u)
     n = model.n_dim
-    rank = expansion.rank0
-    scaled = expansion.A1[:, rank:]  # kernel columns already sqrt(lambda2)-scaled
+    rank = model.cond_dim - n - 1
+    kernel = basis.vectors[:, rank:] * np.sqrt(basis.curv)[None, :]
     return LimitPolynomial(
         n_dim=n,
-        L=expansion.L,
+        L=model.cond_dim,
         rank0=rank,
-        a0=expansion.A0,
-        null_matrices=matriculate_batch(scaled.T, n),
+        a0=basis.vectors * np.sqrt(basis.lam0)[None, :],
+        null_matrices=matriculate_batch(kernel.T, n),
     )
 
 
 def h_r(model, r, y, u=None, expansion=None):
-    """r^{-1} det(Matri(A(r) y)) with the path-consistent factor."""
+    """r^{-1} det(Matri(A(r) y)) with the factor in the closed-form gauge."""
     if expansion is None:
         expansion = eigenpath(model, u)
     factor = expansion.factor_at(r)

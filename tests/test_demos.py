@@ -3,13 +3,19 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_torus_demo_runs():
-    # the demo prints the finder's diagnostics, so it breaks when they change
+@pytest.mark.parametrize("demo, expected", [
+    ("03_spectrum_and_eigenpaths.py", "sign flip under kernel-coordinate reflection"),
+    # the torus demo prints the finder's diagnostics, so it breaks when they change
+    ("05_torus_simulation.py", "stopped without settling"),
+], ids=["spectrum", "torus"])
+def test_demo_runs(demo, expected):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, str(ROOT / "demos" / "05_torus_simulation.py")],
+    proc = subprocess.run([sys.executable, str(ROOT / "demos" / demo)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert "stopped without settling" in proc.stdout
+    assert expected in proc.stdout

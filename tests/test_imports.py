@@ -5,9 +5,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# The torus path runs on numpy alone; scipy.special arrives with the quadrature.
+# The torus path and the spectrum and hpoly commands run on numpy alone;
+# scipy.special arrives with the quadrature.
 COLD_START = """
-import sys
+import sys, tempfile
 import critfield, critfield.cli
 from critfield import (GridSpec, find_critical_points, gaussian_model, pair_statistics,
                        rice_density_quadrature, sample_field)
@@ -16,6 +17,9 @@ field = sample_field(model, GridSpec(n=32, spacing=11.3 / 32), seed=0)
 points, _ = find_critical_points(field)
 table = pair_statistics(points, 0.5 * model.correlation_length, field.extent)
 assert len(points) > 0 and table.n_pairs > 0
+with tempfile.TemporaryDirectory() as out:
+    for command in ("spectrum", "hpoly"):
+        assert critfield.cli.main([command, "--N", "3", "--out", out]) == 0
 loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 assert not loaded, loaded[:5]
 rice_density_quadrature(model, 0.5, 0.0, 2)

@@ -335,7 +335,10 @@ class TestRatios:
         lambda m, n: psi_ratio(m, 0.5, 0.0, n=n),
         lambda m, n: maxima_share(m, 0.5, 0.0, n=n),
         lambda m, n: mean_critical_density(m, n=n),
-    ], ids=["density", "index_ratio", "sign", "psi", "share", "mean_density"])
+        lambda m, n: rice_density_mc(m, 0.5, 0.0, k=7, n=n),
+        lambda m, n: mean_critical_density(m, k=7, n=n),
+    ], ids=["density", "index_ratio", "sign", "psi", "share", "mean_density",
+            "density_k_out_of_range", "mean_density_k_out_of_range"])
     def test_nonpositive_sample_count_is_caller_error(self, gauss2, estimator, n):
         # a caller error, not a sample that saw no mass
         with pytest.raises(ValueError, match="positive sample count"):

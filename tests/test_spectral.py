@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from critfield.covariance import conditional_covariance, sigma_expansion
 from critfield.models import (RadialModel, cauchy_model, find_rescaling,
                               gaussian_model, rescale)
-from critfield.spectral import (DEFAULT_R_GRID, EigenvalueCollisionError,
+from critfield.spectral import (EigenvalueCollisionError, LimitPolynomial,
                                 bv_determinant, eigenpath, h_matrix, h_r,
                                 limit_polynomial, ordered_eigendecomposition,
                                 perm_symmetrized_bv, scaling_class,
@@ -247,30 +247,47 @@ class TestEigenpath:
             assert np.linalg.norm(hmat @ factor[:, i]) < r ** 1.5
 
     def test_alignment_guard_rejects_unmatchable_basis(self):
-        # a basis with overlap 1/sqrt(8) against every reference column (a
-        # normalized Hadamard frame, distinct eigenvalues so no degenerate
-        # rescue) cannot be continued and reports poor quality
+        # eigenvectors forming a normalized Hadamard frame have overlap
+        # 1/sqrt(8) with every reference column (distinct eigenvalues, so no
+        # degenerate rescue): they cannot continue the reference blocks
         from scipy.linalg import hadamard
 
-        from critfield.spectral import _align_to_reference
+        from critfield.spectral import EigenpathError, _anchored_eigh
 
-        basis = hadamard(8).astype(float) / np.sqrt(8.0)
-        lam = np.arange(8.0, 0.0, -1.0)
-        _, _, quality = _align_to_reference(lam, basis.copy(), np.eye(8), 1e-10)
-        assert quality < 0.5
+        frame = hadamard(8).astype(float) / np.sqrt(8.0)
+        sig = frame @ np.diag(np.arange(8.0, 0.0, -1.0)) @ frame.T
+        with pytest.raises(EigenpathError, match="min overlap 0.354"):
+            _anchored_eigh(sig, np.eye(8), (1,) * 8, 0.01)
 
     def test_degenerate_block_procrustes_rescues_rotation(self):
-        from critfield.spectral import _align_to_reference
+        from critfield.spectral import _anchored_eigh
 
         theta = np.deg2rad(80.0)
-        rot = np.array([
-            [np.cos(theta), -np.sin(theta)],
-            [np.sin(theta), np.cos(theta)],
-        ])
-        lam = np.array([1.0, 1.0])  # degenerate: any basis is valid
-        _, vec, quality = _align_to_reference(lam, rot.copy(), np.eye(2), 1e-8)
+        ref = np.eye(3)
+        ref[1:, 1:] = [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
+        # the eigensolver returns the coordinate basis of the degenerate block
+        lam, vec, quality = _anchored_eigh(np.diag([2.0, 1.0, 1.0]), ref, (1, 2), 0.01)
+        assert np.array_equal(lam, [2.0, 1.0, 1.0])
         assert quality > 0.999
-        assert np.allclose(vec, np.eye(2), atol=1e-12)
+        assert np.allclose(vec, ref, atol=1e-12)
+
+    @pytest.mark.parametrize("maker", [gaussian_model, cauchy_model])
+    @pytest.mark.parametrize("n_dim", [2, 3, 4, 5, 6])
+    def test_closed_form_gauge_has_margin(self, maker, n_dim):
+        # the 0.3 Gram-Schmidt cut is a discontinuity of the gauge: every
+        # residual keeps clear of it, and every radius of the grid continues
+        # the closed-form blocks
+        from critfield.spectral import _closed_form_basis
+
+        model = maker(n_dim)
+        if n_dim >= 3:
+            model = rescale(model, find_rescaling(model))
+        basis = _closed_form_basis(model)
+        assert basis.margin >= 0.05
+        assert eigenpath(model).path_quality >= 0.99
+        # along the axis the rank blocks are the catalogue's eigenvalue blocks
+        rank_blocks = [m for _, m in spectrum_sigma0(model).entries[:-1]]
+        assert list(basis.sizes[:len(rank_blocks)]) == rank_blocks
 
     def test_higher_dimension_path_with_persistent_degeneracies(self, gauss4):
         # N=4 keeps exactly multiple eigenvalues at every radius; the tracked
@@ -285,7 +302,7 @@ class TestEigenpath:
             reverse=True,
         )
         assert sorted(kernel, reverse=True) == pytest.approx(expected, abs=1e-5)
-        poly = limit_polynomial(gauss4, expansion=ex)
+        poly = limit_polynomial(gauss4)
         rng = np.random.default_rng(3)
         ys = rng.standard_normal((2000, ex.L))
         assert np.abs(poly.evaluate(ys) + poly.evaluate(poly.flip(ys))).max() == 0.0
@@ -484,7 +501,7 @@ class TestLimitPolynomial:
 
     def test_h_r_converges_to_limit(self, gauss2, rng):
         expansion = eigenpath(gauss2)
-        poly = limit_polynomial(gauss2, expansion=expansion)
+        poly = limit_polynomial(gauss2)
         ys = rng.normal(size=(300, 5))
         ys /= np.linalg.norm(ys, axis=1, keepdims=True)
         near = h_r(gauss2, 1e-3, ys, expansion=expansion)
@@ -492,14 +509,53 @@ class TestLimitPolynomial:
         rel = np.abs(near - limit) / np.maximum(1.0, np.abs(limit))
         assert rel.max() < 1e-2
 
-    def test_gauge_insensitive_statistics(self, gauss2, rng):
-        # rotating the degenerate kernel block is a relabeling of the
-        # standard Gaussian coordinates: sampled statistics agree
-        expansion = eigenpath(gauss2)
-        poly = limit_polynomial(gauss2, expansion=expansion)
-        coarse = eigenpath(gauss2, r_grid=(4e-2, 2.5e-2, 1.2e-2, 6e-3, 2.5e-3, 1.2e-3))
-        poly_b = limit_polynomial(gauss2, expansion=coarse)
-        ys = rng.normal(size=(200_000, 5))
-        a = np.abs(poly.evaluate(ys)).mean()
-        b = np.abs(poly_b.evaluate(ys)).mean()
-        assert a == pytest.approx(b, rel=5e-3)
+    def test_off_axis_direction(self, gauss3, rng):
+        # packed coordinates are not orthonormal, so off the axis Sigma0 has
+        # simple eigenvalues, not the catalogue's; the basis follows them
+        u = np.array([0.3, -0.5, np.sqrt(1.0 - 0.34)])
+        poly = limit_polynomial(gauss3, u)
+        ys = rng.normal(size=(300, poly.L))
+        ys /= np.linalg.norm(ys, axis=1, keepdims=True)
+        limit = poly.evaluate(ys)
+        assert np.abs(limit + poly.evaluate(poly.flip(ys))).max() == 0.0
+        near = h_r(gauss3, 1e-3, ys, u=u)
+        assert (np.abs(near - limit) / np.maximum(1.0, np.abs(limit))).max() < 1e-2
+
+    @pytest.mark.parametrize("maker, param", [(gaussian_model, "a"), (cauchy_model, "ell")],
+                             ids=["gaussian", "cauchy"])
+    @pytest.mark.parametrize("n_dim", [2, 3, 4, 5])
+    def test_coefficients_basis_free(self, maker, param, n_dim):
+        # a one-ulp change of the model leaves the closed-form gauge, and so
+        # every coefficient, in place
+        got = limit_polynomial(maker(n_dim)).coefficients()
+        nudged = limit_polynomial(maker(n_dim, **{param: 1.0 + 2.0 ** -52})).coefficients()
+        scale = max(abs(c) for c in got.values())
+        assert max(abs(got.get(k, 0.0) - nudged.get(k, 0.0))
+                   for k in set(got) | set(nudged)) <= 1e-8 * scale
+
+    @pytest.mark.parametrize("maker", [gaussian_model, cauchy_model])
+    @pytest.mark.parametrize("n_dim", [2, 3, 4])
+    def test_second_moment_matches_fitted_eigenpath(self, maker, n_dim):
+        # E h^2 under standard Gaussian y does not see the gauge, so the
+        # closed form must agree with the polynomial assembled from the
+        # fitted P0, Lambda0 and Lambda2 of the eigenpath
+        model = maker(n_dim)
+        ex = eigenpath(model)
+        rank = ex.rank0
+        kernel = ex.P0[:, rank:] * np.sqrt(np.clip(ex.Lambda2[rank:], 0.0, None))
+        fitted = LimitPolynomial(n_dim=n_dim, L=ex.L, rank0=rank,
+                                 a0=ex.P0 * np.sqrt(np.clip(ex.Lambda0, 0.0, None)),
+                                 null_matrices=matriculate_batch(kernel.T, n_dim))
+        exact = _second_moment(limit_polynomial(model).coefficients())
+        assert _second_moment(fitted.coefficients()) == pytest.approx(exact, rel=1e-5)
+
+
+def _second_moment(coeffs):
+    """E h^2 for y standard Gaussian, exactly from the monomial coefficients:
+    E prod y_i^k_i is the product of (k_i - 1)!! over even k_i, else 0."""
+    total = 0.0
+    for a, b in itertools.product(coeffs.items(), repeat=2):
+        powers = np.bincount(a[0] + b[0])
+        if not np.any(powers % 2):
+            total += a[1] * b[1] * math.prod(math.prod(range(k - 1, 0, -2)) for k in powers)
+    return total
