@@ -326,8 +326,13 @@ def conditional_covariance_oracle(model, r, u=None):
 
     The same Schur step runs on the M_NODES/2-node coefficients.
     ``error_estimate`` is max|Sigma_M - Sigma_{M/2}| plus
-    eps cond(v22) max|v11|, the float64 Schur step's own roundoff, which
-    grows like r^-2 and dominates at small r.  Checked against the closed
+    eps (cond(v22) + dim) max|v11|.  The cond(v22) part is the float64
+    Schur step's own roundoff, which grows like r^-2 and dominates at small
+    r.  The dim part, with dim = L + 2N the size of the joint covariance,
+    covers the rounding of the entries themselves on both routes: each is a
+    sum of at most dim rounded terms of size up to max|v11|, and near
+    r = 0.5, where cond(v22) is small, that rounding (a few eps max|Sigma|)
+    is most of the distance to the closed form.  Checked against the closed
     form for gaussian and cauchy profiles at N = 2..4 from r = 1 down to
     r = 1e-3: the error stays below the estimate, below 1e-9 and below 1e-4
     of max|Sigma(r) - Sigma0|.
@@ -378,7 +383,7 @@ def conditional_covariance_oracle(model, r, u=None):
                 f"gradient block numerically singular at r={r} (cond={sv.max() / sv.min():.2e})"
             )
         sigma = v11 - v12 @ np.linalg.solve(v22, v12.T)
-        roundoff = np.finfo(float).eps * sv.max() / sv.min() * np.abs(v11).max()
+        roundoff = np.finfo(float).eps * (sv.max() / sv.min() + dim) * np.abs(v11).max()
         return 0.5 * (sigma + sigma.T), roundoff
 
     sigma, roundoff = schur(coefs)
