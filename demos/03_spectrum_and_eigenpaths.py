@@ -45,5 +45,5 @@ print("\n=== convergence of the scaled determinant ===")
 y = rng.standard_normal(poly.L)
 y /= np.linalg.norm(y)
 for r in (0.05, 0.01, 0.002):
-    print(f"  r={r:g}: h_r = {h_r(model, r, y, expansion=ex):+.6f}   "
+    print(f"  r={r:g}: h_r = {h_r(model, r, y):+.6f}   "
           f"h_0 = {poly.evaluate(y):+.6f}")

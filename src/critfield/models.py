@@ -236,18 +236,6 @@ def w_eigenvalues(model):
     return (a + d + disc) / 2.0, (a + d - disc) / 2.0
 
 
-def _separation_quartic(model, c):
-    """The degree-4 polynomial in the rescale factor whose negativity forces
-    lambda_minus < 4 rho''(0) c^2 for the rescaled model."""
-    n = model.n_dim
-    k1 = (32.0 + 8.0 * (n - 2)) * model.d2 / 3.0
-    k2 = 8.0 * model.d1 / 3.0
-    k3 = 4.0 * (n - 1) * model.d1 / 3.0
-    k4 = 2.0 * (1.0 - model.d1 ** 2 / (3.0 * model.d2))
-    c2 = c * c
-    return ((k1 - 8.0 * model.d2) * c2 + k4) ** 2 - (k1 * c2 - k4) ** 2 - 4.0 * k2 * k3 * c2
-
-
 MAX_DOUBLINGS = 60         # rescale factors tried: 2^j for j = 0..MAX_DOUBLINGS
 SEPARATION_MARGIN = 1e-6   # least relative gap of the separation
 
@@ -257,8 +245,8 @@ def find_rescaling(model):
     drops below 4 rho''(0) (so the limit spectrum has no multiplicity
     collisions).
 
-    Grows C by doubling until the separation quartic goes negative; such a C
-    always exists because the quartic's leading coefficient is negative.  The
+    Grows C by doubling until the separation holds; such a C always exists
+    because 4 rho''(0) grows like C^2 while lambda_minus stays bounded.  The
     separation must clear a relative margin, not just the strict inequality,
     so profiles sitting exactly on a collision get moved off it.
     """
@@ -269,11 +257,9 @@ def find_rescaling(model):
         four = 4.0 * scaled.d2
         return four - lam_m > SEPARATION_MARGIN * max(four, 1.0)
 
-    if separated(1.0) and _separation_quartic(model, 1.0) < 0.0:
-        return 1.0
     c = 1.0
-    for _ in range(MAX_DOUBLINGS):
-        c *= 2.0
-        if _separation_quartic(model, c) < 0.0 and separated(c):
+    for _ in range(MAX_DOUBLINGS + 1):
+        if separated(c):
             return c
+        c *= 2.0
     raise RuntimeError("no separating rescaling found (should not happen)")

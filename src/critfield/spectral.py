@@ -9,8 +9,8 @@ give one closed-form orthonormal basis whose gauge does not depend on the
 eigensolver.  That basis alone builds the degree-N limit polynomial of
 r^{-1} det(Matri(A(r) y)), whose sign splits close critical-point pairs by
 Hessian-determinant sign.  For r > 0 the eigendecomposition of Sigma(r) is
-anchored on the same basis, and a fit over a grid of radii gives
-Lambda(r) = Lambda0 + Lambda2 r^2 + o(r^2) and P(r) = P0 + P1 r + o(r).
+anchored on the same basis (``factor_at``), and a fit over a grid of radii
+gives Lambda(r) = Lambda0 + Lambda2 r^2 + o(r^2) and P(r) = P0 + P1 r + o(r).
 """
 
 import itertools
@@ -33,6 +33,7 @@ __all__ = [
     "spectrum_sigma0",
     "h_matrix",
     "SpectralExpansion",
+    "factor_at",
     "eigenpath",
     "bv_determinant",
     "perm_symmetrized_bv",
@@ -50,6 +51,7 @@ SCALING_FLOOR = 1e-11  # coefficients below this at every radius are o(r)
 SCALING_SLOPE = 1.5  # mean slope below which a coefficient is Theta(r)
 COEFF_TOL = 1e-12    # monomial coefficients dropped up to this, relative to the largest
 GS_CUT = 0.3         # Gram-Schmidt keeps a projector column whose residual exceeds this
+CATALOGUE_TOL = 1e-9  # catalogue vs numeric spectrum of Sigma0, relative to its scale
 
 
 class EigenvalueCollisionError(RuntimeError):
@@ -127,14 +129,15 @@ class SpectrumCatalogue:
         }
 
 
-def spectrum_sigma0(model, u=None, verify_tol=1e-9):
+def spectrum_sigma0(model):
     """Closed-form eigenvalue catalogue of the limit matrix, checked numerically.
 
     The catalogue is {lambda_plus, lambda_minus, 4 rho''(0), 8 rho''(0), 0}
     with multiplicities {1, 1, (N-1)(N-2)/2, N-2, N+1}.  A collision of
     lambda_minus with one of the multiple eigenvalues makes the multiplicity
     pattern invalid; rescaling the profile (see ``find_rescaling``) always
-    separates them.
+    separates them.  The catalogue must match the numeric spectrum of the
+    packed Sigma0 along the axis direction within ``CATALOGUE_TOL``.
     """
     n = model.n_dim
     L = model.cond_dim
@@ -160,14 +163,13 @@ def spectrum_sigma0(model, u=None, verify_tol=1e-9):
     cat = SpectrumCatalogue(
         n_dim=n, L=L, lambda_plus=lam_p, lambda_minus=lam_m, entries=tuple(values)
     )
-    if verify_tol is not None:
-        s0, _ = sigma_expansion(model, u)
-        numeric = np.sort(np.linalg.eigvalsh(s0))[::-1]
-        err = np.abs(numeric - cat.dense()).max()
-        if err > verify_tol * max(scale, 1.0):
-            raise EigenvalueCollisionError(
-                f"catalogue disagrees with the numeric spectrum (max err {err:.3e})"
-            )
+    s0, _ = sigma_expansion(model)
+    numeric = np.sort(np.linalg.eigvalsh(s0))[::-1]
+    err = np.abs(numeric - cat.dense()).max()
+    if err > CATALOGUE_TOL * max(scale, 1.0):
+        raise EigenvalueCollisionError(
+            f"catalogue disagrees with the numeric spectrum (max err {err:.3e})"
+        )
     return cat
 
 
@@ -266,16 +268,29 @@ def _closed_form_basis(model, u=None):
 
 
 def _anchored_eigh(sig, ref, sizes, r):
-    """Descending eigendecomposition of sig, each block of columns (assigned
-    by position) Procrustes-fit onto its block of the basis ``ref``.
+    """Eigendecomposition of sig with each eigenvector assigned to a block of
+    the basis ``ref`` and each block of columns Procrustes-fit onto it.
 
-    Returns the eigenvalues, the aligned eigenvectors and their least overlap
-    with ``ref``; an overlap below 0.5 raises :class:`EigenpathError`.
+    An eigenvector's weight on a block is its squared projection onto the
+    block's columns.  The surest eigenvectors (largest weight on any block)
+    are placed first, each on its heaviest block that still has room, ties
+    going to the lower block; within a block the eigenvalues stay
+    descending.  So an eigenvalue crossing moves no column to a foreign
+    block.  Returns the eigenvalues, the aligned eigenvectors and their least
+    overlap with ``ref``; an overlap below 0.5 raises :class:`EigenpathError`.
     """
     lam, vec = np.linalg.eigh(sig)
     lam, vec = lam[::-1], vec[:, ::-1]
-    out = np.empty_like(vec)
     edges = np.cumsum((0,) + tuple(sizes))
+    weight = np.stack([((ref[:, i:j].T @ vec) ** 2).sum(0)
+                       for i, j in zip(edges[:-1], edges[1:])], axis=1)
+    room, owner = list(sizes), np.empty(len(lam), dtype=int)
+    for k in np.argsort(-weight.max(1), kind="stable"):
+        owner[k] = next(b for b in np.argsort(-weight[k], kind="stable") if room[b])
+        room[owner[k]] -= 1
+    order = np.argsort(owner, kind="stable")
+    lam, vec = lam[order], vec[:, order]
+    out = np.empty_like(vec)
     for i, j in zip(edges[:-1], edges[1:]):
         uu, _, vvt = np.linalg.svd(vec[:, i:j].T @ ref[:, i:j])
         out[:, i:j] = vec[:, i:j] @ (uu @ vvt)
@@ -302,29 +317,20 @@ def _poly_fit(rs, values, degrees):
 class SpectralExpansion:
     """Eigenpath of Sigma(r) on ``DEFAULT_R_GRID`` and its fitted expansion.
 
-    Every radius is anchored on ``closed_form``, so the path has no free
+    Every radius is anchored on the closed-form basis, so the path has no free
     rotation.  Lambda0/Lambda2 come from an even fit (the covariance is exactly
     even in r), Lambda1 from a fit with odd terms included and is reported as
     a diagnostic of the expected vanishing linear term.
     """
 
-    model: object
-    u: np.ndarray
     L: int
     rank0: int
-    closed_form: _ClosedFormBasis
     Lambda0: np.ndarray
     Lambda1: np.ndarray
     Lambda2: np.ndarray
     P0: np.ndarray
     P1: np.ndarray
     path_quality: float
-
-    def factor_at(self, r):
-        """Factor A(r) = P(r) Lambda(r)^{1/2} in the closed-form gauge at any radius."""
-        sig = conditional_covariance(self.model, r, self.u).sigma
-        lam, vec, _ = _anchored_eigh(sig, self.closed_form.vectors, self.closed_form.sizes, r)
-        return vec * np.sqrt(np.clip(lam, 0.0, None))[None, :]
 
     def to_dict(self):
         return {
@@ -340,14 +346,22 @@ class SpectralExpansion:
         }
 
 
+def factor_at(model, r, u=None):
+    """Factor A(r) = P(r) Lambda(r)^{1/2} of Sigma(ru), with A(r) A(r)^T =
+    Sigma(ru), in the closed-form gauge.  An eigenbasis that does not
+    continue the closed-form blocks raises :class:`EigenpathError`."""
+    basis = _closed_form_basis(model, u)
+    sig = conditional_covariance(model, r, u).sigma
+    lam, vec, _ = _anchored_eigh(sig, basis.vectors, basis.sizes, r)
+    return vec * np.sqrt(np.clip(lam, 0.0, None))[None, :]
+
+
 def eigenpath(model, u=None):
     """Eigendecomposition of Sigma(ru) at each radius of ``DEFAULT_R_GRID``,
     anchored on the closed-form basis, and its fitted expansion.  An
-    eigenbasis that does not continue the closed-form blocks (an eigenvalue
-    crossing, say) raises :class:`EigenpathError` naming the radius.
+    eigenbasis that does not continue the closed-form blocks raises
+    :class:`EigenpathError` naming the radius.
     """
-    if u is None:
-        u = model.axis_direction()
     basis = _closed_form_basis(model, u)
     rs = np.array(DEFAULT_R_GRID)
     lam_path, vec_path, qualities = zip(*(
@@ -369,11 +383,8 @@ def eigenpath(model, u=None):
             f"fitted limit eigenvalues of the kernel block do not vanish; max {kernel0:.3e}")
     lam0[rank0:] = 0.0  # exact kernel
     return SpectralExpansion(
-        model=model,
-        u=np.asarray(u, dtype=float),
         L=L,
         rank0=rank0,
-        closed_form=basis,
         Lambda0=lam0,
         Lambda1=lam_full[1],
         Lambda2=lam_even[2],
@@ -418,12 +429,10 @@ def perm_symmetrized_bv(factor, v):
     return float(_bv_dets(factor, list(itertools.permutations(v))).sum())
 
 
-def scaling_class(model, v, u=None, expansion=None):
+def scaling_class(model, v, u=None):
     """Classify the permutation-symmetrized determinant coefficient as
     Theta(r) or o(r) from its log-log slope over shrinking radii."""
-    if expansion is None:
-        expansion = eigenpath(model, u)
-    vals = np.array([perm_symmetrized_bv(expansion.factor_at(r), v) for r in SCALING_RADII])
+    vals = np.array([perm_symmetrized_bv(factor_at(model, r, u), v) for r in SCALING_RADII])
     if np.abs(vals).max() < SCALING_FLOOR:
         return "o(r)"
     mags = np.maximum(np.abs(vals), 1e-300)
@@ -524,11 +533,9 @@ def limit_polynomial(model, u=None):
     )
 
 
-def h_r(model, r, y, u=None, expansion=None):
-    """r^{-1} det(Matri(A(r) y)) with the factor in the closed-form gauge."""
-    if expansion is None:
-        expansion = eigenpath(model, u)
-    factor = expansion.factor_at(r)
+def h_r(model, r, y, u=None):
+    """r^{-1} det(Matri(A(r) y)) with the factor A(r) of :func:`factor_at`."""
+    factor = factor_at(model, r, u)
     y = np.asarray(y, dtype=float)
     single = y.ndim == 1
     y2 = np.atleast_2d(y)

@@ -101,7 +101,7 @@ def test_criterion_03_spectral_catalogue():
         for maker in (gaussian_model, cauchy_model):
             model = maker(n_dim)
             model = rescale(model, find_rescaling(model))
-            cat = spectrum_sigma0(model, verify_tol=None)
+            cat = spectrum_sigma0(model)
             s0, _ = sigma_expansion(model)
             numeric = np.sort(np.linalg.eigvalsh(s0))[::-1]
             worst = max(worst, float(np.abs(numeric - cat.dense()).max()))

@@ -5,12 +5,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# The torus path and the spectrum and hpoly commands run on numpy alone;
-# scipy.special arrives with the quadrature.
+# The torus path, the spectrum and hpoly commands and the finite-r factor run
+# on numpy alone; scipy.special arrives with the quadrature.
 COLD_START = """
 import sys, tempfile
+import numpy as np
 import critfield, critfield.cli
-from critfield import (GridSpec, find_critical_points, gaussian_model, pair_statistics,
+from critfield import (GridSpec, find_critical_points, gaussian_model, h_r, pair_statistics,
                        rice_density_quadrature, sample_field)
 model = gaussian_model(2)
 field = sample_field(model, GridSpec(n=32, spacing=11.3 / 32), seed=0)
@@ -20,6 +21,8 @@ assert len(points) > 0 and table.n_pairs > 0
 with tempfile.TemporaryDirectory() as out:
     for command in ("spectrum", "hpoly"):
         assert critfield.cli.main([command, "--N", "3", "--out", out]) == 0
+y = np.ones(8) / np.sqrt(8.0)
+assert np.isfinite(h_r(gaussian_model(3), 0.3, y))  # past an eigenvalue crossing
 loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 assert not loaded, loaded[:5]
 rice_density_quadrature(model, 0.5, 0.0, 2)

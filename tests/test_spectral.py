@@ -10,7 +10,7 @@ from critfield.covariance import conditional_covariance, sigma_expansion
 from critfield.models import (RadialModel, cauchy_model, find_rescaling,
                               gaussian_model, rescale)
 from critfield.spectral import (EigenvalueCollisionError, LimitPolynomial,
-                                bv_determinant, eigenpath, h_matrix, h_r,
+                                bv_determinant, eigenpath, factor_at, h_matrix, h_r,
                                 limit_polynomial, ordered_eigendecomposition,
                                 perm_symmetrized_bv, scaling_class,
                                 spectrum_sigma0)
@@ -241,7 +241,7 @@ class TestEigenpath:
     def test_contraction_annihilates_rank_columns(self, gauss2, path2):
         # H(u) applied to the rank columns of A(r) decays faster than r
         r = 1e-3
-        factor = path2.factor_at(r)
+        factor = factor_at(gauss2, r)
         hmat = h_matrix(gauss2.axis_direction())
         for i in range(path2.rank0):
             assert np.linalg.norm(hmat @ factor[:, i]) < r ** 1.5
@@ -271,8 +271,24 @@ class TestEigenpath:
         assert quality > 0.999
         assert np.allclose(vec, ref, atol=1e-12)
 
+    @pytest.mark.parametrize("maker, radii", [(gaussian_model, (0.3, 0.5, 1.0)),
+                                              (cauchy_model, (0.1, 0.5))],
+                             ids=["gaussian", "cauchy"])
+    def test_factor_past_eigenvalue_crossing(self, maker, radii, rng):
+        # past the first crossing of Sigma(r)'s eigenvalues the eigenvectors
+        # still go to their own closed-form blocks: the factor exists, is a
+        # square root of Sigma(r), and is the one h_r uses
+        model = maker(2)
+        ys = rng.normal(size=(50, model.cond_dim))
+        for r in radii:
+            factor = factor_at(model, r)
+            sigma = conditional_covariance(model, r).sigma
+            assert np.abs(factor @ factor.T - sigma).max() <= 1e-13 * np.abs(sigma).max()
+            direct = np.linalg.det(matriculate_batch(ys @ factor.T, 2)) / r
+            assert np.array_equal(h_r(model, r, ys), direct)
+
     @pytest.mark.parametrize("maker", [gaussian_model, cauchy_model])
-    @pytest.mark.parametrize("n_dim", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n_dim", [2, 3, 4, 5, 6, 7, 8])
     def test_closed_form_gauge_has_margin(self, maker, n_dim):
         # the 0.3 Gram-Schmidt cut is a discontinuity of the gauge: every
         # residual keeps clear of it, and every radius of the grid continues
@@ -367,13 +383,13 @@ class TestHMatrix:
 
 
 class TestRowDeterminants:
-    def test_two_kernel_coordinates_vanish_faster(self, gauss2, path2):
-        assert scaling_class(gauss2, (3, 4), expansion=path2) == "o(r)"
-        assert scaling_class(gauss2, (4, 5), expansion=path2) == "o(r)"
+    def test_two_kernel_coordinates_vanish_faster(self, gauss2):
+        assert scaling_class(gauss2, (3, 4)) == "o(r)"
+        assert scaling_class(gauss2, (4, 5)) == "o(r)"
 
-    def test_pure_rank_coordinates_vanish_faster(self, gauss2, path2):
-        assert scaling_class(gauss2, (1, 2), expansion=path2) == "o(r)"
-        assert scaling_class(gauss2, (1, 1), expansion=path2) == "o(r)"
+    def test_pure_rank_coordinates_vanish_faster(self, gauss2):
+        assert scaling_class(gauss2, (1, 2)) == "o(r)"
+        assert scaling_class(gauss2, (1, 1)) == "o(r)"
 
     def test_max_over_distinguished_monomials_is_linear(self, gauss2, path2):
         rank, L = path2.rank0, path2.L
@@ -385,7 +401,7 @@ class TestRowDeterminants:
         radii = (1e-2, 1e-3, 1e-4)
         maxima = []
         for r in radii:
-            factor = path2.factor_at(r)
+            factor = factor_at(gauss2, r)
             maxima.append(max(abs(perm_symmetrized_bv(factor, v)) for v in candidates))
         slopes = np.diff(np.log(maxima)) / np.diff(np.log(radii))
         assert np.all(np.abs(slopes - 1.0) < 0.1)
@@ -500,11 +516,10 @@ class TestLimitPolynomial:
         assert max(abs(got[k] - expected[k]) for k in got) <= 1e-12 * scale
 
     def test_h_r_converges_to_limit(self, gauss2, rng):
-        expansion = eigenpath(gauss2)
         poly = limit_polynomial(gauss2)
         ys = rng.normal(size=(300, 5))
         ys /= np.linalg.norm(ys, axis=1, keepdims=True)
-        near = h_r(gauss2, 1e-3, ys, expansion=expansion)
+        near = h_r(gauss2, 1e-3, ys)
         limit = poly.evaluate(ys)
         rel = np.abs(near - limit) / np.maximum(1.0, np.abs(limit))
         assert rel.max() < 1e-2
