@@ -382,8 +382,9 @@ def cmd_report(cfg):
         elif "overall_pass" in data:
             rows.append((path.stem, "overall_pass", int(data["overall_pass"]), 0, 0))
         elif "opposite_det_fraction" in data:
+            fraction = data["opposite_det_fraction"]
             rows.append((path.stem, "opposite_det_fraction",
-                         data["opposite_det_fraction"] or math.nan, 0,
+                         math.nan if fraction is None else fraction, 0,
                          data["realizations"]))
     cfio.write_csv(out / "report.csv", ("artifact", "point", "value", "stderr", "n"), rows)
     cfio.write_json(out / "report.json", _artifact(cfg, {"rows": rows}))

@@ -6,12 +6,12 @@ covariance kernel diagonalizes in the Fourier basis, so coloring white noise
 with the root spectrum gives a stationary periodic field.  Critical points of
 the sampled field are located on a periodic bicubic-spline surrogate whose
 value, gradient and Hessian are analytic and come from one cell gather per
-Newton step.  Four Newton walkers start in every cell whose Bezier hull lets
-both gradient components vanish, a test no critical point escapes, which
-keeps Morse counting consistent: on the torus, minima - saddles + maxima must
-come out to zero every time; a walker whose Newton step stops shrinking is
-retired.  Above a threshold u, a cell gets the hull test only if one of the
-16 spline coefficients that span it exceeds u.
+Newton step.  A Newton walker starts in each sub-cell, 16 to a cell, whose
+Bezier hull lets both gradient components vanish, a test no critical point
+escapes, which keeps Morse counting consistent: on the torus, minima -
+saddles + maxima must come out to zero every time; a walker whose Newton step
+stops shrinking is retired.  Above a threshold u, a cell gets the hull test
+only if one of the 16 spline coefficients that span it exceeds u.
 """
 
 import functools
@@ -226,39 +226,94 @@ def _bezier_controls(taps):
                      (c + 4.0 * c_next + c_next2) / 6.0])
 
 
+def _straddles(ctrl, axes):
+    return (ctrl.min(axis=axes) <= 0.0) & (ctrl.max(axis=axes) >= 0.0)
+
+
+def _y_hull(rows):
+    """Least and largest y-Bezier control of each cell, from ``rows`` padded by
+    (1, 2) along y; a cell's last end control is computed as the next one's first."""
+    ends = (rows[:, :-2] + 4.0 * rows[:, 1:-1] + rows[:, 2:]) / 6.0
+    c, c_next = rows[:, 1:-2], rows[:, 2:-1]
+    ctrl = (ends[:, :-1], ends[:, 1:], (2.0 * c + c_next) / 3.0, (c + 2.0 * c_next) / 3.0)
+    return functools.reduce(np.minimum, ctrl), functools.reduce(np.maximum, ctrl)
+
+
+def _x_slope_straddles(padded):
+    """Cells whose x-derivative hull holds 0, from coefficients wrap-padded by (1, 2).
+
+    Along x the derivative's controls, over 3, are (c[+1] - c[-1]) / 6,
+    (c[+1] - c) / 3 and (c[+2] - c) / 6, the last being the next cell's first.
+    """
+    end_lo, end_hi = _y_hull((padded[2:] - padded[:-2]) / 6.0)  # n + 1 rows
+    mid_lo, mid_hi = _y_hull((padded[2:-1] - padded[1:-2]) / 3.0)
+    lo = np.minimum(np.minimum(end_lo[:-1], end_lo[1:]), mid_lo)
+    hi = np.maximum(np.maximum(end_hi[:-1], end_hi[1:]), mid_hi)
+    return (lo <= 0.0) & (hi >= 0.0)
+
+
 def _candidate_cells(surface, u_thr=-math.inf):
     """Cells that can hold a critical point with value above ``u_thr``.
 
     On each cell the spline is a bicubic Bezier patch, and each partial
     derivative lies in the convex hull of its 12 difference control points.
     A cell is flagged iff both components' control points straddle 0, so a
-    cell holding a critical point is never missed.  It is kept iff the
-    largest of its 16 value control points, which bounds the patch, exceeds
-    ``u_thr``.  The control points are convex combinations of the cell's
-    4 x 4 coefficient window, so unless ``u_thr`` is -inf only the cells
-    whose window maximum exceeds it are tested at all.
+    cell holding a critical point is never missed; over the full grid they
+    come from coefficient differences, which neighbouring cells share.  It is
+    kept iff the largest of its 16 value control points, which bounds the
+    patch, exceeds ``u_thr``.  The control points are convex combinations of
+    the cell's 4 x 4 coefficient window, so unless ``u_thr`` is -inf only the
+    cells whose window maximum exceeds it are tested at all.
     """
-    coeffs = surface.coeffs
+    coeffs, n = surface.coeffs, surface.n
+    padded = np.pad(coeffs, (1, 2), mode="wrap")
     if u_thr == -math.inf:
-        cells = None
-        ctrl = _bezier_controls([np.roll(coeffs, -o, 0) for o in _OFFSETS])
-        ctrl = _bezier_controls([np.roll(ctrl, -o, 2) for o in _OFFSETS])
-    else:
-        reach = coeffs
-        for axis in (0, 1):
-            reach = np.max([np.roll(reach, -o, axis) for o in _OFFSETS], axis=0)
-        # the margin covers the rounding of the control points, a few ulps
-        cells = np.argwhere(reach > u_thr - 1e-12 * np.abs(coeffs).max())
-        ctrl = _bezier_controls(np.moveaxis(surface.window(cells), 1, 0))
-        ctrl = _bezier_controls(np.moveaxis(ctrl, 2, 0))
-
-    def straddles(diff):
-        return (diff.min(axis=(0, 1)) <= 0.0) & (diff.max(axis=(0, 1)) >= 0.0)
-
-    mask = straddles(np.diff(ctrl, axis=0)) & straddles(np.diff(ctrl, axis=1))
-    if cells is None:
-        return np.argwhere(mask)
+        return np.argwhere(_x_slope_straddles(padded) & _x_slope_straddles(padded.T).T)
+    reach = np.max([padded[k:k + n] for k in range(4)], axis=0)
+    reach = np.max([reach[:, k:k + n] for k in range(4)], axis=0)
+    # the margin covers the rounding of the control points, a few ulps
+    cells = np.argwhere(reach > u_thr - 1e-12 * np.abs(coeffs).max())
+    ctrl = _bezier_controls(np.moveaxis(surface.window(cells), 1, 0))
+    ctrl = _bezier_controls(np.moveaxis(ctrl, 2, 0))
+    mask = _straddles(np.diff(ctrl, axis=0), (0, 1)) & _straddles(np.diff(ctrl, axis=1), (0, 1))
     return cells[mask & (ctrl.max(axis=(0, 1)) > u_thr)]
+
+
+def _split(ctrl, depth):
+    """Rows of tap weights giving Bezier controls on a cell -> those of its
+    2**depth equal pieces, stacked in order, by de Casteljau at 1/2."""
+    if depth == 0:
+        return ctrl
+    left, right, level = [], [], ctrl
+    while len(level):
+        left.append(level[0])
+        right.insert(0, level[-1])
+        level = (level[:-1] + level[1:]) / 2.0
+    return np.concatenate([_split(np.stack(half), depth - 1) for half in (left, right)])
+
+
+_DEPTH = 2  # halvings of a cell per axis before Newton starts
+_VALUE_SPLIT = _split(_bezier_controls(np.eye(4)), _DEPTH)
+# the difference form: its weights come in exact +- pairs, as in _x_slope_straddles
+_SLOPE_SPLIT = _split(np.diff(_bezier_controls(np.eye(4)), axis=0), _DEPTH)
+
+
+def _starts(surface, cells, u_thr):
+    """Newton starts: the centre of every sub-cell of ``cells`` whose own nets
+    pass the tests of :func:`_candidate_cells`.  The derivative nets are split
+    in the difference form, which keeps a zero on a cell edge exact."""
+    side, window = 2 ** _DEPTH, surface.window(cells)
+
+    def net(x, y):  # (control, cell, x piece, y piece): reductions run over whole slabs
+        ctrl = (x @ window @ y.T).reshape(-1, side, len(x) // side, side, len(y) // side)
+        return ctrl.transpose(2, 4, 0, 1, 3).reshape(len(x) * len(y) // side ** 2, -1, side, side)
+
+    keep = (_straddles(net(_SLOPE_SPLIT, _VALUE_SPLIT), 0)
+            & _straddles(net(_VALUE_SPLIT, _SLOPE_SPLIT), 0))
+    if u_thr > -math.inf:
+        keep &= net(_VALUE_SPLIT, _VALUE_SPLIT).max(axis=0) > u_thr
+    cell, i, j = np.nonzero(keep)
+    return (cells[cell] + (np.stack([i, j], axis=1) + 0.5) / side) * surface.h
 
 
 def _close_pairs(pts, radius, extent):
@@ -293,8 +348,6 @@ def _close_pairs(pts, radius, extent):
     return pairs[order], dist[order]
 
 
-# Newton starts per flagged cell, in cell units: one cell can hold two points.
-_STARTS = np.array([[0.25, 0.25], [0.25, 0.75], [0.75, 0.25], [0.75, 0.75]])
 _CONTRACT_AFTER = 8  # Newton steps after which each step must be shorter than the last
 _GRAD_TOL = 1e-8     # largest gradient norm of a point, relative to the field's scale
 
@@ -302,22 +355,23 @@ _GRAD_TOL = 1e-8     # largest gradient norm of a point, relative to the field's
 def find_critical_points(realization, u_thr=-math.inf, max_iter=40):
     """Locate, refine, classify, and threshold the critical points.
 
-    Newton iterations on the interpolated gradient start from four points
-    of every candidate cell (see :func:`_candidate_cells`); a walker settles
-    once its step is at most 1e-13 h.  Newton contracts on every step inside
-    a basin, so after ``_CONTRACT_AFTER`` steps a walker whose step does not
-    shrink is retired: it is cycling or at the roundoff floor.  The points
-    that pass the gradient test are deduplicated on the torus, classified by
-    the index rule of :func:`critfield.rice._inertia` and filtered by field
-    value.  Returns the points and a diagnostics dict: ``cells_flagged``
-    counts candidate cells, ``diverged`` counts walkers that left their leash
-    or met a singular Hessian, and ``stalled`` counts the other walkers that
-    stopped without settling.
+    Newton iterations on the interpolated gradient start in the sub-cells of
+    candidate cells that can hold a point (:func:`_candidate_cells`,
+    :func:`_starts`); a walker settles once its step is at most 1e-13 h.
+    Newton contracts on every step inside a basin, so after
+    ``_CONTRACT_AFTER`` steps a walker whose step does not shrink is retired:
+    it is cycling or at the roundoff floor.  The points that pass the
+    gradient test are deduplicated on the torus, classified by the index rule
+    of :func:`critfield.rice._inertia` and filtered by field value.  Returns
+    the points and a diagnostics dict: ``cells_flagged`` counts candidate
+    cells, ``starts`` walkers, ``diverged`` the walkers that left their leash
+    or met a singular Hessian, and ``stalled`` the others that stopped
+    without settling.
     """
     surface = FieldSurface(realization)
     h, extent = surface.h, realization.extent
     cells = _candidate_cells(surface, u_thr)
-    pts = ((cells[:, None, :] + _STARTS) * h).reshape(-1, 2)
+    pts = _starts(surface, cells, u_thr)
     start = pts.copy()
     alive = np.ones(pts.shape[0], dtype=bool)
     walking = alive.copy()
@@ -345,7 +399,8 @@ def find_critical_points(realization, u_thr=-math.inf, max_iter=40):
         stuck = (norm >= last[idx]) & (it >= _CONTRACT_AFTER)
         last[idx] = norm
         walking[idx[bad | (norm <= 1e-13 * h) | stuck]] = False
-    diagnostics = {"cells_flagged": len(cells), "diverged": int((~alive).sum()),
+    diagnostics = {"cells_flagged": len(cells), "starts": len(pts),
+                   "diverged": int((~alive).sum()),
                    "stalled": int((alive & (last > 1e-13 * h)).sum())}
 
     pts = np.mod(pts[alive], extent)

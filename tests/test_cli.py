@@ -195,6 +195,19 @@ class TestArtifacts:
         assert run_cli("report", "--out", str(tmp_path)) == 0
         assert (tmp_path / "report.csv").exists()
 
+    @pytest.mark.parametrize("fraction", [0.0, 0.25, None])
+    def test_report_keeps_opposite_det_fraction(self, tmp_path, fraction):
+        # a fraction of 0.0 is a result; only a missing one (no pairs) is NaN
+        with open(tmp_path / "simulate.json", "w") as fh:
+            json.dump({"opposite_det_fraction": fraction, "realizations": 4}, fh)
+        assert run_cli("report", "--out", str(tmp_path)) == 0
+        (row,) = read(tmp_path / "report.json")["rows"]
+        assert row[:2] == ["simulate", "opposite_det_fraction"] and row[3:] == [0, 4]
+        assert math.isnan(row[2]) if fraction is None else row[2] == fraction
+        with open(tmp_path / "report.csv") as fh:
+            row = fh.read().splitlines()[1].split(",")
+        assert row[2] == ("nan" if fraction is None else str(fraction))
+
 
 # the flag of every row of FIELDS (None: set otherwise) and a valid value
 # different from the default

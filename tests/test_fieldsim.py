@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from critfield import fieldsim
 from critfield.fieldsim import (_OFFSETS, CriticalPoint, EmbeddingError,
                                 FieldRealization, FieldSurface, GridSpec,
                                 _bezier_controls, _bspline_table, _candidate_cells,
@@ -152,9 +153,9 @@ class TestDeterministicSurface:
         assert np.abs(hess - exact.reshape(-1, 2, 2)).max() < 1e-2
 
     def test_no_walker_stalls(self, cos_field):
-        # every walker settles within 5 steps; cut off before that, some stall
+        # every walker settles within 4 steps; cut off before that, some stall
         assert find_critical_points(cos_field)[1]["stalled"] == 0
-        assert find_critical_points(cos_field, max_iter=4)[1]["stalled"] > 0
+        assert find_critical_points(cos_field, max_iter=3)[1]["stalled"] > 0
 
 
 def _bspline_weights_reference(frac, order):
@@ -193,10 +194,21 @@ class TestSplineKernels:
                                   (ref + 0.0).view(np.uint64))
 
     @staticmethod
-    def _check_value_bound(surface, thresholds):
-        # the full-grid hull test, thresholded afterwards, is the reference
+    def _reference_controls(surface):
+        """The (4, 4, n, n) value controls of every cell, from rolled coefficients."""
         ctrl = _bezier_controls([np.roll(surface.coeffs, -o, 0) for o in _OFFSETS])
-        ctrl = _bezier_controls([np.roll(ctrl, -o, 2) for o in _OFFSETS])
+        return _bezier_controls([np.roll(ctrl, -o, 2) for o in _OFFSETS])
+
+    @staticmethod
+    def _reference_flagged(ctrl):
+        def straddles(diff):
+            return (diff.min(axis=(0, 1)) <= 0.0) & (diff.max(axis=(0, 1)) >= 0.0)
+
+        return straddles(np.diff(ctrl, axis=0)) & straddles(np.diff(ctrl, axis=1))
+
+    def _check_value_bound(self, surface, thresholds):
+        # the full-grid hull test, thresholded afterwards, is the reference
+        ctrl = self._reference_controls(surface)
         flagged = _candidate_cells(surface)
         top = ctrl.max(axis=(0, 1))[flagged[:, 0], flagged[:, 1]]
         for u in thresholds:
@@ -206,6 +218,30 @@ class TestSplineKernels:
     def test_value_bound_drops_no_cell(self, gauss2, grid, seed):
         self._check_value_bound(FieldSurface(sample_field(gauss2, grid, seed=seed)),
                                 (0.0, 1.5, 2.5, 4.0))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 78, 834, 1108])
+    def test_hull_test_matches_rolled_reference(self, gauss2, grid, seed):
+        # the difference form and the stacked value controls flag the same cells
+        surface = FieldSurface(sample_field(gauss2, grid, seed=seed))
+        reference = np.argwhere(self._reference_flagged(self._reference_controls(surface)))
+        assert np.array_equal(_candidate_cells(surface), reference)
+
+    def test_hull_test_keeps_cells_of_known_points(self, cos_field):
+        # every critical point of cos x cos y sits on a grid node, where the
+        # difference form gives exact zeros and the stacked form roundoff, so
+        # it flags fewer cells; each point still lies in a flagged cell
+        surface = FieldSurface(cos_field)
+        flagged = _candidate_cells(surface)
+        assert len(flagged) == 73
+        assert self._reference_flagged(self._reference_controls(surface)).sum() == 89
+        node = np.pi / surface.h  # 16 cells
+        known = [(a * node / 2, b * node / 2) for a in range(8) for b in range(8)
+                 if a % 2 == b % 2]
+        assert len(known) == 32
+        for x, y in known:
+            corner = np.round([x, y]).astype(int)
+            touching = (corner - flagged) % surface.n
+            assert ((touching == 0) | (touching == 1)).all(axis=1).any()
 
     def test_value_bound_spans_the_whole_window(self, cos_field):
         # one unit coefficient: the 16 cells whose windows hold it bound their
@@ -226,7 +262,10 @@ class TestSplineKernels:
 # Newton step stops shrinking were retired: points per index (minima,
 # saddles, maxima) and the sums of their x and y coordinates.  834 has a
 # critical point in a cell whose corner gradients all share a sign; 78 and
-# 534095829 have two critical points in one cell.
+# 534095829 have two critical points in one cell.  A single Newton start per
+# quarter cell loses a point on 1108 (a saddle with Hessian eigenvalues
+# -0.057 and 5.39) and on 1138 (a maximum 0.188 h from a saddle): there the
+# walker in the root's quarter converges to the neighbouring root.
 HARD_SEEDS = {
     300: ((23, 43, 20), 466.4888287716306, 500.2568054077665),
     301: ((20, 43, 23), 500.2947560160826, 464.3687311347899),
@@ -242,11 +281,45 @@ HARD_SEEDS = {
     311: ((24, 49, 25), 562.136595020489, 555.5149714908167),
     78: ((28, 52, 24), 613.2209597036482, 588.5403992944497),
     834: ((25, 48, 23), 490.18833915465734, 556.4651214652527),
+    1108: ((23, 48, 25), 555.7130637618163, 527.6218962248839),
+    1138: ((23, 46, 23), 527.8099851878543, 505.36527553594635),
     534095829: ((23, 42, 19), 464.2230989811604, 464.89156697592796),
 }
 
 
+def _quarter_starts(surface, cells, u_thr):
+    """The former start rule: a walker at each quarter point of every flagged cell."""
+    quarters = np.array([[0.25, 0.25], [0.25, 0.75], [0.75, 0.25], [0.75, 0.75]])
+    return ((cells[:, None, :] + quarters) * surface.h).reshape(-1, 2)
+
+
+def _assert_same_points(got, expected, extent, tol):
+    """The same points, matched one to one by index and within ``tol`` on the torus."""
+    assert sorted(p.index for p in got) == sorted(p.index for p in expected)
+    if not got:
+        return
+    a, b = (np.array([p.position for p in pts]) for pts in (got, expected))
+    d = a[:, None] - b[None]
+    d -= extent * np.round(d / extent)
+    dist = np.linalg.norm(d, axis=-1)
+    nearest = dist.argmin(axis=1)
+    assert len(set(nearest.tolist())) == len(got)
+    assert dist[np.arange(len(got)), nearest].max() <= tol
+    assert [p.index for p in got] == [expected[k].index for k in nearest]
+
+
 class TestRandomFields:
+    @pytest.mark.parametrize("u", [-math.inf, 2.5])
+    def test_sub_cell_starts_match_quarter_points(self, gauss2, grid, monkeypatch, u):
+        # four walkers per flagged cell are the reference; the seeds include
+        # 1108 and 1138, where one walker per quarter cell loses a point
+        fields = [sample_field(gauss2, grid, seed=s) for s in range(1100, 1140)]
+        found = [find_critical_points(field, u_thr=u)[0] for field in fields]
+        monkeypatch.setattr(fieldsim, "_starts", _quarter_starts)
+        for field, points in zip(fields, found):
+            reference = find_critical_points(field, u_thr=u)[0]
+            _assert_same_points(points, reference, field.extent, 1e-10 * grid.spacing)
+
     @pytest.mark.parametrize("seed", HARD_SEEDS)
     def test_hard_seed_output_pinned(self, gauss2, grid, seed):
         # the retirement rule loses no point and moves none by 1e-10
