@@ -24,8 +24,8 @@ from .rice import (ProjectionDiag, RiceEstimate, hessian_index, index_ratio_mc,
                    sign_ratio)
 from .spectral import (LimitPolynomial, SpectralExpansion, SpectrumCatalogue,
                        bv_determinant, eigenpath, factor_at, h_matrix, h_r,
-                       limit_polynomial, ordered_eigendecomposition,
-                       perm_symmetrized_bv, scaling_class, spectrum_sigma0)
+                       limit_polynomial, perm_symmetrized_bv, scaling_class,
+                       spectrum_sigma0)
 from .symmetric import matriculate, tau_index, vectorize_sym
 
 __version__ = "0.1.0"

@@ -40,18 +40,20 @@ def write_json(path, payload):
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=_coerce)
+        json.dump(_plain(payload), fh, indent=2, sort_keys=True)
     return path
 
 
-def _coerce(obj):
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, float) and obj != obj:
-        return None
-    raise TypeError(f"cannot serialize {type(obj)}")
+def _plain(obj):
+    """``obj`` with NumPy values as Python ones and each NaN as None: ``json``
+    writes a float NaN as the bare token ``NaN``, which is not JSON."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        return {key: _plain(val) for key, val in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(val) for val in obj]
+    return None if isinstance(obj, float) and obj != obj else obj
 
 
 def write_csv(path, header, rows):

@@ -42,7 +42,7 @@ from numpy.polynomial.legendre import leggauss
 from .covariance import (OracleConvergenceError, _g22_origin, conditional_covariance,
                          sigma_expansion)
 from .io import SCHEMA
-from .spectral import ordered_eigendecomposition
+from .spectral import factor_at
 from .symmetric import matriculate, matriculate_batch, vech_indices
 
 __all__ = [
@@ -123,7 +123,8 @@ class ProjectionDiag:
 
     @property
     def negative_count(self):
-        tol = 1e-10 * max(np.abs(self.hessian_eigs).max(), 1.0)
+        """Negative eigenvalues by :func:`hessian_index`'s ``DEGEN_TOL`` rule."""
+        tol = DEGEN_TOL * np.linalg.norm(self.hessian_eigs)
         return int((self.hessian_eigs < -tol).sum())
 
 
@@ -235,19 +236,23 @@ def _inertia(packed, n_dim):
 # factors, shifts, and the closed-form prefactor
 # ---------------------------------------------------------------------------
 
+def _sym_root(sigma):
+    """The symmetric nonnegative square root V Lambda^{1/2} V^T of sigma."""
+    lam, vec = np.linalg.eigh(sigma)
+    return (vec * np.sqrt(np.clip(lam, 0.0, None))[None, :]) @ vec.T
+
+
 def _factor_matrix(model, r, flip):
     """A factor M with M M^T = Sigma(r u) along the axis direction u, and Sigma.
 
-    With ``flip``, M = P Lambda^{1/2} from the ordered eigendecomposition,
-    whose last N+1 columns are the kernel coordinates that the flip pairing
-    negates; otherwise the symmetric nonnegative square root, which is
-    continuous in r.  The two differ by an orthogonal right factor, so the
-    induced laws agree.
+    With ``flip``, M is :func:`~critfield.spectral.factor_at`'s factor, whose
+    last N+1 columns continue ker Sigma0 through every eigenvalue crossing:
+    they are the kernel coordinates that the flip pairing negates.
+    Otherwise M is the symmetric root.  The two differ by an orthogonal right
+    factor, so the induced laws agree.
     """
     sigma = conditional_covariance(model, r).sigma
-    lam, vec = ordered_eigendecomposition(sigma)
-    root = vec * np.sqrt(np.clip(lam, 0.0, None))[None, :]
-    return (root if flip else root @ vec.T), sigma
+    return (factor_at(model, r) if flip else _sym_root(sigma)), sigma
 
 
 def _projection_from(sigma, factor, u_thr):
@@ -291,8 +296,7 @@ def projection_point(model, r, u_thr):
         sigma, _ = sigma_expansion(model)
     else:
         sigma = conditional_covariance(model, r).sigma
-    lam, vec = np.linalg.eigh(sigma)
-    root = (vec * np.sqrt(np.clip(lam, 0.0, None))[None, :]) @ vec.T
+    root = _sym_root(sigma)
     which, y_hat = _projection_from(sigma, root, u_thr)
     hess = matriculate(root @ y_hat, model.n_dim)
     return ProjectionDiag(
@@ -542,8 +546,8 @@ def index_ratio_mc(model, r, u_thr, num_indices, den_indices, n=2_000_000, seed=
     Numerator and denominator share every sample, so the prefactor and the
     overall normalization cancel exactly; the error bar is the delta-method
     standard error at the antithetic-pair level.  ``antithetic="flip"``
-    (which takes the eigen-factor so the kernel coordinates are the last
-    N+1) pairs each sample with its class-swapping reflection and resolves
+    (which takes ``factor_at``'s factor, whose last N+1 columns continue the
+    kernel) pairs each sample with its class-swapping reflection and resolves
     the small systematic deviation of sign ratios far below plain-sampling
     noise.
     """
@@ -597,8 +601,7 @@ def mean_critical_density(model, k=None, n=500_000, seed=0):
         _check_n(n)
         return RiceEstimate(0.0, 0.0, int(n), int(seed), k, 0.0, -math.inf)
     t0 = time.perf_counter()
-    lam, vec = np.linalg.eigh(_g22_origin(model.d2, n_dim))
-    root = vec * np.sqrt(np.clip(lam, 0.0, None))[None, :]
+    root = _sym_root(_g22_origin(model.d2, n_dim))
     p_grad0 = (-4.0 * math.pi * model.d1) ** (-n_dim / 2.0)
     sel = tuple(range(n_dim + 1)) if k is None else (int(k),)
     acc = _accumulate(model, root, None, n, seed, STREAMS["unconditional"], None, None, sel)

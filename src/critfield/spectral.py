@@ -28,7 +28,6 @@ __all__ = [
     "DEFAULT_R_GRID",
     "EigenvalueCollisionError",
     "EigenpathError",
-    "ordered_eigendecomposition",
     "SpectrumCatalogue",
     "spectrum_sigma0",
     "h_matrix",
@@ -60,46 +59,6 @@ class EigenvalueCollisionError(RuntimeError):
 
 class EigenpathError(RuntimeError):
     """Continuity of the eigenpath could not be maintained across the grid."""
-
-
-def ordered_eigendecomposition(mat):
-    """Eigenvalues in descending order with a deterministic eigenvector gauge.
-
-    Within numerically equal eigenvalues (gap below ``TIE_TOL`` times
-    the trace scale) columns are sign-normalized (first significant
-    coordinate positive) and ordered lexicographically, so repeated calls and
-    different platforms produce the same matrix.  The eigenvector basis
-    inside a degenerate block is still only determined up to rotation.
-    """
-    mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError("expected a square matrix")
-    asym = np.abs(mat - mat.T).max()
-    if asym > 1e-10 * max(np.abs(mat).max(), 1.0):
-        raise ValueError(f"matrix is not symmetric (asymmetry {asym:.3e})")
-    lam, vec = np.linalg.eigh(0.5 * (mat + mat.T))
-    lam = lam[::-1].copy()
-    vec = vec[:, ::-1].copy()
-    tol = TIE_TOL * max(abs(float(np.trace(mat))), 1.0)
-    i = 0
-    n = lam.shape[0]
-    while i < n:
-        j = i + 1
-        while j < n and abs(lam[j] - lam[i]) <= tol:
-            j += 1
-        block = vec[:, i:j]
-        for c in range(block.shape[1]):
-            col = block[:, c]
-            nz = np.nonzero(np.abs(col) > 1e-8)[0]
-            if nz.size and col[nz[0]] < 0:
-                block[:, c] = -col
-        if j - i > 1:
-            order = np.lexsort(np.round(block, 12)[::-1])[::-1]
-            vec[:, i:j] = block[:, order]
-        else:
-            vec[:, i:j] = block
-        i = j
-    return lam, vec
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,4 @@
 import json
-import math
 
 import numpy as np
 import pytest
@@ -203,10 +202,23 @@ class TestArtifacts:
         assert run_cli("report", "--out", str(tmp_path)) == 0
         (row,) = read(tmp_path / "report.json")["rows"]
         assert row[:2] == ["simulate", "opposite_det_fraction"] and row[3:] == [0, 4]
-        assert math.isnan(row[2]) if fraction is None else row[2] == fraction
+        assert row[2] == fraction  # a missing fraction is NaN, written as null
         with open(tmp_path / "report.csv") as fh:
             row = fh.read().splitlines()[1].split(",")
         assert row[2] == ("nan" if fraction is None else str(fraction))
+
+    def test_report_json_is_strict_json(self, tmp_path):
+        # NaN has no JSON token, so the report writes it as null
+        with open(tmp_path / "simulate.json", "w") as fh:
+            json.dump({"opposite_det_fraction": None, "realizations": 4}, fh)
+        assert run_cli("report", "--out", str(tmp_path)) == 0
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        with open(tmp_path / "report.json") as fh:
+            (row,) = json.load(fh, parse_constant=reject)["rows"]
+        assert row[2] is None
 
 
 # the flag of every row of FIELDS (None: set otherwise) and a valid value

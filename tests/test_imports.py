@@ -5,14 +5,15 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# The torus path, the spectrum and hpoly commands and the finite-r factor run
-# on numpy alone; scipy.special arrives with the quadrature.
+# The torus path, the spectrum and hpoly commands, the finite-r factor and a
+# flip-paired ratio run on numpy alone; scipy.special arrives with the quadrature.
 COLD_START = """
 import sys, tempfile
 import numpy as np
 import critfield, critfield.cli
-from critfield import (GridSpec, find_critical_points, gaussian_model, h_r, pair_statistics,
-                       rice_density_quadrature, sample_field)
+from critfield import (GridSpec, find_critical_points, gaussian_model, h_r, maxima_share,
+                       pair_statistics, rice_density_quadrature, sample_field)
+from critfield.rice import CHUNK
 model = gaussian_model(2)
 field = sample_field(model, GridSpec(n=32, spacing=11.3 / 32), seed=0)
 points, _ = find_critical_points(field)
@@ -23,6 +24,8 @@ with tempfile.TemporaryDirectory() as out:
         assert critfield.cli.main([command, "--N", "3", "--out", out]) == 0
 y = np.ones(8) / np.sqrt(8.0)
 assert np.isfinite(h_r(gaussian_model(3), 0.3, y))  # past an eigenvalue crossing
+assert 0.0 <= maxima_share(gaussian_model(3), 0.02, 4.0, n=CHUNK, seed=1,
+                          antithetic="flip").value <= 1.0
 loaded = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
 assert not loaded, loaded[:5]
 rice_density_quadrature(model, 0.5, 0.0, 2)

@@ -3,6 +3,7 @@ import multiprocessing
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from scipy.special import ndtr, owens_t
 import critfield.rice as rice_mod
 from critfield.covariance import (OracleConvergenceError, _g22_origin,
                                   conditional_covariance)
-from critfield.models import gaussian_model
+from critfield.models import cauchy_model, gaussian_model
 from critfield.rice import (InsufficientSamplesError, hessian_index,
                             index_ratio_mc, maxima_share,
                             mean_critical_density, projection_point, psi_ratio,
@@ -250,8 +251,7 @@ class TestRatios:
         parts, shift = (1 if antithetic is None else 2), None
         if estimator == "unconditional":
             est = mean_critical_density(model, k=None, n=n, seed=1)
-            lam, vec = np.linalg.eigh(_g22_origin(model.d2, n_dim))
-            factor = vec * np.sqrt(np.clip(lam, 0.0, None))
+            factor = rice_mod._sym_root(_g22_origin(model.d2, n_dim))
             scale = (-4.0 * math.pi * model.d1) ** (-n_dim / 2.0)
         else:
             if estimator == "share":
@@ -407,6 +407,35 @@ class TestProjection:
     def test_requires_positive_threshold(self, gauss2):
         with pytest.raises(ValueError):
             projection_point(gauss2, 0.5, 0.0)
+
+    def test_negative_count_is_scale_free(self, gauss3):
+        # the count follows hessian_index's rule, relative to ||H||_F
+        diag = projection_point(gauss3, 0.2, 1.0)
+        tiny = replace(diag, hessian_eigs=1e-12 * diag.hessian_eigs)
+        assert tiny.negative_count == diag.negative_count >= gauss3.n_dim - 1
+
+
+def test_factor_matrix_follows_the_kernel():
+    # the flip pairing negates the flip factor's last N+1 columns; these
+    # continue ker Sigma0 past the eigenvalue crossings, so the negation
+    # still swaps the determinant sign in most pairs (all of them as r -> 0)
+    ys = np.random.default_rng(19).standard_normal((20_000, 5))
+    flipped = ys.copy()
+    flipped[:, 2:] *= -1.0  # L = 5 at N=2, the last N+1 = 3 columns
+    for model, r in ((cauchy_model(2), 0.1), (cauchy_model(2), 0.3), (gaussian_model(2), 0.3)):
+        factor, _ = rice_mod._factor_matrix(model, r, True)
+        det, det_flipped = (np.linalg.det(matriculate_batch(y @ factor.T, 2))
+                            for y in (ys, flipped))
+        assert np.mean(det * det_flipped < 0) >= 0.6
+    # both branches root Sigma(r); the negate pairing's root is symmetric
+    for model in (gaussian_model(n_dim) for n_dim in (2, 3, 4)):
+        for r in (0.02, 0.3):
+            for flip in (True, False):
+                factor, sigma = rice_mod._factor_matrix(model, r, flip)
+                scale = np.abs(sigma).max()
+                assert np.abs(factor @ factor.T - sigma).max() <= 1e-12 * scale
+                if not flip:
+                    assert np.abs(factor - factor.T).max() <= 1e-12 * math.sqrt(scale)
 
 
 def test_mean_critical_density_total_partition(gauss2):

@@ -3,55 +3,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from critfield.covariance import conditional_covariance, sigma_expansion
 from critfield.models import (RadialModel, cauchy_model, find_rescaling,
                               gaussian_model, rescale)
 from critfield.spectral import (EigenvalueCollisionError, LimitPolynomial,
                                 bv_determinant, eigenpath, factor_at, h_matrix, h_r,
-                                limit_polynomial, ordered_eigendecomposition,
-                                perm_symmetrized_bv, scaling_class,
-                                spectrum_sigma0)
+                                limit_polynomial, perm_symmetrized_bv,
+                                scaling_class, spectrum_sigma0)
 from critfield.symmetric import (matriculate, matriculate_batch, tau_index,
                                  vectorize_sym)
-
-
-class TestOrderedEigendecomposition:
-    def test_identity_canonical(self):
-        lam, vec = ordered_eigendecomposition(np.eye(4))
-        assert np.array_equal(lam, np.ones(4))
-        assert np.array_equal(vec, np.eye(4))
-
-    def test_descending_and_reconstruction(self, rng):
-        mat = rng.normal(size=(8, 8))
-        mat = mat @ mat.T
-        lam, vec = ordered_eigendecomposition(mat)
-        assert np.all(np.diff(lam) <= 1e-12)
-        assert np.linalg.norm(vec @ np.diag(lam) @ vec.T - mat) < 1e-10 * np.linalg.norm(mat)
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
-    def test_reconstruction_property(self, seed):
-        local = np.random.default_rng(seed)
-        mat = local.normal(size=(6, 6))
-        mat = mat @ mat.T
-        lam, vec = ordered_eigendecomposition(mat)
-        assert np.linalg.norm(vec @ np.diag(lam) @ vec.T - mat) < 1e-10 * max(
-            np.linalg.norm(mat), 1.0
-        )
-        assert np.allclose(vec.T @ vec, np.eye(6), atol=1e-12)
-
-    def test_rejects_nonsymmetric(self, rng):
-        with pytest.raises(ValueError):
-            ordered_eigendecomposition(rng.normal(size=(4, 4)))
-
-    def test_deterministic_on_degenerate(self):
-        mat = np.diag([2.0, 2.0, 1.0])
-        lam1, vec1 = ordered_eigendecomposition(mat)
-        lam2, vec2 = ordered_eigendecomposition(mat.copy())
-        assert np.array_equal(vec1, vec2)
 
 
 class TestSpectrumCatalogue:
@@ -134,7 +95,7 @@ class TestLimitEigenvectors:
         # every eigenvector of a nonzero eigenvalue has equal field entries
         # and vanishes on the packed (i, N) positions
         s0, _ = sigma_expansion(gauss4)
-        lam, vec = ordered_eigendecomposition(s0)
+        lam, vec = np.linalg.eigh(s0)
         L = gauss4.cond_dim
         n = gauss4.n_dim
         for i in range(L):
@@ -148,7 +109,7 @@ class TestLimitEigenvectors:
     def test_distinguished_eigenvector_shape(self, gauss4):
         # the two simple eigenvalues carry diag-x / field-y vectors, both parts live
         s0, _ = sigma_expansion(gauss4)
-        lam, vec = ordered_eigendecomposition(s0)
+        lam, vec = np.linalg.eigh(s0)
         cat = spectrum_sigma0(gauss4)
         n, L = gauss4.n_dim, gauss4.cond_dim
         for target in (cat.lambda_plus, cat.lambda_minus):
