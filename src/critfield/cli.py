@@ -66,10 +66,15 @@ class RunConfig:
             raise ConfigError(f"unknown command {self.command!r}")
         if not self.r_list:
             raise ConfigError("r list must be nonempty")
+        if not all(r > 0 for r in self.r_list):
+            raise ConfigError("every r must be positive")
         if not self.u_list:
             raise ConfigError("u list must be nonempty")
         if self.mc_n < 1:
             raise ConfigError("mc.n must be positive")
+        for name in ("sim_grid", "sim_spacing", "sim_realizations", "sim_eps"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"sim.{name[4:]} must be positive")
         if self.out_format not in ("json", "csv"):
             raise ConfigError("format must be json or csv")
         if self.n_dim < 2:
@@ -236,7 +241,7 @@ def cmd_sigma(cfg):
     for r in cfg.r_list:
         cc = conditional_covariance(model, r)
         records["sigma_r"].append(
-            cfio.matrix_record(cc.sigma, model.n_dim, r=r, u=cc.direction)
+            cfio.matrix_record(cc.sigma, model.n_dim, r=r, u=model.axis_direction())
         )
         if cfg.verify:
             oracle = conditional_covariance_oracle(model, r)
@@ -414,6 +419,9 @@ def run(config):
             EigenpathError, InsufficientSamplesError, EmbeddingError) as exc:
         print(f"numerical contract failure: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:  # the library's own input checks, such as the grid extent
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
     if code == 0:
         print(f"done in {time.perf_counter() - t0:.2f}s")
     return code

@@ -3,13 +3,14 @@ Exact covariance machinery for the conditioned second-order structure.
 
 The central object is the L x L covariance matrix Sigma(t), L = N(N+1)/2 + 2,
 of (vech Hessian at t, field at t, field at 0) given that the gradient
-vanishes at both t and 0.  It is assembled in closed form from the radial
-profile's derivatives, and independently by a generic Schur complement of the
-full joint covariance whose entries come from rho alone, through one
-trapezoidal Cauchy-integral rule on a circle in the complex plane; the two
-routes cross-check each other, and the second reports its own error
-estimate.  The r -> 0 expansion Sigma = Sigma0 + Sigma2 r^2 + o(r^2) is also
-provided in closed form.
+vanishes at both t and 0, with t = r e_N on the last axis: the field is
+isotropic, so every other direction is a rotation of this one.  It is
+assembled in closed form from the radial profile's derivatives, and
+independently by a generic Schur complement of the full joint covariance
+whose entries come from rho alone, through one trapezoidal Cauchy-integral
+rule on a circle in the complex plane; the two routes cross-check each
+other, and the second reports its own error estimate.  The r -> 0 expansion
+Sigma = Sigma0 + Sigma2 r^2 + o(r^2) is also provided in closed form.
 """
 
 from dataclasses import dataclass, field
@@ -17,8 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import numpy.polynomial.polynomial as P
 
-from .models import RadialModel
-from .symmetric import matriculate, vech_indices, vech_len
+from .symmetric import vech_indices
 
 __all__ = [
     "CondCov",
@@ -49,10 +49,10 @@ class OracleConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class CondCov:
-    """Conditional covariance Sigma(r u) with its provenance.
+    """Conditional covariance Sigma(r e_N) with its provenance.
 
-    ``sigma`` is ordered as (vech Hessian at ru, X(ru), X(0)); the last two
-    rows/columns are the field values at the two points.  ``error_estimate``
+    ``sigma`` is ordered as (vech Hessian at r e_N, X(r e_N), X(0)); the last
+    two rows/columns are the field values at the two points.  ``error_estimate``
     is the oracle's estimate of max|sigma - exact| (see
     :func:`conditional_covariance_oracle`); it is None for the closed form.
     """
@@ -60,8 +60,6 @@ class CondCov:
     n_dim: int
     L: int
     sigma: np.ndarray
-    t_norm: float
-    direction: np.ndarray
     error_estimate: float | None = None
 
     def eigenvalues(self):
@@ -218,18 +216,6 @@ def cov_partials(model, t, multi_index):
 # closed-form conditional covariance
 # ---------------------------------------------------------------------------
 
-def _resolve_direction(model, u):
-    if u is None:
-        return model.axis_direction()
-    u = np.asarray(u, dtype=float)
-    if u.shape != (model.n_dim,):
-        raise ValueError(f"direction must have shape ({model.n_dim},)")
-    nrm = np.linalg.norm(u)
-    if abs(nrm - 1.0) > 1e-9:
-        raise ValueError(f"direction must be a unit vector, got norm {nrm}")
-    return u
-
-
 def _g22_origin(d2, n_dim):
     """Hessian-Hessian block at one point, over pairs of vech positions."""
     rows, cols = vech_indices(n_dim)
@@ -242,8 +228,8 @@ def _g22_origin(d2, n_dim):
     return 4.0 * d2 * dd
 
 
-def conditional_covariance(model, r, u=None):
-    """Sigma(r u) assembled from the closed-form blocks.
+def conditional_covariance(model, r):
+    """Sigma(r e_N) assembled from the closed-form blocks.
 
     Raises :class:`SingularConditioningError` when the gradient-gradient
     block cannot be inverted (1 - k1^2 <= 0 or 1 - k*^2 <= 0), which the
@@ -251,10 +237,9 @@ def conditional_covariance(model, r, u=None):
     """
     if not r > 0:
         raise ValueError("r must be positive; use sigma_expansion for the r=0 limit")
-    u = _resolve_direction(model, u)
     n, m = model.n_dim, model.vech_dim
     L = m + 2
-    t = r * u
+    t = r * model.axis_direction()
     x = r * r
     d10 = model.d1
     p0, p1, p2 = model.rho(x), model.rho_d1(x), model.rho_d2(x)
@@ -304,11 +289,11 @@ def conditional_covariance(model, r, u=None):
     if asym > 1e-12 * max(np.abs(sigma).max(), 1.0):
         raise AssertionError(f"assembled covariance asymmetric by {asym}")
     sigma = 0.5 * (sigma + sigma.T)
-    return CondCov(n_dim=n, L=L, sigma=sigma, t_norm=r, direction=u)
+    return CondCov(n_dim=n, L=L, sigma=sigma)
 
 
-def conditional_covariance_oracle(model, r, u=None):
-    """Independent route to Sigma(r u): joint covariance + generic Schur.
+def conditional_covariance_oracle(model, r):
+    """Independent route to Sigma(r e_N): joint covariance + generic Schur.
 
     The joint covariance of (vech Hessian at t, X(t), X(0), grad X(t),
     grad X(0)) is filled from partial derivatives of R(t) = rho(||t||^2),
@@ -344,10 +329,9 @@ def conditional_covariance_oracle(model, r, u=None):
     """
     if not r > 0:
         raise ValueError("r must be positive")
-    u = _resolve_direction(model, u)
     n, m = model.n_dim, model.vech_dim
     L = m + 2
-    t = r * u
+    t = r * model.axis_direction()
     c = 0.5 * r * r
     coefs, coefs_half, rad = _taylor(model.rho, c, reach=c)
 
@@ -389,13 +373,12 @@ def conditional_covariance_oracle(model, r, u=None):
     sigma, roundoff = schur(coefs)
     sigma_half, _ = schur(coefs_half)
     estimate = float(np.abs(sigma - sigma_half).max() + roundoff)
-    return CondCov(n_dim=n, L=L, sigma=sigma, t_norm=r, direction=u,
-                   error_estimate=estimate)
+    return CondCov(n_dim=n, L=L, sigma=sigma, error_estimate=estimate)
 
 
-def sigma_expansion(model, u=None):
-    """Closed-form coefficients (Sigma0, Sigma2) of Sigma(ru) = Sigma0 + Sigma2 r^2 + o(r^2)."""
-    u = _resolve_direction(model, u)
+def sigma_expansion(model):
+    """Closed-form (Sigma0, Sigma2) of Sigma(r e_N) = Sigma0 + Sigma2 r^2 + o(r^2)."""
+    u = model.axis_direction()
     n, m = model.n_dim, model.vech_dim
     L = m + 2
     d1, d2 = model.d1, model.d2
@@ -567,7 +550,7 @@ def check_qualified(model):
     for frac in PROBE_RADII:
         r = frac * model.validity_radius
         try:
-            cc = conditional_covariance(model, r, u0)
+            cc = conditional_covariance(model, r)
         except SingularConditioningError:
             ok = False
             worst = -np.inf

@@ -348,11 +348,12 @@ def _close_pairs(pts, radius, extent):
     return pairs[order], dist[order]
 
 
+_MAX_STEPS = 40      # Newton steps of a walker at most
 _CONTRACT_AFTER = 8  # Newton steps after which each step must be shorter than the last
 _GRAD_TOL = 1e-8     # largest gradient norm of a point, relative to the field's scale
 
 
-def find_critical_points(realization, u_thr=-math.inf, max_iter=40):
+def find_critical_points(realization, u_thr=-math.inf):
     """Locate, refine, classify, and threshold the critical points.
 
     Newton iterations on the interpolated gradient start in the sub-cells of
@@ -366,7 +367,7 @@ def find_critical_points(realization, u_thr=-math.inf, max_iter=40):
     the points and a diagnostics dict: ``cells_flagged`` counts candidate
     cells, ``starts`` walkers, ``diverged`` the walkers that left their leash
     or met a singular Hessian, and ``stalled`` the others that stopped
-    without settling.
+    without settling, by the contraction test or after ``_MAX_STEPS`` steps.
     """
     surface = FieldSurface(realization)
     h, extent = surface.h, realization.extent
@@ -376,7 +377,7 @@ def find_critical_points(realization, u_thr=-math.inf, max_iter=40):
     alive = np.ones(pts.shape[0], dtype=bool)
     walking = alive.copy()
     last = np.full(pts.shape[0], np.inf)  # each walker's latest step length
-    for it in range(max_iter):
+    for it in range(_MAX_STEPS):
         idx = np.flatnonzero(walking)
         if idx.size == 0:
             break

@@ -639,6 +639,9 @@ def _bvn_survival(lo1, lo2, rho):
 
 
 QUAD_RTOL = 1e-3        # largest accepted error estimate, relative to the class integral
+N_RAD = 64              # radial nodes of every rule
+T_START = 24            # tau/rho nodes of the first rule
+MAX_T_DOUBLINGS = 3     # tau/rho rules tried: T_START * 2^j for j = 0..MAX_T_DOUBLINGS
 PHI_START = 128         # angular nodes of the first rule
 MAX_PHI_DOUBLINGS = 6   # angular rules tried: PHI_START * 2^j for j = 0..MAX_PHI_DOUBLINGS
 PHI_BLOCK = 64          # angular nodes evaluated at once, which bounds the memory
@@ -703,47 +706,54 @@ def _cone_rows(frame, u_thr, k, n_rad, n_t, psi):
     return weight @ radial * dphi / math.sqrt((2.0 * math.pi) ** 3 * scales.prod())
 
 
-def _cone_integral(frame, u_thr, k, n_rad, n_t):
+def _cone_integral(frame, u_thr, k):
     """Integral of |det| P(both values > u | h) over index class k.
 
     A periodic trapezoid in psi, doubled from PHI_START nodes by adding the
-    midpoints.  The estimate adds the differences to the half-node angular
-    rule and to the half-node radial and nu rule.  Returns (value, estimate,
-    evaluations); raises OracleConvergenceError when it still exceeds QUAD_RTOL
-    * |value| after MAX_PHI_DOUBLINGS, or as soon as its radial part does.
+    midpoints, on N_RAD radial and n_t tau/rho (nu) nodes.  The estimate adds
+    the differences to the half-node angular rule and to the half-node radial
+    and nu rule.  More angular nodes cannot shrink that radial part, so while
+    it exceeds QUAD_RTOL * |value| the rule starts over with n_t doubled from
+    T_START.  Returns (value, estimate, evaluations of every rule tried);
+    raises OracleConvergenceError after MAX_PHI_DOUBLINGS or MAX_T_DOUBLINGS.
     """
-    rules = ((n_rad, n_t), (n_rad // 2, n_t // 2))
+    evals = 0
+    for n_t in (T_START * 2 ** j for j in range(MAX_T_DOUBLINGS + 1)):
+        rules = ((N_RAD, n_t), (N_RAD // 2, n_t // 2))
 
-    def sums(psi):  # both rules, evaluated PHI_BLOCK angular nodes at a time
-        return np.array([sum(_cone_rows(frame, u_thr, k, nr, nt, psi[i:i + PHI_BLOCK]).sum()
-                             for i in range(0, psi.size, PHI_BLOCK)) for nr, nt in rules])
+        def sums(psi):  # both rules, evaluated PHI_BLOCK angular nodes at a time
+            return np.array([sum(_cone_rows(frame, u_thr, k, nr, nt, psi[i:i + PHI_BLOCK]).sum()
+                                 for i in range(0, psi.size, PHI_BLOCK)) for nr, nt in rules])
 
-    n_phi = PHI_START // 2
-    total = sums(2.0 * math.pi * np.arange(n_phi) / n_phi)
-    for _ in range(MAX_PHI_DOUBLINGS + 1):
-        coarse = total[0] * 2.0 * math.pi / n_phi
-        total = total + sums(2.0 * math.pi * (np.arange(n_phi) + 0.5) / n_phi)
-        n_phi *= 2
-        value, half_radial = total * 2.0 * math.pi / n_phi
-        angular, radial = abs(value - coarse), abs(value - half_radial)
-        if angular + radial <= QUAD_RTOL * abs(value):
-            return value, angular + radial, n_phi * sum(nr * nt for nr, nt in rules)
-        if radial > QUAD_RTOL * abs(value):  # more angular nodes cannot shrink it
+        n_phi = PHI_START // 2
+        total = sums(2.0 * math.pi * np.arange(n_phi) / n_phi)
+        for _ in range(MAX_PHI_DOUBLINGS + 1):
+            coarse = total[0] * 2.0 * math.pi / n_phi
+            total = total + sums(2.0 * math.pi * (np.arange(n_phi) + 0.5) / n_phi)
+            n_phi *= 2
+            value, half_radial = total * 2.0 * math.pi / n_phi
+            angular, radial = abs(value - coarse), abs(value - half_radial)
+            if angular + radial <= QUAD_RTOL * abs(value):
+                return value, angular + radial, evals + n_phi * sum(nr * nt for nr, nt in rules)
+            if radial > QUAD_RTOL * abs(value):  # more angular nodes cannot shrink it
+                break
+        else:  # the angular part missed, which more nu nodes cannot mend
             break
+        evals += n_phi * sum(nr * nt for nr, nt in rules)
     raise OracleConvergenceError(
         f"N=2 quadrature of index {k} at u={u_thr:g}: estimate {angular:.2e} (angular) + "
-        f"{radial:.2e} (radial) > {QUAD_RTOL:g} * |{value:.6e}| at {n_phi}/{n_rad}/{n_t} nodes")
+        f"{radial:.2e} (radial) > {QUAD_RTOL:g} * |{value:.6e}| at {n_phi}/{N_RAD}/{n_t} nodes")
 
 
-def rice_density_quadrature(model, r, u_thr, k, n_rad=64, n_t=24):
+def rice_density_quadrature(model, r, u_thr, k):
     """Deterministic quadrature oracle for the N=2 density of index ``k``.
 
     One rule over the quadric cone det = 0 serves every class: whitened, the
     saddles fill its inside, each definite class one nappe of its outside,
     and |det| vanishes on the cone, so the integrand is smooth on each
-    (Azais & Wschebor 2009, ch. 6).  ``n_rad`` and ``n_t`` are the radial and
-    tau/rho nodes; ``stderr`` is the error estimate, below QUAD_RTOL of the
-    value or OracleConvergenceError is raised.  ``k=None`` sums the classes.
+    (Azais & Wschebor 2009, ch. 6).  ``stderr`` is the error estimate, below
+    QUAD_RTOL of the value or OracleConvergenceError is raised; the tau/rho
+    nodes double while its radial part misses.  ``k=None`` sums the classes.
     Shares only Sigma(r) and the prefactor with the Monte Carlo path.
     """
     if model.n_dim != 2:
@@ -751,7 +761,7 @@ def rice_density_quadrature(model, r, u_thr, k, n_rad=64, n_t=24):
     if k not in (0, 1, 2, None):
         raise ValueError("k must be one of 0, 1, 2, or None")
     frame = _cone_frame(conditional_covariance(model, r).sigma, u_thr)
-    raw, err, evals = map(sum, zip(*(_cone_integral(frame, u_thr, c, n_rad, n_t)
+    raw, err, evals = map(sum, zip(*(_cone_integral(frame, u_thr, c)
                                      for c in ((0, 1, 2) if k is None else (k,)))))
     pref = _prefactor(model, r, u_thr)
     return RiceEstimate(pref * raw, pref * err, evals, 0, k, float(r), float(u_thr))

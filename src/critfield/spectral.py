@@ -198,18 +198,18 @@ def _tie_blocks(values):
     return blocks, np.concatenate([np.full(blk.size, values[blk].mean()) for blk in blocks])
 
 
-def _closed_form_basis(model, u=None):
-    """Orthonormal basis of the r -> 0 eigenstructure of Sigma(ru), block by block.
+def _closed_form_basis(model):
+    """Orthonormal basis of the r -> 0 eigenstructure of Sigma(r e_N), block by block.
 
-    The rank blocks are the tied eigenvalues of Sigma0; along the axis
-    direction they are the catalogue's blocks.  The kernel ker Sigma0 =
-    span Q splits by the tied eigenvalues of Q^T Sigma2 Q: by first-order
-    degenerate perturbation theory these are the exact r^2 curvatures of the
-    small eigenvalues.  The last block, the field difference, has curvature
-    exactly 0 (its eigenvalue is O(r^4)).  Blocks come in descending order,
-    which is the descending order of Sigma(r) for small r.
+    The rank blocks are the tied eigenvalues of Sigma0, the catalogue's
+    blocks (:func:`spectrum_sigma0`).  The kernel ker Sigma0 = span Q splits
+    by the tied eigenvalues of Q^T Sigma2 Q: by first-order degenerate
+    perturbation theory these are the exact r^2 curvatures of the small
+    eigenvalues.  The last block, the field difference, has curvature exactly
+    0 (its eigenvalue is O(r^4)).  Blocks come in descending order, which is
+    the descending order of Sigma(r) for small r.
     """
-    s0, s2 = sigma_expansion(model, u)
+    s0, s2 = sigma_expansion(model)
     lam, vec = np.linalg.eigh(s0)
     lam, vec = lam[::-1], vec[:, ::-1]
     rank = model.cond_dim - model.n_dim - 1
@@ -305,26 +305,26 @@ class SpectralExpansion:
         }
 
 
-def factor_at(model, r, u=None):
-    """Factor A(r) = P(r) Lambda(r)^{1/2} of Sigma(ru), with A(r) A(r)^T =
-    Sigma(ru), in the closed-form gauge.  An eigenbasis that does not
+def factor_at(model, r):
+    """Factor A(r) = P(r) Lambda(r)^{1/2} of Sigma(r e_N), with A(r) A(r)^T =
+    Sigma(r e_N), in the closed-form gauge.  An eigenbasis that does not
     continue the closed-form blocks raises :class:`EigenpathError`."""
-    basis = _closed_form_basis(model, u)
-    sig = conditional_covariance(model, r, u).sigma
+    basis = _closed_form_basis(model)
+    sig = conditional_covariance(model, r).sigma
     lam, vec, _ = _anchored_eigh(sig, basis.vectors, basis.sizes, r)
     return vec * np.sqrt(np.clip(lam, 0.0, None))[None, :]
 
 
-def eigenpath(model, u=None):
-    """Eigendecomposition of Sigma(ru) at each radius of ``DEFAULT_R_GRID``,
+def eigenpath(model):
+    """Eigendecomposition of Sigma(r e_N) at each radius of ``DEFAULT_R_GRID``,
     anchored on the closed-form basis, and its fitted expansion.  An
     eigenbasis that does not continue the closed-form blocks raises
     :class:`EigenpathError` naming the radius.
     """
-    basis = _closed_form_basis(model, u)
+    basis = _closed_form_basis(model)
     rs = np.array(DEFAULT_R_GRID)
     lam_path, vec_path, qualities = zip(*(
-        _anchored_eigh(conditional_covariance(model, r, u).sigma, basis.vectors, basis.sizes, r)
+        _anchored_eigh(conditional_covariance(model, r).sigma, basis.vectors, basis.sizes, r)
         for r in rs))
     # The covariance is exactly even in r, so the production fit uses even
     # powers only; the odd-inclusive fit exists to measure the linear term.
@@ -388,10 +388,10 @@ def perm_symmetrized_bv(factor, v):
     return float(_bv_dets(factor, list(itertools.permutations(v))).sum())
 
 
-def scaling_class(model, v, u=None):
+def scaling_class(model, v):
     """Classify the permutation-symmetrized determinant coefficient as
     Theta(r) or o(r) from its log-log slope over shrinking radii."""
-    vals = np.array([perm_symmetrized_bv(factor_at(model, r, u), v) for r in SCALING_RADII])
+    vals = np.array([perm_symmetrized_bv(factor_at(model, r), v) for r in SCALING_RADII])
     if np.abs(vals).max() < SCALING_FLOOR:
         return "o(r)"
     mags = np.maximum(np.abs(vals), 1e-300)
@@ -439,8 +439,6 @@ class LimitPolynomial:
         vals = np.linalg.det(np.where(eye[:, :, None], m1[:, None], m0[:, None])).sum(1)
         return float(vals[0]) if single else vals
 
-    __call__ = evaluate
-
     def flip(self, y):
         """Negate the kernel coordinates of y (the value-negating symmetry)."""
         y = np.asarray(y, dtype=float).copy()
@@ -477,9 +475,9 @@ class LimitPolynomial:
         }
 
 
-def limit_polynomial(model, u=None):
+def limit_polynomial(model):
     """Assemble the limit polynomial from the closed-form basis."""
-    basis = _closed_form_basis(model, u)
+    basis = _closed_form_basis(model)
     n = model.n_dim
     rank = model.cond_dim - n - 1
     kernel = basis.vectors[:, rank:] * np.sqrt(basis.curv)[None, :]
@@ -492,9 +490,9 @@ def limit_polynomial(model, u=None):
     )
 
 
-def h_r(model, r, y, u=None):
+def h_r(model, r, y):
     """r^{-1} det(Matri(A(r) y)) with the factor A(r) of :func:`factor_at`."""
-    factor = factor_at(model, r, u)
+    factor = factor_at(model, r)
     y = np.asarray(y, dtype=float)
     single = y.ndim == 1
     y2 = np.atleast_2d(y)

@@ -90,24 +90,3 @@ def vectorize_sym(mat):
     rows, cols = vech_indices(n_dim)
     return mat[rows, cols].copy()
 
-
-def vech_conjugation(q):
-    """Matrix of a -> vectorize(Q Matri(a) Q^T) on packed coordinates.
-
-    This is the action a rotation of the index space induces on packed
-    symmetric matrices.  Note it is not orthogonal in the packed Euclidean
-    metric (off-diagonal entries are stored once but enter the Frobenius norm
-    twice), so conjugated covariances keep their law but not their spectra.
-    """
-    q = np.asarray(q, dtype=float)
-    n = q.shape[0]
-    rows, cols = vech_indices(n)
-    m = vech_len(n)
-    out = np.empty((m, m))
-    for b, (k, l) in enumerate(zip(rows.tolist(), cols.tolist())):
-        for a, (i, j) in enumerate(zip(rows.tolist(), cols.tolist())):
-            if k == l:
-                out[a, b] = q[i, k] * q[j, k]
-            else:
-                out[a, b] = q[i, k] * q[j, l] + q[i, l] * q[j, k]
-    return out

@@ -62,10 +62,24 @@ class TestExitCodes:
         # values are converted after parsing, so main returns 2 and does not exit
         assert run_cli("check", flag, "x", "--out", str(tmp_path)) == 2
 
-    @pytest.mark.parametrize("n", ["0", "-5"])
-    def test_nonpositive_sample_count_is_config_error(self, n, tmp_path, capsys):
-        assert run_cli("share", "--n", n, "--out", str(tmp_path)) == 2
-        assert "configuration error" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv", [
+        pytest.param(("share", "--n", "0"), id="0"),
+        pytest.param(("share", "--n", "-5"), id="-5"),
+        pytest.param(("sigma", "--r", "0"), id="r-zero"),
+        pytest.param(("sigma", "--r", "0.1,-0.5"), id="r-negative"),
+        pytest.param(("simulate", "--grid", "0"), id="grid-zero"),
+        pytest.param(("simulate", "--spacing", "-0.1"), id="spacing-negative"),
+        # a positive grid whose extent is below 8 correlation lengths
+        pytest.param(("simulate", "--grid", "16"), id="grid-too-small"),
+        pytest.param(("simulate", "--eps", "-1"), id="eps-negative"),
+        pytest.param(("simulate", "--realizations", "-2"), id="realizations-negative"),
+    ])
+    def test_nonpositive_sample_count_is_config_error(self, argv, tmp_path, capsys):
+        # an out-of-range value exits 2 with one line and no traceback
+        assert run_cli(*argv, "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
 
     def test_verify_failure_is_contract_error(self, tmp_path):
         code = run_cli("sigma", "--model", "gaussian:a=1", "--N", "2",

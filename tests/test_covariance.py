@@ -13,26 +13,7 @@ from critfield.covariance import (OracleConvergenceError,
                                   conditional_covariance_oracle, cov_partials,
                                   sigma_expansion)
 from critfield.models import RadialModel, cauchy_model, gaussian_model
-from critfield.symmetric import tau_index, vech_conjugation, vech_indices
-
-
-def _rotation_from_axis(rng, n):
-    """Haar-ish rotation whose last column is the image of the axis direction."""
-    mat = rng.normal(size=(n, n))
-    q, _ = np.linalg.qr(mat)
-    if np.linalg.det(q) < 0:
-        q[:, 0] = -q[:, 0]
-    return q
-
-
-def _conjugation_operator(q):
-    """Block action of the rotation on (packed Hessian, two field values)."""
-    n = q.shape[0]
-    d = vech_conjugation(q)
-    m = d.shape[0]
-    big = np.eye(m + 2)
-    big[:m, :m] = d
-    return big
+from critfield.symmetric import tau_index, vech_indices
 
 
 def _fd_cov_partial(t, idx, h=1e-4):
@@ -145,37 +126,6 @@ class TestConditionalCovariance:
             a = conditional_covariance(model, r).sigma
             b = conditional_covariance_oracle(model, r).sigma
             assert np.abs(a - b).max() < 1e-8
-
-    def test_oracle_agreement_off_axis(self, gauss3, rng):
-        # the two routes agree for generic directions, not just the axis
-        for _ in range(3):
-            u = rng.normal(size=3)
-            u /= np.linalg.norm(u)
-            a = conditional_covariance(gauss3, 0.35, u).sigma
-            b = conditional_covariance_oracle(gauss3, 0.35, u).sigma
-            assert np.abs(a - b).max() < 1e-8
-
-    def test_oracle_direction_covariant(self, gauss3, rng):
-        # same conjugation identity through the fully independent route
-        q = _rotation_from_axis(rng, 3)
-        u = q[:, -1]
-        s_rot = conditional_covariance_oracle(gauss3, 0.4, u).sigma
-        s_axis = conditional_covariance_oracle(gauss3, 0.4).sigma
-        big = _conjugation_operator(q)
-        assert np.abs(s_rot - big @ s_axis @ big.T).max() < 1e-8
-
-    def test_isotropy_conjugation(self, gauss3, rng):
-        # Sigma(ru) is the axis matrix conjugated by the packed rotation
-        # action.  The action is not orthogonal on packed coordinates (the
-        # packed metric is not the Frobenius metric), so the law is preserved
-        # while raw spectra need not be.
-        for _ in range(3):
-            q = _rotation_from_axis(rng, 3)
-            u = q[:, -1]
-            s_rot = conditional_covariance(gauss3, 0.3, u).sigma
-            s_axis = conditional_covariance(gauss3, 0.3).sigma
-            big = _conjugation_operator(q)
-            assert np.abs(s_rot - big @ s_axis @ big.T).max() < 1e-10
 
     @pytest.mark.parametrize("n_dim", [2, 3, 4, 5])
     def test_hessian_block_matches_delta_loop(self, n_dim):

@@ -152,10 +152,11 @@ class TestDeterministicSurface:
         exact = np.stack([-cx * cy, sx * sy, sx * sy, -cx * cy], axis=-1)
         assert np.abs(hess - exact.reshape(-1, 2, 2)).max() < 1e-2
 
-    def test_no_walker_stalls(self, cos_field):
+    def test_no_walker_stalls(self, cos_field, monkeypatch):
         # every walker settles within 4 steps; cut off before that, some stall
         assert find_critical_points(cos_field)[1]["stalled"] == 0
-        assert find_critical_points(cos_field, max_iter=3)[1]["stalled"] > 0
+        monkeypatch.setattr(fieldsim, "_MAX_STEPS", 3)
+        assert find_critical_points(cos_field)[1]["stalled"] > 0
 
 
 def _bspline_weights_reference(frac, order):

@@ -98,9 +98,11 @@ class TestQuadratureOracle:
         mc = rice_density_mc(gauss2, 0.5, 0.0, k=2, n=400_000, seed=2, shift="none")
         assert abs(mc.value - quad.value) / quad.value < 0.02
 
-    def test_node_refinement_stable(self, gauss2):
+    def test_node_refinement_stable(self, gauss2, monkeypatch):
         a = rice_density_quadrature(gauss2, 0.5, 0.0, 2)
-        b = rice_density_quadrature(gauss2, 0.5, 0.0, 2, n_rad=110, n_t=60)
+        monkeypatch.setattr(rice_mod, "N_RAD", 110)
+        monkeypatch.setattr(rice_mod, "T_START", 60)
+        b = rice_density_quadrature(gauss2, 0.5, 0.0, 2)
         assert abs(a.value - b.value) / a.value < 1e-6
 
     def test_saddle_by_complement(self, gauss2):
@@ -126,15 +128,25 @@ class TestQuadratureOracle:
         assert abs(share - flip.value) <= 4.0 * flip.stderr + 1e-5
 
     @pytest.mark.parametrize("a, r, u_thr, k", [(1.0, 1.0, 5.0, 0), (2.0, 1.0, 4.0, 2),
-                                                (1.0, 0.01, 0.0, 1)])
+                                                (1.0, 0.01, 0.0, 1), (1.0, 0.001, 4.0, 2)])
     def test_error_estimate_covers_denser_rule(self, monkeypatch, a, r, u_thr, k):
         model = gaussian_model(2, a=a)
         est = rice_density_quadrature(model, r, u_thr, k)
         # twice the default radial and tau/rho nodes, four times the angular start
         monkeypatch.setattr(rice_mod, "PHI_START", 4 * rice_mod.PHI_START)
-        dense = rice_density_quadrature(model, r, u_thr, k, n_rad=128, n_t=48)
+        monkeypatch.setattr(rice_mod, "N_RAD", 2 * rice_mod.N_RAD)
+        monkeypatch.setattr(rice_mod, "T_START", 2 * rice_mod.T_START)
+        dense = rice_density_quadrature(model, r, u_thr, k)
         assert est.stderr > 0.0
         assert abs(est.value - dense.value) <= est.stderr
+
+    def test_converges_below_the_first_rule(self, gauss2):
+        # the first tau/rho rule misses here, so the nodes double
+        for r, u_thr, k in ((0.002, 0.0, 2), (0.001, 0.0, 0), (0.001, 0.0, 2),
+                            (0.001, 4.0, 2)):
+            est = rice_density_quadrature(gauss2, r, u_thr, k)
+            assert est.value > 0.0
+            assert est.stderr < rice_mod.QUAD_RTOL * est.value
 
     @staticmethod
     def _owens_t_survival(lo1, lo2, rho):
@@ -205,9 +217,12 @@ class TestQuadratureOracle:
         assert 0.5 * sum(owens) < 0.2 * sum(nodes)  # the pair makes two calls per node
 
     def test_unconverged_rule_raises(self, gauss2, monkeypatch):
-        # too few radial and rho nodes: more angular nodes cannot help
+        # too few radial nodes: neither more angular nor more tau/rho nodes help
+        monkeypatch.setattr(rice_mod, "N_RAD", 4)
+        monkeypatch.setattr(rice_mod, "T_START", 4)
         with pytest.raises(OracleConvergenceError):
-            rice_density_quadrature(gauss2, 0.5, 0.0, 2, n_rad=4, n_t=4)
+            rice_density_quadrature(gauss2, 0.5, 0.0, 2)
+        monkeypatch.undo()
         # too few angular nodes, and no doubling allowed
         monkeypatch.setattr(rice_mod, "PHI_START", 16)
         monkeypatch.setattr(rice_mod, "MAX_PHI_DOUBLINGS", 0)
