@@ -4,7 +4,7 @@ Eigenstructure of the conditional covariance along the ray.
 At coincidence the spectrum is fully explicit: two simple eigenvalues from a
 2x2 reduction, two multiple eigenvalues proportional to rho''(0), and an
 (N+1)-dimensional kernel.  For r > 0 the kernel opens up at order r^2, with
-curvatures in closed form; the eigenpath, anchored on the closed-form basis,
+curvatures in closed form; the eigenpath, in the symmetry-adapted basis,
 recovers them by a fit, and the surviving first-order terms assemble the
 degree-N limit polynomial whose sign classifies close critical-point pairs.
 """

@@ -23,8 +23,7 @@ from .rice import (ProjectionDiag, RiceEstimate, hessian_index, index_ratio_mc,
                    psi_ratio, rice_density_mc, rice_density_quadrature,
                    sign_ratio)
 from .spectral import (LimitPolynomial, SpectralExpansion, SpectrumCatalogue,
-                       bv_determinant, eigenpath, factor_at, h_matrix, h_r,
-                       limit_polynomial, perm_symmetrized_bv, scaling_class,
+                       eigenpath, factor_at, h_matrix, h_r, limit_polynomial,
                        spectrum_sigma0)
 from .symmetric import matriculate, tau_index, vectorize_sym
 

@@ -70,8 +70,14 @@ class RunConfig:
             raise ConfigError("every r must be positive")
         if not self.u_list:
             raise ConfigError("u list must be nonempty")
+        if any(math.isnan(u) for u in self.u_list):
+            raise ConfigError("no threshold may be NaN")
         if self.mc_n < 1:
             raise ConfigError("mc.n must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
+        if not self.tol > 0:
+            raise ConfigError("tol must be positive")
         for name in ("sim_grid", "sim_spacing", "sim_realizations", "sim_eps"):
             if not getattr(self, name) > 0:
                 raise ConfigError(f"sim.{name[4:]} must be positive")

@@ -3,14 +3,15 @@ Spectral structure of the conditional covariance along a ray.
 
 The limit matrix at coincidence has a fully explicit spectrum (two simple
 distinguished eigenvalues from a 2x2 reduction, two multiple eigenvalues
-tied to the Hessian blocks, and an (N+1)-dimensional kernel).  Its eigenvalue
-blocks, with the kernel split by the exact r^2 curvatures read off Sigma2,
-give one closed-form orthonormal basis whose gauge does not depend on the
-eigensolver.  That basis alone builds the degree-N limit polynomial of
+tied to the Hessian blocks, and an (N+1)-dimensional kernel).  The multiple
+eigenvalues come from the reflections and permutations of the first N-1
+axes, which commute with Sigma(r e_N) at every r, so one fixed basis written
+down from the packed layout diagonalizes Sigma(r) but for a 4 x 4 block.
+That basis alone builds the degree-N limit polynomial of
 r^{-1} det(Matri(A(r) y)), whose sign splits close critical-point pairs by
-Hessian-determinant sign.  For r > 0 the eigendecomposition of Sigma(r) is
-anchored on the same basis (``factor_at``), and a fit over a grid of radii
-gives Lambda(r) = Lambda0 + Lambda2 r^2 + o(r^2) and P(r) = P0 + P1 r + o(r).
+Hessian-determinant sign.  For r > 0 only the 4 x 4 block needs an
+eigensolver (``factor_at``), and a fit over a grid of radii gives
+Lambda(r) = Lambda0 + Lambda2 r^2 + o(r^2) and P(r) = P0 + P1 r + o(r).
 """
 
 import itertools
@@ -22,7 +23,7 @@ import numpy as np
 
 from .covariance import conditional_covariance, sigma_expansion
 from .models import w_eigenvalues
-from .symmetric import matriculate_batch, vech_len
+from .symmetric import matriculate_batch, vech_indices, vech_len
 
 __all__ = [
     "DEFAULT_R_GRID",
@@ -34,9 +35,6 @@ __all__ = [
     "SpectralExpansion",
     "factor_at",
     "eigenpath",
-    "bv_determinant",
-    "perm_symmetrized_bv",
-    "scaling_class",
     "LimitPolynomial",
     "limit_polynomial",
     "h_r",
@@ -44,12 +42,7 @@ __all__ = [
 
 # Radii of the eigenpath's expansion fit; descending toward 0.
 DEFAULT_R_GRID = (5e-2, 2e-2, 1e-2, 5e-3, 2e-3, 1e-3)
-TIE_TOL = 1e-9       # eigenvalue gap of a tie, relative to the trace scale
-SCALING_RADII = (1e-2, 1e-3, 1e-4)  # radii of scaling_class's log-log slope
-SCALING_FLOOR = 1e-11  # coefficients below this at every radius are o(r)
-SCALING_SLOPE = 1.5  # mean slope below which a coefficient is Theta(r)
 COEFF_TOL = 1e-12    # monomial coefficients dropped up to this, relative to the largest
-GS_CUT = 0.3         # Gram-Schmidt keeps a projector column whose residual exceeds this
 CATALOGUE_TOL = 1e-9  # catalogue vs numeric spectrum of Sigma0, relative to its scale
 
 
@@ -159,105 +152,83 @@ def h_matrix(u):
 
 
 # ---------------------------------------------------------------------------
-# the closed-form basis and the eigenpath anchored on it
+# the symmetry-adapted basis and the eigenpath on it
 # ---------------------------------------------------------------------------
 
-class _ClosedFormBasis(NamedTuple):
-    vectors: np.ndarray  # (L, L) orthonormal columns, block after block
+class _SymmetryBasis(NamedTuple):
+    vectors: np.ndarray  # (L, L) orthonormal columns: rank columns, then kernel columns
     lam0: np.ndarray     # limit eigenvalue of each column (0 on the kernel)
     curv: np.ndarray     # r^2 curvature of each kernel column
-    sizes: tuple         # block sizes in column order
-    margin: float        # least distance of a Gram-Schmidt residual to GS_CUT
+    trivial: np.ndarray  # positions of the four columns that span the trivial block
 
 
-def _projector_basis(proj, size):
-    """Gram-Schmidt on the projector's columns in coordinate order.
+def _symmetry_basis(model):
+    """Orthonormal basis of the packed coordinates adapted to the symmetry.
 
-    A column is kept when its residual norm exceeds ``GS_CUT``, so the basis
-    depends on the projector alone, not on the eigensolver's basis.  Returns
-    the ``size`` kept columns and the least distance of a residual to the cut.
+    The reflections and permutations of the first N-1 axes act on packed
+    coordinates as signed permutations.  Off their invariant span, Sigma(r)
+    is a scalar on each of three irreducible parts (Schur): the Helmert
+    contrasts of H_ii, i < N (8 rho''(0) at r = 0), the H_ij, i < j < N
+    (4 rho''(0)) and the H_iN, i < N (kernel).  The invariant span holds the
+    field difference, in the kernel of Sigma0 and Sigma2, and the eigenvectors
+    of Sigma0 on the sum of H_ii (i < N), H_NN and the field sum, each with
+    its largest entry positive.  Rank columns come in descending limit
+    eigenvalue, then kernel columns in descending r^2 curvature, the field
+    difference last.
     """
-    kept, margin = [], math.inf
-    for col in proj.T:
-        for k in kept:
-            col = col - (k @ col) * k
-        norm = float(np.linalg.norm(col))
-        margin = min(margin, abs(norm - GS_CUT))
-        if norm > GS_CUT:
-            kept.append(col / norm)
-            if len(kept) == size:
-                return np.stack(kept, axis=1), margin
-    raise EigenpathError(f"Gram-Schmidt kept {len(kept)} of {size} projector columns")
-
-
-def _tie_blocks(values):
-    """Index blocks of the descending ``values`` split where neighbours do not
-    tie, and the values with each block's mean in place of its entries."""
-    cuts = np.flatnonzero(-np.diff(values) > TIE_TOL * max(np.abs(values).max(), 1.0)) + 1
-    blocks = np.split(np.arange(values.size), cuts)
-    return blocks, np.concatenate([np.full(blk.size, values[blk].mean()) for blk in blocks])
-
-
-def _closed_form_basis(model):
-    """Orthonormal basis of the r -> 0 eigenstructure of Sigma(r e_N), block by block.
-
-    The rank blocks are the tied eigenvalues of Sigma0, the catalogue's
-    blocks (:func:`spectrum_sigma0`).  The kernel ker Sigma0 = span Q splits
-    by the tied eigenvalues of Q^T Sigma2 Q: by first-order degenerate
-    perturbation theory these are the exact r^2 curvatures of the small
-    eigenvalues.  The last block, the field difference, has curvature exactly
-    0 (its eigenvalue is O(r^4)).  Blocks come in descending order, which is
-    the descending order of Sigma(r) for small r.
-    """
+    n, L = model.n_dim, model.cond_dim
+    rows, cols = vech_indices(n)
+    eye = np.eye(L)
+    packed, fields = eye[:, :rows.size], eye[:, L - 2:] / math.sqrt(2.0)
+    diag = packed[:, (rows == cols) & (rows < n - 1)]
+    k = np.arange(1, n - 1)
+    helmert = diag @ ((np.triu(np.ones((n - 1, n - 2))) - np.diag(k, -1)[:, :-1])
+                      / np.sqrt(k * (k + 1)))
+    frame = np.column_stack([diag.sum(1) / math.sqrt(n - 1), packed[:, -1], fields.sum(1)])
     s0, s2 = sigma_expansion(model)
-    lam, vec = np.linalg.eigh(s0)
-    lam, vec = lam[::-1], vec[:, ::-1]
-    rank = model.cond_dim - model.n_dim - 1
-    q = vec[:, rank:]
-    curv, w = np.linalg.eigh(q.T @ s2 @ q)
-    w = w[:, ::-1]
-    rank_blocks, lam0 = _tie_blocks(lam[:rank])
-    kernel_blocks, curv = _tie_blocks(curv[::-1])
-    curv[kernel_blocks[-1]] = 0.0
-    spans = [vec[:, blk] for blk in rank_blocks] + [q @ w[:, blk] for blk in kernel_blocks]
-    cols, margins = zip(*(_projector_basis(v @ v.T, v.shape[1]) for v in spans))
-    lam0 = np.concatenate([lam0, np.zeros(curv.size)])
-    return _ClosedFormBasis(np.concatenate(cols, axis=1), lam0, np.clip(curv, 0.0, None),
-                            tuple(v.shape[1] for v in spans), min(margins))
+    _, w = np.linalg.eigh(frame.T @ s0 @ frame)
+    null, minus, plus = np.hsplit(frame @ (w * np.sign(w[np.abs(w).argmax(0), range(3)])), 3)
+    diff = fields @ [[1.0], [-1.0]]
+
+    def limit(block, s):  # the r -> 0 eigenvalue (s0) or curvature (s2) of a block
+        return float(block[:, 0] @ s @ block[:, 0])
+
+    rank = sorted((b for b in (plus, minus, helmert, packed[:, (rows < cols) & (cols < n - 1)])
+                   if b.size), key=lambda b: -limit(b, s0))
+    kernel = sorted((packed[:, (rows < cols) & (cols == n - 1)], null),
+                    key=lambda b: -limit(b, s2)) + [diff]
+    vectors = np.concatenate(rank + kernel, axis=1)
+    return _SymmetryBasis(
+        vectors,
+        np.concatenate([np.full(b.shape[1], limit(b, s0)) for b in rank] + [np.zeros(n + 1)]),
+        np.concatenate([np.full(b.shape[1], max(limit(b, s2), 0.0)) for b in kernel]),
+        np.flatnonzero(np.abs(np.column_stack([frame, diff]).T @ vectors).max(0) > 0.5))
 
 
-def _anchored_eigh(sig, ref, sizes, r):
-    """Eigendecomposition of sig with each eigenvector assigned to a block of
-    the basis ``ref`` and each block of columns Procrustes-fit onto it.
+def _basis_eigh(basis, sig, r):
+    """Eigenvalues and eigenvectors of sig = Sigma(r e_N) in the basis's gauge,
+    and their least overlap with the basis; below 0.5 raises EigenpathError.
 
-    An eigenvector's weight on a block is its squared projection onto the
-    block's columns.  The surest eigenvectors (largest weight on any block)
-    are placed first, each on its heaviest block that still has room, ties
-    going to the lower block; within a block the eigenvalues stay
-    descending.  So an eigenvalue crossing moves no column to a foreign
-    block.  Returns the eigenvalues, the aligned eigenvectors and their least
-    overlap with ``ref``; an overlap below 0.5 raises :class:`EigenpathError`.
+    Off the trivial block each basis column g is an eigenvector, with
+    eigenvalue g^T sig g.  Each eigenvector of the 4 x 4 trivial block goes to
+    a trivial column by weight, its squared entry there: the surest (largest
+    weight on any column) first, each to its heaviest free column, ties to the
+    lower one.  Its sign makes that entry positive.
     """
-    lam, vec = np.linalg.eigh(sig)
-    lam, vec = lam[::-1], vec[:, ::-1]
-    edges = np.cumsum((0,) + tuple(sizes))
-    weight = np.stack([((ref[:, i:j].T @ vec) ** 2).sum(0)
-                       for i, j in zip(edges[:-1], edges[1:])], axis=1)
-    room, owner = list(sizes), np.empty(len(lam), dtype=int)
-    for k in np.argsort(-weight.max(1), kind="stable"):
-        owner[k] = next(b for b in np.argsort(-weight[k], kind="stable") if room[b])
-        room[owner[k]] -= 1
-    order = np.argsort(owner, kind="stable")
-    lam, vec = lam[order], vec[:, order]
-    out = np.empty_like(vec)
-    for i, j in zip(edges[:-1], edges[1:]):
-        uu, _, vvt = np.linalg.svd(vec[:, i:j].T @ ref[:, i:j])
-        out[:, i:j] = vec[:, i:j] @ (uu @ vvt)
-    quality = float(np.einsum("ij,ij->j", ref, out).min())
+    t = basis.trivial
+    coef = basis.vectors.T @ sig @ basis.vectors
+    lam, z = np.linalg.eigh(coef[np.ix_(t, t)])
+    order = np.full(t.size, -1)  # order[c]: the eigenvector on trivial column c
+    for k in np.argsort(-(z ** 2).max(0), kind="stable"):
+        order[np.argmax(np.where(order < 0, z[:, k] ** 2, -1.0))] = k
+    overlap = z[range(t.size), order]
+    quality = float(np.abs(overlap).min())
     if quality < 0.5:
-        raise EigenpathError(f"the eigenbasis at r={r:g} does not continue the closed-form "
-                             f"blocks (min overlap {quality:.3f})")
-    return lam, out, quality
+        raise EigenpathError(f"the eigenbasis at r={r:g} does not continue the symmetry "
+                             f"basis (min overlap {quality:.3f})")
+    out, vec = np.diag(coef).copy(), basis.vectors.copy()
+    out[t], vec[:, t] = lam[order], basis.vectors[:, t] @ (z[:, order] * np.sign(overlap))
+    return out, vec, quality
 
 
 def _poly_fit(rs, values, degrees):
@@ -276,8 +247,8 @@ def _poly_fit(rs, values, degrees):
 class SpectralExpansion:
     """Eigenpath of Sigma(r) on ``DEFAULT_R_GRID`` and its fitted expansion.
 
-    Every radius is anchored on the closed-form basis, so the path has no free
-    rotation.  Lambda0/Lambda2 come from an even fit (the covariance is exactly
+    Every radius is written in the symmetry-adapted basis, so the path has
+    no free rotation.  Lambda0/Lambda2 come from an even fit (the covariance is exactly
     even in r), Lambda1 from a fit with odd terms included and is reported as
     a diagnostic of the expected vanishing linear term.
     """
@@ -307,25 +278,22 @@ class SpectralExpansion:
 
 def factor_at(model, r):
     """Factor A(r) = P(r) Lambda(r)^{1/2} of Sigma(r e_N), with A(r) A(r)^T =
-    Sigma(r e_N), in the closed-form gauge.  An eigenbasis that does not
-    continue the closed-form blocks raises :class:`EigenpathError`."""
-    basis = _closed_form_basis(model)
-    sig = conditional_covariance(model, r).sigma
-    lam, vec, _ = _anchored_eigh(sig, basis.vectors, basis.sizes, r)
+    Sigma(r e_N), in the symmetry-adapted gauge.  An eigenbasis that does not
+    continue the basis raises :class:`EigenpathError`."""
+    lam, vec, _ = _basis_eigh(_symmetry_basis(model), conditional_covariance(model, r).sigma, r)
     return vec * np.sqrt(np.clip(lam, 0.0, None))[None, :]
 
 
 def eigenpath(model):
     """Eigendecomposition of Sigma(r e_N) at each radius of ``DEFAULT_R_GRID``,
-    anchored on the closed-form basis, and its fitted expansion.  An
-    eigenbasis that does not continue the closed-form blocks raises
-    :class:`EigenpathError` naming the radius.
+    in the symmetry-adapted gauge, and its fitted expansion.  An eigenbasis
+    that does not continue the basis raises :class:`EigenpathError` naming
+    the radius.
     """
-    basis = _closed_form_basis(model)
+    basis = _symmetry_basis(model)
     rs = np.array(DEFAULT_R_GRID)
     lam_path, vec_path, qualities = zip(*(
-        _anchored_eigh(conditional_covariance(model, r).sigma, basis.vectors, basis.sizes, r)
-        for r in rs))
+        _basis_eigh(basis, conditional_covariance(model, r).sigma, r) for r in rs))
     # The covariance is exactly even in r, so the production fit uses even
     # powers only; the odd-inclusive fit exists to measure the linear term.
     lam_path = np.stack(lam_path)
@@ -354,7 +322,7 @@ def eigenpath(model):
 
 
 # ---------------------------------------------------------------------------
-# row-rearranged determinants and their small-r scaling
+# the limit polynomial of r^{-1} det(Matri(A(r) y))
 # ---------------------------------------------------------------------------
 
 def _mixed_dets(mats, cols):
@@ -366,48 +334,11 @@ def _mixed_dets(mats, cols):
     return np.linalg.det(mats[cols, np.arange(mats.shape[-1])])
 
 
-def _bv_dets(factor, vs):
-    """bv determinants for the 1-based column tuples on the last axis of vs."""
-    cols = np.asarray(vs, dtype=int)
-    if cols.min() < 1 or cols.max() > factor.shape[0]:
-        raise ValueError(f"column indices must lie in 1..{factor.shape[0]}")
-    return _mixed_dets(matriculate_batch(factor.T, cols.shape[-1]), cols - 1)
-
-
-def bv_determinant(factor, v):
-    """det of the N x N matrix whose i-th row is row i of Matri(column v_i).
-
-    ``factor`` is the L x L factor A(r); ``v`` holds N column indices
-    (1-based, as in the monomial bookkeeping of the determinant expansion).
-    """
-    return float(_bv_dets(factor, v))
-
-
-def perm_symmetrized_bv(factor, v):
-    """Sum of bv_determinant over all permutations of the column tuple v."""
-    return float(_bv_dets(factor, list(itertools.permutations(v))).sum())
-
-
-def scaling_class(model, v):
-    """Classify the permutation-symmetrized determinant coefficient as
-    Theta(r) or o(r) from its log-log slope over shrinking radii."""
-    vals = np.array([perm_symmetrized_bv(factor_at(model, r), v) for r in SCALING_RADII])
-    if np.abs(vals).max() < SCALING_FLOOR:
-        return "o(r)"
-    mags = np.maximum(np.abs(vals), 1e-300)
-    slopes = np.diff(np.log(mags)) / np.diff(np.log(SCALING_RADII))
-    return "Theta(r)" if float(np.mean(slopes)) < SCALING_SLOPE else "o(r)"
-
-
-# ---------------------------------------------------------------------------
-# the limit polynomial of r^{-1} det(Matri(A(r) y))
-# ---------------------------------------------------------------------------
-
 @dataclass(frozen=True)
 class LimitPolynomial:
     """Degree-N homogeneous limit of r^{-1} det(Matri(A(r) y)).
 
-    Built from the closed-form basis: the matrix part from its rank columns
+    Built from the symmetry-adapted basis: the matrix part from its rank columns
     scaled by sqrt(lambda0) (``a0``, zero on the kernel columns), the
     linear-in-r part from its kernel columns scaled by the square roots of
     their r^2 curvatures.  Flipping the sign of the kernel coordinates
@@ -476,8 +407,8 @@ class LimitPolynomial:
 
 
 def limit_polynomial(model):
-    """Assemble the limit polynomial from the closed-form basis."""
-    basis = _closed_form_basis(model)
+    """Assemble the limit polynomial from the symmetry-adapted basis."""
+    basis = _symmetry_basis(model)
     n = model.n_dim
     rank = model.cond_dim - n - 1
     kernel = basis.vectors[:, rank:] * np.sqrt(basis.curv)[None, :]

@@ -73,6 +73,10 @@ class TestExitCodes:
         pytest.param(("simulate", "--grid", "16"), id="grid-too-small"),
         pytest.param(("simulate", "--eps", "-1"), id="eps-negative"),
         pytest.param(("simulate", "--realizations", "-2"), id="realizations-negative"),
+        pytest.param(("share", "--u", "nan"), id="u-nan"),
+        pytest.param(("check", "--seed", "-1"), id="seed-negative"),
+        pytest.param(("sigma", "--verify", "--tol", "-1"), id="tol-negative"),
+        pytest.param(("sigma", "--verify", "--tol", "0"), id="tol-zero"),
     ])
     def test_nonpositive_sample_count_is_config_error(self, argv, tmp_path, capsys):
         # an out-of-range value exits 2 with one line and no traceback
@@ -256,6 +260,12 @@ NON_DEFAULT = {
     "verify": ("--verify", True),
     "tol": ("--tol", 1e-6),
 }
+
+
+def test_minus_infinity_threshold_round_trips(tmp_path):
+    # -inf is a valid threshold (no conditioning on the field value)
+    cfg = RunConfig(command="share", u_list=(-float("inf"),)).validate()
+    assert load_config(_write(tmp_path / "inf.json", cfg)) == cfg
 
 
 def test_non_default_config_round_trips(tmp_path):

@@ -1,18 +1,21 @@
 import itertools
+import json
 import math
 
 import numpy as np
 import pytest
 
+from critfield.cli import main
 from critfield.covariance import conditional_covariance, sigma_expansion
 from critfield.models import (RadialModel, cauchy_model, find_rescaling,
                               gaussian_model, rescale)
-from critfield.spectral import (EigenvalueCollisionError, LimitPolynomial,
-                                bv_determinant, eigenpath, factor_at, h_matrix, h_r,
-                                limit_polynomial, perm_symmetrized_bv,
-                                scaling_class, spectrum_sigma0)
+from critfield.spectral import (EigenpathError, EigenvalueCollisionError,
+                                LimitPolynomial, _basis_eigh, _mixed_dets,
+                                _symmetry_basis, _SymmetryBasis, eigenpath,
+                                factor_at, h_matrix, h_r, limit_polynomial,
+                                spectrum_sigma0)
 from critfield.symmetric import (matriculate, matriculate_batch, tau_index,
-                                 vectorize_sym)
+                                 vech_len, vectorize_sym)
 
 
 class TestSpectrumCatalogue:
@@ -208,29 +211,24 @@ class TestEigenpath:
             assert np.linalg.norm(hmat @ factor[:, i]) < r ** 1.5
 
     def test_alignment_guard_rejects_unmatchable_basis(self):
-        # eigenvectors forming a normalized Hadamard frame have overlap
-        # 1/sqrt(8) with every reference column (distinct eigenvalues, so no
-        # degenerate rescue): they cannot continue the reference blocks
-        from scipy.linalg import hadamard
+        # eigenvectors rotated by 40, 45 and 40 degrees in the planes of
+        # columns (1, 2), (2, 3) and (3, 4): the weight rule places three of
+        # them well, and the last is left on a column it overlaps by 0.415
+        frame = _givens(0, 1, 40.0) @ _givens(1, 2, 45.0) @ _givens(2, 3, 40.0)
+        block = frame @ np.diag([4.0, 3.0, 2.0, 1.0]) @ frame.T
+        with pytest.raises(EigenpathError, match="min overlap 0.415"):
+            _basis_eigh(_BLOCK_BASIS, block, 0.01)
 
-        from critfield.spectral import EigenpathError, _anchored_eigh
-
-        frame = hadamard(8).astype(float) / np.sqrt(8.0)
-        sig = frame @ np.diag(np.arange(8.0, 0.0, -1.0)) @ frame.T
-        with pytest.raises(EigenpathError, match="min overlap 0.354"):
-            _anchored_eigh(sig, np.eye(8), (1,) * 8, 0.01)
-
-    def test_degenerate_block_procrustes_rescues_rotation(self):
-        from critfield.spectral import _anchored_eigh
-
-        theta = np.deg2rad(80.0)
-        ref = np.eye(3)
-        ref[1:, 1:] = [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
-        # the eigensolver returns the coordinate basis of the degenerate block
-        lam, vec, quality = _anchored_eigh(np.diag([2.0, 1.0, 1.0]), ref, (1, 2), 0.01)
-        assert np.array_equal(lam, [2.0, 1.0, 1.0])
-        assert quality > 0.999
-        assert np.allclose(vec, ref, atol=1e-12)
+    def test_weight_rule_restores_column_order_and_sign(self):
+        # eigh returns the eigenvectors in ascending eigenvalue order with
+        # arbitrary signs; each goes back to the column it continues, with a
+        # positive overlap there
+        frame = _givens(0, 1, 20.0) @ _givens(2, 3, -30.0)
+        block = frame @ np.diag([1.0, 4.0, 2.0, 3.0]) @ frame.T
+        lam, vec, quality = _basis_eigh(_BLOCK_BASIS, block, 0.01)
+        assert lam == pytest.approx([1.0, 4.0, 2.0, 3.0], abs=1e-14)
+        assert np.abs(vec - frame).max() < 1e-14
+        assert quality == pytest.approx(np.cos(np.deg2rad(30.0)), abs=1e-14)
 
     @pytest.mark.parametrize("maker, radii", [(gaussian_model, (0.3, 0.5, 1.0)),
                                               (cauchy_model, (0.1, 0.5))],
@@ -251,20 +249,33 @@ class TestEigenpath:
     @pytest.mark.parametrize("maker", [gaussian_model, cauchy_model])
     @pytest.mark.parametrize("n_dim", [2, 3, 4, 5, 6, 7, 8])
     def test_closed_form_gauge_has_margin(self, maker, n_dim):
-        # the 0.3 Gram-Schmidt cut is a discontinuity of the gauge: every
-        # residual keeps clear of it, and every radius of the grid continues
-        # the closed-form blocks
-        from critfield.spectral import _closed_form_basis
-
+        # the signed permutations of the first N-1 axes commute with
+        # Sigma(r e_N), so out to r = 1 every basis column off the trivial
+        # block is an eigenvector, the trivial span is invariant, and
+        # factor_at is a square root of Sigma(r)
         model = maker(n_dim)
         if n_dim >= 3:
             model = rescale(model, find_rescaling(model))
-        basis = _closed_form_basis(model)
-        assert basis.margin >= 0.05
+        basis = _symmetry_basis(model)
+        vectors = basis.vectors
+        assert np.abs(vectors.T @ vectors - np.eye(model.cond_dim)).max() < 1e-14
+        trivial = vectors[:, basis.trivial]
+        others = np.delete(vectors, basis.trivial, axis=1)
+        for r in np.geomspace(1e-3, 1.0, 10):
+            sigma = conditional_covariance(model, r).sigma
+            scale = np.abs(sigma).max()
+            image = sigma @ others
+            rayleigh = np.einsum("ij,ij->j", others, image)
+            assert np.abs(image - others * rayleigh).max() <= 1e-14 * scale
+            image = sigma @ trivial
+            assert np.abs(image - trivial @ (trivial.T @ image)).max() <= 1e-14 * scale
+            factor = factor_at(model, r)
+            assert np.abs(factor @ factor.T - sigma).max() <= 1e-13 * scale
+        # every radius of the grid continues the basis well clear of the 0.5
+        # overlap guard, and the rank columns carry the catalogue in order
         assert eigenpath(model).path_quality >= 0.99
-        # along the axis the rank blocks are the catalogue's eigenvalue blocks
-        rank_blocks = [m for _, m in spectrum_sigma0(model).entries[:-1]]
-        assert list(basis.sizes[:len(rank_blocks)]) == rank_blocks
+        cat = spectrum_sigma0(model)
+        assert np.abs(basis.lam0 - cat.dense()).max() <= 1e-12 * cat.lambda_plus
 
     def test_higher_dimension_path_with_persistent_degeneracies(self, gauss4):
         # N=4 keeps exactly multiple eigenvalues at every radius; the tracked
@@ -343,12 +354,10 @@ class TestHMatrix:
 
 class TestRowDeterminants:
     def test_two_kernel_coordinates_vanish_faster(self, gauss2):
-        assert scaling_class(gauss2, (3, 4)) == "o(r)"
-        assert scaling_class(gauss2, (4, 5)) == "o(r)"
+        assert not _theta_r(_row_mixed_sums(gauss2, [(3, 4), (4, 5)])).any()
 
     def test_pure_rank_coordinates_vanish_faster(self, gauss2):
-        assert scaling_class(gauss2, (1, 2)) == "o(r)"
-        assert scaling_class(gauss2, (1, 1)) == "o(r)"
+        assert not _theta_r(_row_mixed_sums(gauss2, [(1, 2), (1, 1)])).any()
 
     def test_max_over_distinguished_monomials_is_linear(self, gauss2, path2):
         rank, L = path2.rank0, path2.L
@@ -357,36 +366,64 @@ class TestRowDeterminants:
             for v in itertools.product(range(1, L + 1), repeat=2)
             if sum(1 for c in v if c > rank) == 1 and max(v) < L
         ]
-        radii = (1e-2, 1e-3, 1e-4)
-        maxima = []
-        for r in radii:
-            factor = factor_at(gauss2, r)
-            maxima.append(max(abs(perm_symmetrized_bv(factor, v)) for v in candidates))
-        slopes = np.diff(np.log(maxima)) / np.diff(np.log(radii))
+        maxima = np.abs(_row_mixed_sums(gauss2, candidates)).max(0)
+        slopes = np.diff(np.log(maxima)) / np.diff(np.log(_RADII))
         assert np.all(np.abs(slopes - 1.0) < 0.1)
 
     def test_bv_row_layout(self, rng):
         # rows of the rearranged matrix are rows of matriculated columns
         factor = rng.normal(size=(8, 8))
         v = (2, 5, 7)
-        got = bv_determinant(factor, v)
+        got = _mixed_dets(matriculate_batch(factor.T, 3), np.array(v) - 1)
         rows = np.stack(
             [matriculate(factor[:, c - 1], 3)[i] for i, c in enumerate(v)]
         )
         assert got == pytest.approx(np.linalg.det(rows), rel=1e-12)
 
-    def test_perm_symmetrized_is_sum_over_permutations(self, rng):
-        factor = rng.normal(size=(12, 12))
-        v = (2, 5, 5, 11)
-        direct = sum(bv_determinant(factor, p) for p in itertools.permutations(v))
-        assert perm_symmetrized_bv(factor, v) == pytest.approx(direct, rel=1e-12, abs=1e-12)
+    @pytest.mark.parametrize("maker", [gaussian_model, cauchy_model])
+    @pytest.mark.parametrize("n_dim", [2, 3])
+    def test_support_is_the_theta_r_class(self, maker, n_dim):
+        # the paper's classification: a sorted column tuple is Theta(r) at
+        # finite r exactly when it is a monomial of the limit polynomial
+        model = maker(n_dim)
+        tuples = list(itertools.combinations_with_replacement(range(1, model.cond_dim + 1),
+                                                              n_dim))
+        theta = _theta_r(_row_mixed_sums(model, tuples))
+        support = set(limit_polynomial(model).coefficients())
+        assert {v for v, t in zip(tuples, theta) if t} == support
 
-    @pytest.mark.parametrize("bad", [0, 9])
-    def test_columns_outside_1_to_L_rejected(self, rng, bad):
-        factor = rng.normal(size=(8, 8))
-        for fn in (bv_determinant, perm_symmetrized_bv):
-            with pytest.raises(ValueError, match="1..8"):
-                fn(factor, (2, bad, 7))
+
+_RADII = (1e-2, 1e-3, 1e-4)  # radii of the finite-r scaling oracle
+
+
+def _row_mixed_sums(model, tuples):
+    """Sum over the orderings of each 1-based column tuple v of the
+    determinant whose row i is row i of Matri(column v_i of factor_at(model, r)),
+    at each radius of ``_RADII``: shape (len(tuples), len(_RADII))."""
+    n = model.n_dim
+    cols = np.asarray(tuples)[:, list(itertools.permutations(range(n)))] - 1
+    return np.stack([
+        _mixed_dets(matriculate_batch(factor_at(model, r).T, n), cols).sum(1) for r in _RADII
+    ], axis=1)
+
+
+def _theta_r(sums):
+    """Rows of ``_row_mixed_sums`` that scale like r: not below 1e-11 at every
+    radius, with a mean log-log slope under 1.5 (an o(r) row has slope >= 2)."""
+    slopes = np.diff(np.log(np.maximum(np.abs(sums), 1e-300)), axis=1) / np.diff(np.log(_RADII))
+    return (np.abs(sums).max(1) >= 1e-11) & (slopes.mean(1) < 1.5)
+
+
+# a basis that is all trivial block, so _basis_eigh sees a bare 4 x 4 block
+_BLOCK_BASIS = _SymmetryBasis(np.eye(4), None, None, np.arange(4))
+
+
+def _givens(i, j, degrees):
+    """4 x 4 rotation by ``degrees`` in the plane of coordinates i and j."""
+    c, s = np.cos(np.deg2rad(degrees)), np.sin(np.deg2rad(degrees))
+    out = np.eye(4)
+    out[[i, j, i, j], [i, j, j, i]] = c, c, -s, s
+    return out
 
 
 def _adjugate(mats):
@@ -510,6 +547,21 @@ class TestLimitPolynomial:
                                  null_matrices=matriculate_batch(kernel.T, n_dim))
         exact = _second_moment(limit_polynomial(model).coefficients())
         assert _second_moment(fitted.coefficients()) == pytest.approx(exact, rel=1e-5)
+
+
+@pytest.mark.parametrize("n_dim, count, moment", [(2, 2, 128.0), (3, 5, 1856.0),
+                                                   (4, 22, 102400.0 / 3.0)])
+def test_hpoly_artifact_shape(n_dim, count, moment, tmp_path):
+    # what the cli benchmark checks on hpoly.json, and E h^2, which no
+    # orthogonal change of the basis moves
+    assert main(["hpoly", "--N", str(n_dim), "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "hpoly.json") as fh:
+        coeffs = json.load(fh)["coefficients"]
+    rank = vech_len(n_dim) + 1 - n_dim
+    keys = [tuple(map(int, key.split("+"))) for key in coeffs]
+    assert len(keys) == count
+    assert all(sum(i > rank for i in key) == 1 for key in keys)
+    assert _second_moment(dict(zip(keys, coeffs.values()))) == pytest.approx(moment, rel=1e-12)
 
 
 def _second_moment(coeffs):
