@@ -21,7 +21,7 @@ for value, mult in cat.entries:
     print(f"  value {value:9.4f}  multiplicity {mult}")
 print(f"  distinguished pair: {cat.lambda_plus:.4f} / {cat.lambda_minus:.4f}")
 
-print("\n=== anchored eigenpath ===")
+print("\n=== eigenpath in the symmetry-adapted basis ===")
 ex = eigenpath(model)
 print(f"rank of the limit: {ex.rank0} of {ex.L}")
 print("limit eigenvalues:", np.round(ex.Lambda0, 6))

@@ -66,8 +66,8 @@ class RunConfig:
             raise ConfigError(f"unknown command {self.command!r}")
         if not self.r_list:
             raise ConfigError("r list must be nonempty")
-        if not all(r > 0 for r in self.r_list):
-            raise ConfigError("every r must be positive")
+        if not all(0 < r < math.inf for r in self.r_list):
+            raise ConfigError("every r must be positive and finite")
         if not self.u_list:
             raise ConfigError("u list must be nonempty")
         if any(math.isnan(u) for u in self.u_list):
@@ -88,8 +88,14 @@ class RunConfig:
         try:  # an unknown family, or a parameter the family does not take
             model = model_from_spec(self.model_family, self.n_dim, scale=self.scale,
                                     **self.model_params)
+            finite = all(map(math.isfinite, (model.d1, model.d2, model.d3)))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"model {self.model_family!r}: {exc}") from exc
+        except OverflowError:  # rescaled derivatives pick up factors scale^k
+            finite = False
+        if not finite:
+            raise ConfigError(f"model {self.model_family!r}: the derivatives of rho at 0 "
+                              f"are not finite at scale {self.scale:g}")
         object.__setattr__(self, "model", model)
         return self
 
@@ -368,7 +374,7 @@ def cmd_simulate(cfg):
         "opposite_det_fraction": pooled.frac_opposite_det if pooled.n_pairs else None,
         "threshold": u_thr,
         "eps_physical": eps,
-        "finder": {key: finder[key] for key in ("cells_flagged", "diverged", "stalled")},
+        "finder": dict(finder),
     }
     path = cfio.write_json(out / "simulate.json", _artifact(cfg, payload))
     print(

@@ -233,7 +233,8 @@ def conditional_covariance(model, r):
 
     Raises :class:`SingularConditioningError` when the gradient-gradient
     block cannot be inverted (1 - k1^2 <= 0 or 1 - k*^2 <= 0), which the
-    qualification conditions rule out inside the validity radius.
+    qualification conditions rule out inside the validity radius, or when
+    the assembled matrix is not finite (r far enough out to overflow).
     """
     if not r > 0:
         raise ValueError("r must be positive; use sigma_expansion for the r=0 limit")
@@ -285,6 +286,8 @@ def conditional_covariance(model, r):
     sigma[m, m] = sigma[m + 1, m + 1] = 1.0 + cfac * 4.0 * p1 * p1 * x * (1.0 + k4 * x)
     sigma[m, m + 1] = sigma[m + 1, m] = p0 + cfac * 4.0 * p1 * p1 * x * (k1 + k5 * x)
 
+    if not np.isfinite(sigma).all():
+        raise SingularConditioningError(f"Sigma(r) is not finite at r={r}")
     asym = np.abs(sigma - sigma.T).max()
     if asym > 1e-12 * max(np.abs(sigma).max(), 1.0):
         raise AssertionError(f"assembled covariance asymmetric by {asym}")

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .rice import _chunk_rng, _inertia
+from .symmetric import vech_indices
 
 __all__ = [
     "GridSpec",
@@ -422,7 +423,8 @@ def find_critical_points(realization, u_thr=-math.inf):
         new[second[kept[first]]] = False
         settled, kept = np.array_equal(new, kept), new
     pts, gnorm, vals, hess = (a[sel[kept]] for a in (pts, gnorm, vals, hess))
-    _, index, _ = _inertia(hess[:, [0, 0, 1], [0, 1, 1]], 2)  # packed (h11, h12, h22)
+    rows, cols = vech_indices(2)
+    _, index, _ = _inertia(hess[:, rows, cols], 2)  # packed (h11, h12, h22)
     points = [CriticalPoint(position=pts[i].copy(), value=float(vals[i]),
                             grad_norm=float(gnorm[i]), hessian=hess[i].copy(),
                             index=int(index[i]))

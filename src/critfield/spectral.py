@@ -23,7 +23,7 @@ import numpy as np
 
 from .covariance import conditional_covariance, sigma_expansion
 from .models import w_eigenvalues
-from .symmetric import matriculate_batch, vech_indices, vech_len
+from .symmetric import matriculate_batch, vech_indices
 
 __all__ = [
     "DEFAULT_R_GRID",
@@ -137,17 +137,11 @@ def h_matrix(u):
     trailing (field value) columns are zero.
     """
     u = np.asarray(u, dtype=float)
-    n = u.shape[0]
-    L = vech_len(n) + 2
-    out = np.zeros((n, L))
-    for k in range(n):
-        for j in range(n):
-            for i in range(j + 1):
-                pos = i + (j + 1) * j // 2
-                if j == k:
-                    out[k, pos] = u[i]
-                elif i == k:
-                    out[k, pos] = u[j]
+    rows, cols = vech_indices(u.shape[0])
+    pos = np.arange(rows.size)
+    out = np.zeros((u.shape[0], rows.size + 2))
+    out[rows, pos] = u[cols]
+    out[cols, pos] = u[rows]
     return out
 
 
@@ -157,8 +151,7 @@ def h_matrix(u):
 
 class _SymmetryBasis(NamedTuple):
     vectors: np.ndarray  # (L, L) orthonormal columns: rank columns, then kernel columns
-    lam0: np.ndarray     # limit eigenvalue of each column (0 on the kernel)
-    curv: np.ndarray     # r^2 curvature of each kernel column
+    leading: np.ndarray  # per column: limit eigenvalue (rank) or r^2 curvature (kernel)
     trivial: np.ndarray  # positions of the four columns that span the trivial block
 
 
@@ -198,10 +191,10 @@ def _symmetry_basis(model):
     kernel = sorted((packed[:, (rows < cols) & (cols == n - 1)], null),
                     key=lambda b: -limit(b, s2)) + [diff]
     vectors = np.concatenate(rank + kernel, axis=1)
+    leading = [max(limit(b, s), 0.0) for blocks, s in ((rank, s0), (kernel, s2)) for b in blocks]
     return _SymmetryBasis(
         vectors,
-        np.concatenate([np.full(b.shape[1], limit(b, s0)) for b in rank] + [np.zeros(n + 1)]),
-        np.concatenate([np.full(b.shape[1], max(limit(b, s2), 0.0)) for b in kernel]),
+        np.repeat(leading, [b.shape[1] for b in rank + kernel]),
         np.flatnonzero(np.abs(np.column_stack([frame, diff]).T @ vectors).max(0) > 0.5))
 
 
@@ -325,47 +318,42 @@ def eigenpath(model):
 # the limit polynomial of r^{-1} det(Matri(A(r) y))
 # ---------------------------------------------------------------------------
 
-def _mixed_dets(mats, cols):
-    """det of the N x N matrices whose row i is row i of ``mats[cols[..., i]]``.
-
-    ``mats`` is a (K, N, N) stack, ``cols`` stack indices with a trailing
-    axis of length N.  Every determinant expansion in this module is this rule.
-    """
-    return np.linalg.det(mats[cols, np.arange(mats.shape[-1])])
-
-
 @dataclass(frozen=True)
 class LimitPolynomial:
     """Degree-N homogeneous limit of r^{-1} det(Matri(A(r) y)).
 
-    Built from the symmetry-adapted basis: the matrix part from its rank columns
-    scaled by sqrt(lambda0) (``a0``, zero on the kernel columns), the
-    linear-in-r part from its kernel columns scaled by the square roots of
-    their r^2 curvatures.  Flipping the sign of the kernel coordinates
-    negates the value exactly.
+    ``mats`` stacks Matri of every column of the symmetry-adapted basis: the
+    rank columns scaled by sqrt(lambda0), the kernel columns by the square
+    roots of their r^2 curvatures.  Flipping the sign of the kernel
+    coordinates negates the value exactly.
     """
 
-    n_dim: int
-    L: int
     rank0: int
-    a0: np.ndarray
-    null_matrices: np.ndarray  # (L - rank0, N, N): Matri of scaled kernel columns
+    mats: np.ndarray  # (L, N, N)
+
+    @property
+    def n_dim(self):
+        return self.mats.shape[-1]
+
+    @property
+    def L(self):
+        return self.mats.shape[0]
 
     def evaluate(self, y):
         """Value tr(adj(M0) M1) at y, one value per row of a 2-D y.
 
-        M0 = Matri(A0 y) and M1 = sum_k y_k Matri(kernel column k), so the
-        value is the derivative of det(M0 + eps M1) at eps = 0.  By row
-        multilinearity that is the sum over i of det(M0 with row i taken
-        from M1), which is how it is computed.
+        M0 and M1 are sum_k y_k mats[k] over the rank and the kernel columns,
+        so the value is the derivative of det(M0 + eps M1) at eps = 0.  By row
+        multilinearity that is the sum over i of det(M0 with row i taken from
+        M1), which is how it is computed.
         """
         y = np.asarray(y, dtype=float)
         single = y.ndim == 1
         y2 = np.atleast_2d(y)
         if y2.shape[-1] != self.L:
             raise ValueError(f"y must have length {self.L}")
-        m0 = matriculate_batch(y2 @ self.a0.T, self.n_dim)
-        m1 = np.einsum("sk,kij->sij", y2[:, self.rank0:], self.null_matrices)
+        m0, m1 = (np.tensordot(y2[:, part], self.mats[part], axes=1)
+                  for part in (slice(self.rank0), slice(self.rank0, None)))
         eye = np.eye(self.n_dim, dtype=bool)
         vals = np.linalg.det(np.where(eye[:, :, None], m1[:, None], m0[:, None])).sum(1)
         return float(vals[0]) if single else vals
@@ -383,20 +371,23 @@ class LimitPolynomial:
         and N-1 indices among the rank columns.  Expanding every row of the
         determinants in ``evaluate`` over the columns makes the coefficient
         of monomial m the sum, over the distinct orderings of m, of the
-        determinant whose row i is row i of Matri(column m_i).  The sum here
-        runs over all N! orderings, which counts each distinct one
-        prod(multiplicity!) times, and is divided by that product.
+        determinant whose row i is row i of mats[m_i].  Taken over all N!
+        orderings, which counts each distinct one prod(multiplicity!) times,
+        that sum is the coefficient of t_1 ... t_N in det(sum_i t_i mats[m_i]),
+        by inclusion-exclusion the sum over nonempty slot subsets S of
+        (-1)^(N-|S|) det(sum_{i in S} mats[m_i]); it is divided by the product.
         """
         n, rank = self.n_dim, self.rank0
-        mats = np.concatenate([matriculate_batch(self.a0[:, :rank].T, n), self.null_matrices])
         monomials = np.array([
             m + (k,) for k in range(rank, self.L)
             for m in itertools.combinations_with_replacement(range(rank), n - 1)
         ])
-        # one (monomials, N, N) batch per ordering keeps memory O(monomials N^2)
+        # one (monomials, N, N) batch per slot keeps memory O(monomials N^2)
         total = np.zeros(len(monomials))
-        for perm in itertools.permutations(range(n)):
-            total += _mixed_dets(mats, monomials[:, perm])
+        for size in range(1, n + 1):
+            for subset in itertools.combinations(range(n), size):
+                part = sum(self.mats[monomials[:, i]] for i in subset)
+                total += (-1) ** (n - size) * np.linalg.det(part)
         mult = [math.prod(map(math.factorial, np.bincount(m).tolist())) for m in monomials]
         coefs = total / mult
         cut = COEFF_TOL * max(np.abs(coefs).max(), 1.0)
@@ -409,16 +400,8 @@ class LimitPolynomial:
 def limit_polynomial(model):
     """Assemble the limit polynomial from the symmetry-adapted basis."""
     basis = _symmetry_basis(model)
-    n = model.n_dim
-    rank = model.cond_dim - n - 1
-    kernel = basis.vectors[:, rank:] * np.sqrt(basis.curv)[None, :]
-    return LimitPolynomial(
-        n_dim=n,
-        L=model.cond_dim,
-        rank0=rank,
-        a0=basis.vectors * np.sqrt(basis.lam0)[None, :],
-        null_matrices=matriculate_batch(kernel.T, n),
-    )
+    mats = matriculate_batch((basis.vectors * np.sqrt(basis.leading)).T, model.n_dim)
+    return LimitPolynomial(rank0=model.cond_dim - model.n_dim - 1, mats=mats)
 
 
 def h_r(model, r, y):

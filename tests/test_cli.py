@@ -67,6 +67,9 @@ class TestExitCodes:
         pytest.param(("share", "--n", "-5"), id="-5"),
         pytest.param(("sigma", "--r", "0"), id="r-zero"),
         pytest.param(("sigma", "--r", "0.1,-0.5"), id="r-negative"),
+        pytest.param(("sigma", "--r", "inf"), id="r-inf"),
+        # the rescaled rho'''(0) = scale^3 rho'''(0) overflows
+        pytest.param(("check", "--scale", "1e200"), id="scale-overflow"),
         pytest.param(("simulate", "--grid", "0"), id="grid-zero"),
         pytest.param(("simulate", "--spacing", "-0.1"), id="spacing-negative"),
         # a positive grid whose extent is below 8 correlation lengths
@@ -202,7 +205,7 @@ class TestArtifacts:
         assert sim["euler_failures"] == 0
         # finder counters summed over the realizations
         finder = sim["finder"]
-        assert set(finder) == {"cells_flagged", "diverged", "stalled"}
+        assert set(finder) == {"cells_flagged", "starts", "diverged", "stalled"}
         assert finder["cells_flagged"] > 3 * 100
         assert all(isinstance(v, int) and v >= 0 for v in finder.values())
         field = load_field(tmp_path / "field_000")

@@ -151,6 +151,14 @@ class TestConditionalCovariance:
         with pytest.raises(SingularConditioningError):
             conditional_covariance(model, 0.2)
 
+    @pytest.mark.parametrize("maker", [gaussian_model, cauchy_model])
+    def test_overflowing_radius_raises(self, maker):
+        # at r = 1e154, r^2 is near the float maximum and the closed-form
+        # blocks overflow to a non-finite Sigma(r)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(SingularConditioningError, match="not finite"):
+            conditional_covariance(maker(2), 1e154)
+
     def test_r_zero_rejected(self, gauss2):
         with pytest.raises(ValueError):
             conditional_covariance(gauss2, 0.0)

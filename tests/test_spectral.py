@@ -10,10 +10,9 @@ from critfield.covariance import conditional_covariance, sigma_expansion
 from critfield.models import (RadialModel, cauchy_model, find_rescaling,
                               gaussian_model, rescale)
 from critfield.spectral import (EigenpathError, EigenvalueCollisionError,
-                                LimitPolynomial, _basis_eigh, _mixed_dets,
-                                _symmetry_basis, _SymmetryBasis, eigenpath,
-                                factor_at, h_matrix, h_r, limit_polynomial,
-                                spectrum_sigma0)
+                                LimitPolynomial, _basis_eigh, _symmetry_basis,
+                                _SymmetryBasis, eigenpath, factor_at, h_matrix,
+                                h_r, limit_polynomial, spectrum_sigma0)
 from critfield.symmetric import (matriculate, matriculate_batch, tau_index,
                                  vech_len, vectorize_sym)
 
@@ -275,7 +274,8 @@ class TestEigenpath:
         # overlap guard, and the rank columns carry the catalogue in order
         assert eigenpath(model).path_quality >= 0.99
         cat = spectrum_sigma0(model)
-        assert np.abs(basis.lam0 - cat.dense()).max() <= 1e-12 * cat.lambda_plus
+        rank = model.cond_dim - n_dim - 1
+        assert np.abs(basis.leading[:rank] - cat.dense()[:rank]).max() <= 1e-12 * cat.lambda_plus
 
     def test_higher_dimension_path_with_persistent_degeneracies(self, gauss4):
         # N=4 keeps exactly multiple eigenvalues at every radius; the tracked
@@ -396,6 +396,13 @@ class TestRowDeterminants:
 _RADII = (1e-2, 1e-3, 1e-4)  # radii of the finite-r scaling oracle
 
 
+def _mixed_dets(mats, cols):
+    """det of the N x N matrices whose row i is row i of ``mats[cols[..., i]]``:
+    the per-ordering rule, for a (K, N, N) stack and stack indices ``cols``
+    with a trailing axis of length N."""
+    return np.linalg.det(mats[cols, np.arange(mats.shape[-1])])
+
+
 def _row_mixed_sums(model, tuples):
     """Sum over the orderings of each 1-based column tuple v of the
     determinant whose row i is row i of Matri(column v_i of factor_at(model, r)),
@@ -415,7 +422,7 @@ def _theta_r(sums):
 
 
 # a basis that is all trivial block, so _basis_eigh sees a bare 4 x 4 block
-_BLOCK_BASIS = _SymmetryBasis(np.eye(4), None, None, np.arange(4))
+_BLOCK_BASIS = _SymmetryBasis(np.eye(4), None, np.arange(4))
 
 
 def _givens(i, j, degrees):
@@ -456,9 +463,9 @@ def _polarization_coefficients(poly, tol=1e-12):
                 w[a, b, m[j]] += 1.0
     sign = np.array([(-1.0) ** (n - 1 - len(sub)) for sub in subsets])
     mult = np.array([math.prod(math.factorial(c) for c in np.bincount(m)) for m in multisets])
-    adj = _adjugate(matriculate_batch(w @ poly.a0[:, :rank].T, n))
+    adj = _adjugate(np.tensordot(w, poly.mats[:rank], axes=1))
     coeffs = {}
-    for k, mat in enumerate(poly.null_matrices):
+    for k, mat in enumerate(poly.mats[rank:]):
         vals = np.einsum("abji,ij->ab", adj, mat) @ sign / mult
         for m, c in zip(multisets, vals):
             coeffs[tuple(i + 1 for i in m) + (rank + k + 1,)] = c
@@ -501,8 +508,10 @@ class TestLimitPolynomial:
                 1.0, np.abs(direct).max()
             )
 
-    @pytest.mark.parametrize("model", [gaussian_model(3), cauchy_model(3), gaussian_model(4)],
-                             ids=["gaussian3", "cauchy3", "gaussian4"])
+    @pytest.mark.parametrize("model", [gaussian_model(3), cauchy_model(3), gaussian_model(4),
+                                       cauchy_model(4), gaussian_model(5), cauchy_model(5)],
+                             ids=["gaussian3", "cauchy3", "gaussian4", "cauchy4", "gaussian5",
+                                  "cauchy5"])
     def test_coefficients_match_polarization_oracle(self, model):
         poly = limit_polynomial(model)
         got = poly.coefficients()
@@ -541,10 +550,9 @@ class TestLimitPolynomial:
         model = maker(n_dim)
         ex = eigenpath(model)
         rank = ex.rank0
-        kernel = ex.P0[:, rank:] * np.sqrt(np.clip(ex.Lambda2[rank:], 0.0, None))
-        fitted = LimitPolynomial(n_dim=n_dim, L=ex.L, rank0=rank,
-                                 a0=ex.P0 * np.sqrt(np.clip(ex.Lambda0, 0.0, None)),
-                                 null_matrices=matriculate_batch(kernel.T, n_dim))
+        leading = np.concatenate([ex.Lambda0[:rank], ex.Lambda2[rank:]])
+        fitted = LimitPolynomial(rank0=rank, mats=matriculate_batch(
+            (ex.P0 * np.sqrt(np.clip(leading, 0.0, None))).T, n_dim))
         exact = _second_moment(limit_polynomial(model).coefficients())
         assert _second_moment(fitted.coefficients()) == pytest.approx(exact, rel=1e-5)
 
