@@ -88,6 +88,8 @@ class RunConfig:
         try:  # an unknown family, or a parameter the family does not take
             model = model_from_spec(self.model_family, self.n_dim, scale=self.scale,
                                     **self.model_params)
+            # rho'(0)^2 and rho''(0)^2 divide in the closed forms and the checks
+            squares = (model.d1 ** 2, model.d2 ** 2)
             finite = all(map(math.isfinite, (model.d1, model.d2, model.d3)))
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"model {self.model_family!r}: {exc}") from exc
@@ -96,6 +98,9 @@ class RunConfig:
         if not finite:
             raise ConfigError(f"model {self.model_family!r}: the derivatives of rho at 0 "
                               f"are not finite at scale {self.scale:g}")
+        if min(squares) < sys.float_info.min:
+            raise ConfigError(f"model {self.model_family!r}: the squares of rho'(0) and "
+                              f"rho''(0) underflow at scale {self.scale:g}")
         object.__setattr__(self, "model", model)
         return self
 

@@ -9,14 +9,17 @@ assembled in closed form from the radial profile's derivatives, and
 independently by a generic Schur complement of the full joint covariance
 whose entries come from rho alone, through one trapezoidal Cauchy-integral
 rule on a circle in the complex plane; the two routes cross-check each
-other, and the second reports its own error estimate.  The r -> 0 expansion
+other, and the second reports its own error estimate.  The second fills
+its joint covariance from a structure tensor built once per dimension, so
+a call costs two weight products and the Schur step.  The r -> 0 expansion
 Sigma = Sigma0 + Sigma2 r^2 + o(r^2) is also provided in closed form.
 """
 
+import functools
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-import numpy.polynomial.polynomial as P
 
 from .symmetric import vech_indices
 
@@ -120,24 +123,6 @@ def _taylor(f, center, reach=0.0):
     )
 
 
-def _derivative(a, rad, offset, k):
-    """f^(k)(center + offset) from the scaled Taylor coefficients of f."""
-    return float(P.polyval(offset / rad, P.polyder(a, k)).real) / rad ** k
-
-
-def _d1_increment(a, rad, c):
-    """rho'(x) - rho'(0), x = 2c, from the coefficients of rho about c.
-
-    This is (1/2 pi i) times the contour integral of
-    rho(z) x (2z - x) / (z^2 (z - x)^2), whose kernel is already the
-    difference, taken term by term on the rule's Taylor polynomial: only the
-    odd part of rho' about c survives, so nothing cancels.
-    """
-    q = c / rad
-    odd = P.polyder(a)[1::2]
-    return float((2.0 * q * P.polyval(q * q, odd)).real) / rad
-
-
 def _analytic_rho_derivs(model):
     """rho^{(k)} evaluator backed by the model's closures (k <= 4)."""
     funcs = (model.rho, model.rho_d1, model.rho_d2, model.rho_d3)
@@ -228,6 +213,7 @@ def _g22_origin(d2, n_dim):
     return 4.0 * d2 * dd
 
 
+@np.errstate(over="ignore", invalid="ignore")  # the non-finite check below reports overflow
 def conditional_covariance(model, r):
     """Sigma(r e_N) assembled from the closed-form blocks.
 
@@ -295,6 +281,82 @@ def conditional_covariance(model, r):
     return CondCov(n_dim=n, L=L, sigma=sigma)
 
 
+def _joint_components(n_dim):
+    """Labels of the joint covariance's rows: (multi-index, at-point), at-point
+    1 for t and 0 for the origin, ordered (vech Hessian at t, X(t), X(0),
+    grad X(t), grad X(0))."""
+    rows_h, cols_h = vech_indices(n_dim)
+    comps = [((int(i), int(j)), 1) for i, j in zip(rows_h, cols_h)]
+    comps += [((), 1), ((), 0)]
+    comps += [((k,), 1) for k in range(n_dim)]
+    comps += [((k,), 0) for k in range(n_dim)]
+    return comps
+
+
+@functools.cache
+def _joint_structure(n_dim):
+    """Structure tensor T of the joint covariance, joint = T @ w, built once per N.
+
+    Entry (i, j) is Cov[d_a X(p t), d_b X(q t)] = (-1)^|b| R_{a+b}(s e_N)
+    with s = (p - q) r in {-r, 0, r}.  Its rho^(k) term is homogeneous of
+    degree 2k - K in t, K = |a| + |b|, so it is the term of :func:`_partial`
+    at t = e_N with rho^(k) = 1, times the weight w[p - q + 1, k, K] =
+    s^(2k - K) rho^(k)(s^2).  The order-4 entries pair two Hessians at t,
+    where s = 0 and the fourth-derivative term has weight 0^4; so k stops
+    at 3.
+    """
+    comps = _joint_components(n_dim)
+    dim = len(comps)
+    unit = np.eye(n_dim)[-1]
+    tensor = np.zeros((dim, dim, 3, 4, 5))
+    for i, (ai, ap) in enumerate(comps):
+        for j, (bi, bp) in enumerate(comps[i:], start=i):
+            for k in range(4):
+                entry = (-1.0) ** len(bi) * _partial(lambda x, kk: float(kk == k), unit, ai + bi)
+                tensor[i, j, ap - bp + 1, k, len(ai + bi)] = entry
+                tensor[j, i, ap - bp + 1, k, len(ai + bi)] = entry
+    tensor = tensor.reshape(dim, dim, -1)
+    tensor.flags.writeable = False  # every call shares the cached tensor
+    return tensor
+
+
+def _joint_covariance(n_dim, r, at0, atx):
+    """The joint covariance of :func:`conditional_covariance_oracle` at t = r e_N
+    from rho^(k)(0) (``at0``) and rho^(k)(r^2) (``atx``), k = 0..3."""
+    s = np.array([-r, 0.0, r])[:, None, None]
+    power = 2 * np.arange(4)[:, None] - np.arange(5)[None, :]
+    radial = np.array([atx, at0, atx], dtype=float)[:, :, None]
+    weights = np.where(power >= 0, s ** np.maximum(power, 0) * radial, 0.0)
+    return _joint_structure(n_dim) @ weights.ravel()
+
+
+def _radial_derivatives(coefs, rad, c):
+    """rho^(k)(0) and rho^(k)(2c), k = 0..3, and rho'(2c) - rho'(0): rows of
+    the result, from scaled Taylor coefficients about c (one column per rule).
+
+    f^(k)(c + o) = sum_n a_n n!/(n-k)! (o/rad)^(n-k) / rad^k.  The terms past
+    the leading one, k! a_k, come from one weight product and the leading
+    term is added last, so each value rounds once at its own scale, as in
+    Horner's rule.  The increment is (1/2 pi i) times the contour integral
+    of rho(z) x (2z - x) / (z^2 (z - x)^2), x = 2c, whose kernel is already
+    the difference: term by term only the odd part of rho' about c
+    survives, 2q sum over even n >= 2 of n a_n q^(n-2) / rad with q = c / rad,
+    so nothing cancels.
+    """
+    q = c / rad
+    n = np.arange(M_NODES)
+    tail = np.zeros((9, M_NODES))
+    for row, (x, k) in enumerate(itertools.product((-q, q), range(4))):
+        falling = np.prod([n[k + 1:] - i for i in range(k)], axis=0)
+        tail[row, k + 1:] = falling * x ** (n[k + 1:] - k)
+    even = n[4::2]
+    tail[8, 4::2] = even * q ** (even - 2)
+    lead = [0, 1, 2, 3, 0, 1, 2, 3, 2]  # the leading term of each row is k! a_k, 2 a_2 last
+    total = tail @ coefs + np.array([1.0, 1, 2, 6, 1, 1, 2, 6, 2])[:, None] * coefs[lead]
+    total[8] *= 2.0 * q
+    return total / rad ** np.array([0, 1, 2, 3, 0, 1, 2, 3, 1])[:, None]
+
+
 def conditional_covariance_oracle(model, r):
     """Independent route to Sigma(r e_N): joint covariance + generic Schur.
 
@@ -302,15 +364,18 @@ def conditional_covariance_oracle(model, r):
     grad X(0)) is filled from partial derivatives of R(t) = rho(||t||^2),
     then conditioned on the two gradients by a generic Schur complement.
     Only ``model.rho`` is read, and none of the k-coefficients of the closed
-    form are used.
+    form are used.  The fill is one product of a structure tensor, built
+    once per N from :func:`_partial`, with the call's radial weights
+    (:func:`_joint_structure`).
 
     Every radial derivative comes from one contour rule (:func:`_taylor`):
     rho is sampled on M_NODES nodes of the circle about c = r^2/2 of radius
-    c + R, and one FFT gives its Taylor coefficients about c, which give
-    rho, rho', rho'' and rho''' at 0 and at x = r^2.  The Schur complement
-    resolves rho'(x) - rho'(0) and amplifies its error by ~4/r^2, so rho'(x)
-    is rho'(0) plus that increment taken directly as a contour integral whose
-    kernel is already the difference (:func:`_d1_increment`).
+    c + R, and one FFT gives its Taylor coefficients about c.  One weight
+    product (:func:`_radial_derivatives`) takes them to rho, rho', rho''
+    and rho''' at 0 and at x = r^2.  The Schur complement resolves
+    rho'(x) - rho'(0) and amplifies its error by ~4/r^2, so rho'(x) is
+    rho'(0) plus that increment taken directly as a contour integral whose
+    kernel is already the difference.
 
     The same Schur step runs on the M_NODES/2-node coefficients.
     ``error_estimate`` is max|Sigma_M - Sigma_{M/2}| plus
@@ -334,33 +399,17 @@ def conditional_covariance_oracle(model, r):
         raise ValueError("r must be positive")
     n, m = model.n_dim, model.vech_dim
     L = m + 2
-    t = r * model.axis_direction()
     c = 0.5 * r * r
     coefs, coefs_half, rad = _taylor(model.rho, c, reach=c)
-
-    # Component labels: (multi-index, at-point), at-point in {1: t, 0: origin}.
-    rows_h, cols_h = vech_indices(n)
-    comps = [((int(i), int(j)), 1) for i, j in zip(rows_h, cols_h)]
-    comps += [((), 1), ((), 0)]
-    comps += [((k,), 1) for k in range(n)]
-    comps += [((k,), 0) for k in range(n)]
+    both = np.zeros((M_NODES, 2))
+    both[:, 0], both[: M_NODES // 2, 1] = coefs.real, coefs_half.real
+    derivs = _radial_derivatives(both, rad, c)
     dim = L + 2 * n
 
-    def schur(a):
-        at0 = [_derivative(a, rad, -c, k) for k in range(4)]
-        atx = [_derivative(a, rad, c, k) for k in range(4)]
-        atx[1] = at0[1] + _d1_increment(a, rad, c)
-
-        def rder(x, k):
-            return (atx if x > 0.0 else at0)[k]
-
-        # Cov[d_a X(p t), d_b X(q t)] = (-1)^|b| R_{a+b}((p - q) t)
-        joint = np.empty((dim, dim))
-        for i, (ai, ap) in enumerate(comps):
-            for j, (bi, bp) in enumerate(comps[i:], start=i):
-                entry = (-1.0) ** len(bi) * _partial(rder, (ap - bp) * t, ai + bi)
-                joint[i, j] = joint[j, i] = entry
-
+    def schur(col):
+        at0, atx = col[:4], col[4:8].copy()
+        atx[1] = at0[1] + col[8]
+        joint = _joint_covariance(n, r, at0, atx)
         v11 = joint[:L, :L]
         v12 = joint[:L, L:]
         v22 = joint[L:, L:]
@@ -373,8 +422,8 @@ def conditional_covariance_oracle(model, r):
         roundoff = np.finfo(float).eps * (sv.max() / sv.min() + dim) * np.abs(v11).max()
         return 0.5 * (sigma + sigma.T), roundoff
 
-    sigma, roundoff = schur(coefs)
-    sigma_half, _ = schur(coefs_half)
+    sigma, roundoff = schur(derivs[:, 0])
+    sigma_half, _ = schur(derivs[:, 1])
     estimate = float(np.abs(sigma - sigma_half).max() + roundoff)
     return CondCov(n_dim=n, L=L, sigma=sigma, error_estimate=estimate)
 

@@ -43,7 +43,7 @@ from .covariance import (OracleConvergenceError, _g22_origin, conditional_covari
                          sigma_expansion)
 from .io import SCHEMA
 from .spectral import factor_at
-from .symmetric import matriculate, matriculate_batch, vech_indices
+from .symmetric import ldl_inertia, matriculate, matriculate_batch
 
 __all__ = [
     "RiceEstimate",
@@ -154,46 +154,19 @@ def _batch_index(hessians):
     return idx, degen
 
 
-PIVOT_FLOOR = 1e-3   # smallest |leading pivot| / ||H||_F the LDL^T result is kept at
-DET_FLOOR = 100 * DEGEN_TOL  # per ||H||_F, far above the degeneracy tolerance
-
-
-def _ldl_pivots(s, n_dim):
-    """Pivots d_1..d_N of H = L D L^T without pivoting, one array per step.
-
-    ``s`` maps each (i, j), i <= j, to that entry across the batch; the
-    elimination updates it in place.  A zero pivot yields inf/nan further down.
-    """
-    pivots = []
-    for p in range(n_dim):
-        pivots.append(s[p, p])
-        for i in range(p + 1, n_dim):
-            ell = s[p, i] / s[p, p]
-            for j in range(i, n_dim):
-                s[i, j] = s[i, j] - ell * s[p, j]
-    return pivots
-
-
 def _inertia(packed, n_dim):
     """Determinant, index and degeneracy flags of (k, N(N+1)/2) packed rows.
 
     Each row is a half-vectorized symmetric matrix (see
-    :mod:`critfield.symmetric`), and entry (i, j) is read as a column view of
-    the rows.  One factorization gives all three.  At N=2 the closed form
-    det = ac - b^2 gives the index (1 if det < 0, else 0 or 2 by the sign of
-    the trace); at N=3, 4 an unrolled LDL^T gives the determinant as the
-    product of the pivots and, by Sylvester's law of inertia, the index as
-    the number of negative pivots.  A row keeps this result only where it
-    must agree with :func:`_batch_index`.  With floor = ``DET_FLOOR * ||H||_F``:
-
-    - every pivot but the last exceeds ``PIVOT_FLOOR * ||H||_F`` in
-      magnitude, which bounds the multipliers of the elimination, and the
-      last pivot, which divides nothing, exceeds floor, far above its
-      rounding;
-    - |det| exceeds floor * ||H||_F^(N-1).  Since
-      |det| <= |lambda_min| ||H||_2^(N-1), every eigenvalue then lies beyond
-      floor, a hundred times the degeneracy tolerance, so the row is not
-      degenerate.
+    :mod:`critfield.symmetric`).  At N <= 4 one pass of
+    :func:`~critfield.symmetric.ldl_inertia` gives all three: the closed
+    form at N=2, an unrolled LDL^T at N=3, 4, with the negative pivots as
+    the index.  A row keeps this result only where ``ldl_inertia`` trusts
+    it, and there it agrees with :func:`_batch_index`: the leading pivots
+    bound the multipliers, and |det| > floor * ||H||_F^(N-1) with floor =
+    ``DET_FLOOR * ||H||_F``.  Since |det| <= |lambda_min| ||H||_2^(N-1),
+    every eigenvalue then lies beyond floor, a hundred times ``DEGEN_TOL``,
+    so the row is not degenerate.
 
     Every other row, and every row at N >= 5, is rebuilt as a matrix for
     ``np.linalg.det`` and :func:`_batch_index`, which keeps its index and
@@ -204,25 +177,10 @@ def _inertia(packed, n_dim):
     """
     packed = np.asarray(packed, dtype=float)
     count = packed.shape[0]
-    det, idx, ok = np.zeros(count), np.zeros(count, dtype=np.intp), np.zeros(count, dtype=bool)
     if n_dim <= 4:
-        rows, cols = vech_indices(n_dim)
-        s = {(i, j): packed[:, p] for p, (i, j) in enumerate(zip(rows.tolist(), cols.tolist()))}
-        twice = np.where(rows == cols, 1.0, 2.0)  # off-diagonal entries, in the Frobenius norm
-        norm = np.maximum(np.sqrt(np.einsum("km,km,m->k", packed, packed, twice)), 1e-300)
-        with np.errstate(all="ignore"):
-            if n_dim == 2:
-                a, b, c = s[0, 0], s[0, 1], s[1, 1]
-                det = a * c - b * b
-                idx = np.where(det < 0.0, 1, np.where(a + c > 0.0, 0, 2))
-                ok = np.abs(det) / norm / norm > DET_FLOOR
-            else:
-                pivots = np.stack(_ldl_pivots(s, n_dim))
-                det = pivots.prod(axis=0)
-                idx = (pivots < 0.0).sum(axis=0)
-                rel = np.abs(pivots) / norm
-                ok = ((rel[:-1] > PIVOT_FLOOR).all(axis=0) & (rel[-1] > DET_FLOOR)
-                      & (rel.prod(axis=0) > DET_FLOOR))
+        det, idx, ok = ldl_inertia(packed, n_dim)
+    else:
+        det, idx, ok = np.zeros(count), np.zeros(count, dtype=np.intp), np.zeros(count, dtype=bool)
     degen = np.zeros(count, dtype=bool)
     slow = np.flatnonzero(~ok)
     if slow.size:

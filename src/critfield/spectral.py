@@ -23,7 +23,7 @@ import numpy as np
 
 from .covariance import conditional_covariance, sigma_expansion
 from .models import w_eigenvalues
-from .symmetric import matriculate_batch, vech_indices
+from .symmetric import matriculate_batch, packed_det, vech_indices
 
 __all__ = [
     "DEFAULT_R_GRID",
@@ -343,19 +343,33 @@ class LimitPolynomial:
         """Value tr(adj(M0) M1) at y, one value per row of a 2-D y.
 
         M0 and M1 are sum_k y_k mats[k] over the rank and the kernel columns,
-        so the value is the derivative of det(M0 + eps M1) at eps = 0.  By row
-        multilinearity that is the sum over i of det(M0 with row i taken from
-        M1), which is how it is computed.
+        so the value is the eps-coefficient of the degree-N polynomial
+        det(M0 + eps M1).  Its odd part in eps,
+        (det(M0 + eps M1) - det(M0 - eps M1)) / 2, has the ceil(N/2) odd
+        coefficients, so at eps = 1..ceil(N/2) a fixed Vandermonde solve
+        takes the first of them.  Every determinant is one
+        :func:`~critfield.symmetric.packed_det` on packed rows.  Flipping
+        the kernel coordinates swaps det(M0 + eps M1) and det(M0 - eps M1)
+        bit for bit, so it negates the value exactly.
         """
         y = np.asarray(y, dtype=float)
         single = y.ndim == 1
         y2 = np.atleast_2d(y)
         if y2.shape[-1] != self.L:
             raise ValueError(f"y must have length {self.L}")
-        m0, m1 = (np.tensordot(y2[:, part], self.mats[part], axes=1)
-                  for part in (slice(self.rank0), slice(self.rank0, None)))
-        eye = np.eye(self.n_dim, dtype=bool)
-        vals = np.linalg.det(np.where(eye[:, :, None], m1[:, None], m0[:, None])).sum(1)
+        n, rank = self.n_dim, self.rank0
+        rows, cols = vech_indices(n)
+        packed = self.mats[:, rows, cols]
+        split = np.zeros((self.L, 2, rows.size))  # rank columns build M0, kernel columns M1
+        split[:rank, 0], split[rank:, 1] = packed[:rank], packed[rank:]
+        # packed M0 and M1 with one row per entry, so each entry is a contiguous column
+        p0, p1 = (split.reshape(self.L, -1).T @ y2.T).reshape(2, rows.size, -1)
+        eps = np.arange(1.0, (n + 1) // 2 + 1)
+        # weights[j]: the share of the odd part at eps[j] in the eps-coefficient
+        weights = 0.5 * np.linalg.solve(eps[None, :] ** np.arange(1, n + 1, 2)[:, None],
+                                        np.eye(eps.size)[0])
+        vals = sum(w * (packed_det((p0 + e * p1).T, n) - packed_det((p0 - e * p1).T, n))
+                   for w, e in zip(weights, eps))
         return float(vals[0]) if single else vals
 
     def flip(self, y):

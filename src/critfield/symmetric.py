@@ -5,9 +5,15 @@ A symmetric N x N matrix is stored as the vector of its upper triangle in
 column-major order, so entry (i, j) with 1 <= i <= j <= N sits at the
 1-based position i + j(j-1)/2.  Rebuilding the matrix from the first
 N(N+1)/2 coordinates of a (possibly longer) vector is the inverse map.
+The determinant (and Sylvester inertia) of packed rows comes from one
+LDL^T elimination on their columns, with LAPACK for the rows it cannot
+settle.
 """
 
 import numpy as np
+
+PIVOT_FLOOR = 1e-3   # smallest |leading pivot| / ||H||_F the LDL^T result is kept at
+DET_FLOOR = 1e-8     # per ||H||_F: a hundred times rice.DEGEN_TOL, the degeneracy tolerance
 
 
 def vech_len(n_dim):
@@ -90,3 +96,60 @@ def vectorize_sym(mat):
     rows, cols = vech_indices(n_dim)
     return mat[rows, cols].copy()
 
+
+def _ldl_pivots(s, n_dim):
+    """Pivots d_1..d_N of H = L D L^T without pivoting, one array per step.
+
+    ``s`` maps each (i, j), i <= j, to that entry across the batch; the
+    elimination updates it in place.  A zero pivot yields inf/nan further down.
+    """
+    pivots = []
+    for p in range(n_dim):
+        pivots.append(s[p, p])
+        for i in range(p + 1, n_dim):
+            ell = s[p, i] / s[p, p]
+            for j in range(i, n_dim):
+                s[i, j] = s[i, j] - ell * s[p, j]
+    return pivots
+
+
+def ldl_inertia(packed, n_dim):
+    """Determinant, negative-pivot count and trust mask of (k, N(N+1)/2) packed rows.
+
+    Entry (i, j) is read as a column view of the rows.  At N=2 the closed
+    form det = ac - b^2 gives the count (1 if det < 0, else 0 or 2 by the
+    sign of the trace); above it an unrolled LDL^T without pivoting gives
+    the determinant as the product of the pivots and, by Sylvester's law of
+    inertia, the count of negative eigenvalues as that of negative pivots.
+    With floor = ``DET_FLOOR * ||H||_F``, a row is trusted (``ok``) when
+    every pivot but the last exceeds ``PIVOT_FLOOR * ||H||_F`` in magnitude,
+    which bounds the multipliers of the elimination, the last pivot, which
+    divides nothing, exceeds floor, and |det| exceeds floor * ||H||_F^(N-1).
+    The other rows' values are not to be used.
+    """
+    rows, cols = vech_indices(n_dim)
+    s = {(i, j): packed[:, p] for p, (i, j) in enumerate(zip(rows.tolist(), cols.tolist()))}
+    twice = np.where(rows == cols, 1.0, 2.0)  # off-diagonal entries, in the Frobenius norm
+    norm = np.maximum(np.sqrt(np.einsum("km,km,m->k", packed, packed, twice)), 1e-300)
+    with np.errstate(all="ignore"):
+        if n_dim == 2:
+            a, b, c = s[0, 0], s[0, 1], s[1, 1]
+            det = a * c - b * b
+            negatives = np.where(det < 0.0, 1, np.where(a + c > 0.0, 0, 2))
+            return det, negatives, np.abs(det) / norm / norm > DET_FLOOR
+        pivots = np.stack(_ldl_pivots(s, n_dim))
+        rel = np.abs(pivots) / norm
+        ok = ((rel[:-1] > PIVOT_FLOOR).all(axis=0) & (rel[-1] > DET_FLOOR)
+              & (rel.prod(axis=0) > DET_FLOOR))
+        return pivots.prod(axis=0), (pivots < 0.0).sum(axis=0), ok
+
+
+def packed_det(packed, n_dim):
+    """Determinants of (k, N(N+1)/2) packed rows: :func:`ldl_inertia`, and
+    ``np.linalg.det`` for the rows it does not trust."""
+    packed = np.asarray(packed, dtype=float)
+    det, _, ok = ldl_inertia(packed, n_dim)
+    slow = np.flatnonzero(~ok)
+    if slow.size:
+        det[slow] = np.linalg.det(matriculate_batch(packed[slow], n_dim))
+    return det

@@ -70,6 +70,9 @@ class TestExitCodes:
         pytest.param(("sigma", "--r", "inf"), id="r-inf"),
         # the rescaled rho'''(0) = scale^3 rho'''(0) overflows
         pytest.param(("check", "--scale", "1e200"), id="scale-overflow"),
+        # rho'(0)^2 = scale^2 rho'(0)^2 underflows to 0
+        pytest.param(("check", "--scale", "1e-200"), id="scale-underflow"),
+        pytest.param(("sigma", "--scale", "1e-100"), id="scale-underflow-sigma"),
         pytest.param(("simulate", "--grid", "0"), id="grid-zero"),
         pytest.param(("simulate", "--spacing", "-0.1"), id="spacing-negative"),
         # a positive grid whose extent is below 8 correlation lengths
@@ -87,6 +90,13 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("configuration error:") and err.count("\n") == 1
         assert not list(tmp_path.iterdir())
+
+    def test_overflowing_radius_is_one_line(self, tmp_path, capsys, recwarn):
+        # r^2 near the float maximum: the non-finite Sigma(r) is the only report
+        assert run_cli("sigma", "--r", "1e154", "--out", str(tmp_path)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical contract failure:") and err.count("\n") == 1
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     def test_verify_failure_is_contract_error(self, tmp_path):
         code = run_cli("sigma", "--model", "gaussian:a=1", "--N", "2",

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from critfield.covariance import (OracleConvergenceError,
                                   SingularConditioningError,
                                   _analytic_rho_derivs, _g22_origin,
-                                  check_qualified,
+                                  _joint_components, _joint_covariance,
+                                  _partial, check_qualified,
                                   conditional_covariance,
                                   conditional_covariance_oracle, cov_partials,
                                   sigma_expansion)
@@ -30,6 +31,23 @@ def _fd_cov_partial(t, idx, h=1e-4):
     for axis in idx:
         f = (lambda g, a: lambda pt: diff(g, a, pt))(f, axis - 1)
     return f(np.asarray(t, dtype=float))
+
+
+def _per_entry_joint(n_dim, r, at0, atx):
+    """The oracle's joint covariance entry by entry, (-1)^|b| R_{a+b}((p - q) t)
+    from :func:`_partial`: the fill that the structure tensor replaces."""
+    t = r * np.eye(n_dim)[-1]
+    comps = _joint_components(n_dim)
+
+    def rder(x, k):
+        return (atx if x > 0.0 else at0)[k]
+
+    joint = np.empty((len(comps), len(comps)))
+    for i, (ai, ap) in enumerate(comps):
+        for j, (bi, bp) in enumerate(comps[i:], start=i):
+            entry = (-1.0) ** len(bi) * _partial(rder, (ap - bp) * t, ai + bi)
+            joint[i, j] = joint[j, i] = entry
+    return joint
 
 
 class TestCovPartials:
@@ -126,6 +144,16 @@ class TestConditionalCovariance:
             a = conditional_covariance(model, r).sigma
             b = conditional_covariance_oracle(model, r).sigma
             assert np.abs(a - b).max() < 1e-8
+
+    @pytest.mark.parametrize("n_dim", [2, 3, 4, 5])
+    @pytest.mark.parametrize("r", [0.9, 0.05, 1e-3])
+    def test_joint_fill_matches_per_entry_partials(self, n_dim, r, rng):
+        # entries at displacements +t, 0 and -t, with unrelated radial values
+        # so that no identity between them hides a misplaced term
+        at0, atx = rng.normal(size=(2, 4))
+        got = _joint_covariance(n_dim, r, at0, atx)
+        ref = _per_entry_joint(n_dim, r, at0, atx)
+        assert np.abs(got - ref).max() <= 4.0 * np.finfo(float).eps * np.abs(ref).max()
 
     @pytest.mark.parametrize("n_dim", [2, 3, 4, 5])
     def test_hessian_block_matches_delta_loop(self, n_dim):

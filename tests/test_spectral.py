@@ -473,7 +473,28 @@ def _polarization_coefficients(poly, tol=1e-12):
     return {key: c for key, c in coeffs.items() if abs(c) > cut}
 
 
+def _row_mixed_values(poly, ys):
+    """tr(adj(M0) M1) as the sum over i of det(M0 with row i taken from M1):
+    the row-mixed rule, an independent route to LimitPolynomial.evaluate."""
+    m0, m1 = (np.tensordot(ys[:, part], poly.mats[part], axes=1)
+              for part in (slice(poly.rank0), slice(poly.rank0, None)))
+    eye = np.eye(poly.n_dim, dtype=bool)
+    return np.linalg.det(np.where(eye[:, :, None], m1[:, None], m0[:, None])).sum(1)
+
+
 class TestLimitPolynomial:
+    @pytest.mark.parametrize("maker", [gaussian_model, cauchy_model], ids=["gaussian", "cauchy"])
+    @pytest.mark.parametrize("n_dim", [2, 3, 4, 5, 6])
+    def test_evaluate_matches_row_mixed_rule(self, maker, n_dim, rng):
+        poly = limit_polynomial(maker(n_dim))
+        ys = rng.normal(size=(2000, poly.L))
+        vals = poly.evaluate(ys)
+        ref = _row_mixed_values(poly, ys)
+        scale = np.abs(ref).max()
+        assert np.abs(vals - ref).max() <= 1e-13 * scale
+        assert np.abs(vals + poly.evaluate(poly.flip(ys))).max() == 0.0
+        assert poly.evaluate(ys[7]) == pytest.approx(vals[7], abs=1e-13 * scale)
+
     def test_antisymmetry_exact(self, poly2, poly3, rng):
         for poly in (poly2, poly3):
             ys = rng.normal(size=(2000, poly.L))

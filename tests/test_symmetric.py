@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from critfield.symmetric import (matriculate, matriculate_batch, tau_index,
-                                 vech_len, vectorize_sym)
+from critfield.symmetric import (matriculate, matriculate_batch, packed_det,
+                                 tau_index, vech_len, vectorize_sym)
 
 
 def test_tau_index_corner_cases():
@@ -73,3 +73,14 @@ def test_matriculate_batch_matches_single(rng):
     batch = matriculate_batch(a, 3)
     for k in range(5):
         assert np.allclose(batch[k], matriculate(a[k], 3))
+
+
+@pytest.mark.parametrize("n_dim", [2, 3, 4, 5, 6])
+def test_packed_det_matches_lapack(n_dim, rng):
+    packed = rng.normal(size=(4096, vech_len(n_dim)))
+    packed[:8, 0] = 0.0  # a zero first pivot: past N=2 these rows go to LAPACK
+    ref = np.linalg.det(matriculate_batch(packed, n_dim))
+    got = packed_det(packed, n_dim)
+    assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    if n_dim > 2:
+        assert np.array_equal(got[:8], ref[:8])
