@@ -8,6 +8,7 @@ numerical-contract failure (a verification miss or a conditioning error).
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -25,8 +26,7 @@ from .covariance import (OracleConvergenceError, SingularConditioningError,
 from .fieldsim import (EmbeddingError, GridSpec, PairTable, euler_characteristic,
                        find_critical_points, pair_statistics, sample_field)
 from .models import model_from_spec
-from .rice import (InsufficientSamplesError, maxima_share, psi_ratio,
-                   sign_ratio)
+from .rice import InsufficientSamplesError, ratio_sweep
 from .spectral import (EigenpathError, EigenvalueCollisionError, eigenpath,
                        limit_polynomial, spectrum_sigma0)
 
@@ -191,6 +191,7 @@ def load_config(path):
     return RunConfig(**values)
 
 
+@functools.cache  # once per process, however many commands run in it
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="critfield",
@@ -311,21 +312,21 @@ def cmd_hpoly(cfg):
     return 0
 
 
-# command: (the estimator's name in this module, the list it sweeps); the
-# other list gives its first entry.  The name is looked up at each call.
+# command: (the estimator it runs, the list it sweeps); the other list gives
+# its first entry.
 SWEEPS = {"ratio": ("sign_ratio", "r"), "psi": ("psi_ratio", "u"),
           "share": ("maxima_share", "u")}
 
 
 def cmd_sweep(cfg):
+    """Every point of the sweep from one pass over shared draws, then the output."""
     name = cfg.command
     estimator, axis = SWEEPS[name]
-    model = cfg.model
+    sweep = cfg.r_list if axis == "r" else cfg.u_list
+    points = [(x, cfg.u_list[0]) if axis == "r" else (cfg.r_list[0], x) for x in sweep]
     rows = []
     records = []
-    for x in cfg.r_list if axis == "r" else cfg.u_list:
-        r, u = (x, cfg.u_list[0]) if axis == "r" else (cfg.r_list[0], x)
-        est = globals()[estimator](model, r, u, n=cfg.mc_n, seed=cfg.seed)
+    for x, est in zip(sweep, ratio_sweep(estimator, cfg.model, points, cfg.mc_n, cfg.seed)):
         label = f"{axis}={x:g}"
         rows.append((label, est.value, est.stderr, est.n))
         records.append(est.to_dict(name, {"sweep": label}))
@@ -445,8 +446,7 @@ def run(config):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         config = resolve_config(args)
     except (ConfigError, ValueError, OSError, json.JSONDecodeError) as exc:

@@ -79,8 +79,8 @@ class CondCov:
 # ---------------------------------------------------------------------------
 
 M_NODES = 256       # nodes on each circle; every other node gives the check rule
-R_START = 1.0       # first radius beyond the reach, in units of x = ||t||^2
-MAX_HALVINGS = 8    # radii tried: R_START / 2^j for j = 0..MAX_HALVINGS
+R_START = 1.0       # first radius beyond the reach, in units of the trusted window delta^2
+MAX_HALVINGS = 8    # radii tried: R_START delta^2 / 2^j for j = 0..MAX_HALVINGS
 AGREE_RTOL = 1e-12  # M- vs M/2-node coefficients, relative to max|f| on the circle
 PSD_TOL = 1e-10     # most negative eigenvalue of a PSD Sigma, relative to its trace
 QUAL_GRID = 256     # log-spaced points of check_qualified's scalar inequalities
@@ -88,7 +88,7 @@ PROBE_RADII = (0.25, 0.5, 1.0)  # fractions of the validity radius of the joint 
 _ROOTS = np.exp(2j * np.pi * np.arange(M_NODES) / M_NODES)
 
 
-def _taylor(f, center, reach=0.0):
+def _taylor(f, center, window, reach=0.0):
     """Scaled Taylor coefficients of f about ``center`` by the trapezoidal Cauchy rule.
 
     f is evaluated once on the M_NODES equispaced nodes of the circle of
@@ -96,14 +96,16 @@ def _taylor(f, center, reach=0.0):
     for every k < M_NODES; every other node gives the same M_NODES/2-node
     rule.  Aliasing moves the M/2 coefficients by about (rad/d)^(M/2), with d
     the distance to the nearest singularity of f, so R is halved from
-    R_START until the two rules agree to AGREE_RTOL * max|f| on the circle;
-    the M-node error is then of the order of the square of that.
+    R_START * ``window`` until the two rules agree to AGREE_RTOL * max|f| on
+    the circle; the M-node error is then of the order of the square of that.
+    ``window`` is the model's trusted window delta^2 in x, which a rescaled
+    profile shrinks with its singularities, so the circles scale with both.
 
     Returns (a, a_half, rad).  Raises OracleConvergenceError when no radius
     tried agrees, and TypeError when f rejects complex ndarrays.
     """
     for halvings in range(MAX_HALVINGS + 1):
-        rad = reach + R_START / 2.0 ** halvings
+        rad = reach + window * R_START / 2.0 ** halvings
         z = center + rad * _ROOTS
         try:
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -132,7 +134,7 @@ def _analytic_rho_derivs(model):
             return float(funcs[k](x))
         # The model carries three derivative closures; the fourth is the
         # contour rule's first coefficient of rho''' about x.
-        a, _, rad = _taylor(model.rho_d3, x)
+        a, _, rad = _taylor(model.rho_d3, x, model.validity_radius ** 2)
         return float(a[1].real) / rad
 
     return rder
@@ -400,7 +402,7 @@ def conditional_covariance_oracle(model, r):
     n, m = model.n_dim, model.vech_dim
     L = m + 2
     c = 0.5 * r * r
-    coefs, coefs_half, rad = _taylor(model.rho, c, reach=c)
+    coefs, coefs_half, rad = _taylor(model.rho, c, model.validity_radius ** 2, reach=c)
     both = np.zeros((M_NODES, 2))
     both[:, 0], both[: M_NODES // 2, 1] = coefs.real, coefs_half.real
     derivs = _radial_derivatives(both, rad, c)
@@ -595,8 +597,9 @@ def check_qualified(model):
         )
     )
 
-    # Joint non-degeneracy probe: smallest eigenvalue of the conditioned
-    # covariance at sampled radii, relative to its trace.
+    # Joint non-degeneracy probe: smallest eigenvalue of the correlation
+    # matrix D^-1/2 Sigma(r) D^-1/2, D = diag Sigma(r), at sampled radii; a
+    # rescaled model moves D and not the correlations.
     worst = np.inf
     ok = True
     for frac in PROBE_RADII:
@@ -607,13 +610,17 @@ def check_qualified(model):
             ok = False
             worst = -np.inf
             break
-        rel = cc.eigenvalues().min() / max(cc.sigma.trace(), 1.0)
-        worst = min(worst, rel)
+        var = np.diag(cc.sigma)
+        if var.min() > 0.0:
+            inv_sd = 1.0 / np.sqrt(var)
+            worst = min(worst, np.linalg.eigvalsh(cc.sigma * np.outer(inv_sd, inv_sd)).min())
+        else:  # a coordinate without variance is degenerate
+            worst = min(worst, 0.0)
     ok = ok and worst > 1e-12
     checks.append(
         ConditionCheck(
             "joint_nondegenerate", bool(ok), float(worst),
-            "min relative eigenvalue of Sigma(r) at sampled radii",
+            "min eigenvalue of the correlation matrix of Sigma(r) at sampled radii",
         )
     )
     return QualReport(model_name=model.name, n_dim=model.n_dim, checks=tuple(checks))

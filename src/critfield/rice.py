@@ -23,18 +23,23 @@ Sampling is deterministic: a root seed plus a named stream and a fixed chunk
 plan define counter-based substreams.  The chunks run on a thread pool with
 one worker per CPU in the affinity mask, and their partial sums are reduced
 in chunk order, so identical seeds reproduce identical estimates, bit for
-bit, whatever the number of workers.  High thresholds use a mean-shift
+bit, whatever the number of workers.  The points of a sweep share the seed
+and the stream, hence the draws: :func:`ratio_sweep` draws each chunk once
+and maps it through every point, and each point's estimate is the one a
+single-point call gives.  High thresholds use a mean-shift
 importance proposal centered at the closest point of the feasible region,
 which keeps the effective sample size usable out to thresholds where plain
 sampling would see no hits at all.
 """
 
+import functools
 import math
 import os
 import queue
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -54,6 +59,7 @@ __all__ = [
     "rice_density_mc",
     "rice_density_quadrature",
     "index_ratio_mc",
+    "ratio_sweep",
     "sign_ratio",
     "psi_ratio",
     "maxima_share",
@@ -334,9 +340,19 @@ def _check_n(n):
         raise ValueError(f"need a positive sample count, got n={n}")
 
 
-def _accumulate(model, factor, u_thr, n, seed, stream, shift, antithetic,
-                num_sel, den_sel=None):
-    """One pass over the sample plan.
+class _Target(NamedTuple):
+    """One point of a pass: a factor of Sigma, its threshold and mean shift,
+    and the index classes of its numerator and denominator (None: b = 1)."""
+
+    factor: np.ndarray
+    u_thr: object
+    shift: object
+    num_sel: tuple
+    den_sel: object = None
+
+
+def _accumulate(model, n, seed, stream, antithetic, targets):
+    """One pass over the sample plan, mapped through every target.
 
     ``antithetic`` selects the pairing of each drawn innovation y':
     "negate" pairs y' with -y' (the |det| part is even, so the symmetric
@@ -345,44 +361,50 @@ def _accumulate(model, factor, u_thr, n, seed, stream, shift, antithetic,
     classes in the r -> 0 limit and all but removes the shared noise from
     sign ratios.
 
-    The chunks run on the worker pool.  A worker maps its chunk BLOCK rows
-    at a time: the draws and their partners are written in place into a
-    block buffer made by the caller, and the block is mapped through the
-    last two rows of ``factor`` only, the two field values, to which the
-    mean shift adds its image; this keeps the live samples, those with both
-    values above ``u_thr``, and every other sample has zero mass.  Only the
-    live samples are shifted, mapped to packed Hessian rows, weighted, and
-    passed to :func:`_inertia`, one LDL^T pass for determinant and index,
-    with an eigvalsh fallback for the few rows it cannot settle.
-    ``u_thr=None`` means ``factor`` has the Hessian rows only and every
-    sample is live.  A chunk's pair sums are bincounts over its live rows,
-    and the chunks' partial sums are reduced in chunk order, so the
-    estimates do not depend on the number of workers.
+    The chunks run on the worker pool.  A worker draws and pairs its chunk
+    BLOCK rows at a time, in place in a block buffer made by the caller, and
+    maps the block through each target in turn with the same buffers: the
+    draws go through the last two rows of the target's factor only, the two
+    field values, to which its mean shift adds its image; this keeps the
+    live samples, those with both values above its ``u_thr``, and every
+    other sample has zero mass.  Only the live samples are shifted, mapped
+    to packed Hessian rows, weighted, and passed to :func:`_inertia`, one
+    LDL^T pass for determinant and index, with an eigvalsh fallback for the
+    few rows it cannot settle.  ``u_thr=None`` means the factor has the
+    Hessian rows only and every sample is live.  A chunk's pair sums are
+    bincounts over its live rows, and each target's chunk sums are reduced
+    in chunk order, so its estimate depends neither on the number of workers
+    nor on the other targets: a target's result is that of a pass over it
+    alone.
 
-    Returns per-index |det|-mass buckets and hit counts (index 0..N, then
-    degenerate) and R = sum(a)/sum(b) over pair units, a and b a unit's mass
-    in the classes of ``num_sel`` and ``den_sel`` (b = 1 if ``den_sel`` is
-    None), with the delta-method error bar sqrt(sum((a - R b)^2)) / sum(b)
-    from each chunk's moments about its own R_c, which do not cancel.
-    Raises ValueError if ``n`` is not positive and InsufficientSamplesError
-    if sum(b) is 0.
+    Returns, per target, per-index |det|-mass buckets and hit counts (index
+    0..N, then degenerate) and R = sum(a)/sum(b) over pair units, a and b a
+    unit's mass in the classes of ``num_sel`` and ``den_sel`` (b = 1 if
+    ``den_sel`` is None), with the delta-method error bar
+    sqrt(sum((a - R b)^2)) / sum(b) from each chunk's moments about its own
+    R_c, which do not cancel.  Raises ValueError if ``n`` is not positive and
+    InsufficientSamplesError if any target's sum(b) is 0.
     """
     _check_n(n)
     n_dim = model.n_dim
     m = model.vech_dim
-    L = factor.shape[1]
+    L = targets[0].factor.shape[1]
     parts = 2 if antithetic in ("negate", "flip") else 1  # samples per pair unit
     n = int(n) + int(n) % parts
     rank0 = L - n_dim - 1
     n_cls = n_dim + 2  # index 0..N, then degenerate
-    num_mask = np.isin(np.arange(n_cls), num_sel)
-    den_mask = None if den_sel is None else np.isin(np.arange(n_cls), den_sel)
-    # C-ordered, as OpenBLAS threads a product with a transposed operand far sooner
-    hess_rows = np.ascontiguousarray(factor[:m].T)
-    value_rows = np.ascontiguousarray(factor[m:].T)
-    if shift is not None:
-        half_shift_sq = 0.5 * float(shift @ shift)
-        shift_vals = shift @ value_rows  # the shift's image on the two field values
+    maps, masks = [], []  # per target: what maps a block, what selects its classes
+    for t in targets:
+        value_rows = np.ascontiguousarray(t.factor[m:].T)
+        maps.append((
+            t.u_thr, t.shift,
+            # C-ordered, as OpenBLAS threads a product with a transposed operand far sooner
+            np.ascontiguousarray(t.factor[:m].T), value_rows,
+            # the shift's half square and its image on the two field values
+            None if t.shift is None else 0.5 * float(t.shift @ t.shift),
+            None if t.shift is None else t.shift @ value_rows))
+        masks.append((np.isin(np.arange(n_cls), t.num_sel),
+                      None if t.den_sel is None else np.isin(np.arange(n_cls), t.den_sel)))
     n_chunks = -(-n // CHUNK)
     pool = _executor()
     # block buffers are made here: what a worker thread allocates stays in its own malloc arena
@@ -391,49 +413,37 @@ def _accumulate(model, factor, u_thr, n, seed, stream, shift, antithetic,
         free.put((np.empty((BLOCK, L)), np.empty((BLOCK, 2)), np.empty(BLOCK),
                   np.empty((BLOCK, L)), np.empty((BLOCK, m))))
 
-    def chunk_sums(chunk):
-        units = min(CHUNK, n - chunk * CHUNK) // parts
-        rng = _chunk_rng(seed, stream, chunk)
-        drawn, partners = [], []  # pair unit, class and mass of the live rows
-        bufs = free.get()
-        try:
-            for lo in range(0, units, BLOCK // parts):
-                k = min(BLOCK // parts, units - lo)
-                ys, vals, log_w, picked, hess = (buf[:parts * k] for buf in bufs)
-                rng.standard_normal(out=ys[:k])
-                if antithetic == "flip":
-                    ys[k:] = ys[:k]
-                    ys[k:, rank0:] *= -1.0
-                elif parts == 2:
-                    np.negative(ys[:k], out=ys[k:])
-                if shift is not None:  # ys stay unshifted: the weight needs the draws
-                    np.negative(np.matmul(ys, shift, out=log_w), out=log_w)
-                    log_w -= half_shift_sq
-                if u_thr is None:
-                    rows = np.arange(parts * k)
-                else:
-                    _serial_matmul(ys, value_rows, vals)
-                    if shift is not None:
-                        vals += shift_vals
-                    rows = np.flatnonzero((vals[:, 0] > u_thr) & (vals[:, 1] > u_thr))
-                picked, hess = picked[:rows.size], hess[:rows.size]
-                np.take(ys, rows, axis=0, out=picked)
-                if shift is not None:
-                    picked += shift
-                dets, idx, degen = _inertia(_serial_matmul(picked, hess_rows, hess), n_dim)
-                mass = np.abs(dets)
-                if shift is not None:
-                    mass *= np.exp(log_w[rows])
-                cut = np.searchsorted(rows, k)  # rows from k on are the partners
-                at = rows + lo
-                at[cut:] -= k
-                live = (at, np.where(degen, n_dim + 1, idx), mass)
-                drawn.append([x[:cut] for x in live])
-                partners.append([x[cut:] for x in live])
-        finally:
-            free.put(bufs)
-        at, cls, mass = map(np.concatenate, zip(*drawn, *partners))
-        # pair sums over the live rows, each unit's drawn row first
+    def live_rows(target_map, ys, vals, log_w, picked, hess, lo, k):
+        """Place, class and mass of a block's live rows under one target: the
+        drawn rows', then the partners'."""
+        u_thr, shift, hess_rows, value_rows, half_shift_sq, shift_vals = target_map
+        if shift is not None:  # ys stay unshifted: the weight needs the draws
+            np.negative(np.matmul(ys, shift, out=log_w), out=log_w)
+            log_w -= half_shift_sq
+        if u_thr is None:
+            rows = np.arange(ys.shape[0])
+        else:
+            _serial_matmul(ys, value_rows, vals)
+            if shift is not None:
+                vals += shift_vals
+            rows = np.flatnonzero((vals[:, 0] > u_thr) & (vals[:, 1] > u_thr))
+        picked, hess = picked[:rows.size], hess[:rows.size]
+        np.take(ys, rows, axis=0, out=picked)
+        if shift is not None:
+            picked += shift
+        dets, idx, degen = _inertia(_serial_matmul(picked, hess_rows, hess), n_dim)
+        mass = np.abs(dets)
+        if shift is not None:
+            mass *= np.exp(log_w[rows])
+        cut = np.searchsorted(rows, k)  # rows from k on are the partners
+        at = rows + lo
+        at[cut:] -= k
+        live = (at, np.where(degen, n_dim + 1, idx), mass)
+        return [x[:cut] for x in live], [x[cut:] for x in live]
+
+    def pair_sums(num_mask, den_mask, units, live):
+        """One target's chunk sums over its live rows, each unit's drawn row first."""
+        at, cls, mass = map(np.concatenate, zip(*live))
         a = np.bincount(at, np.where(num_mask[cls], mass, 0.0), units)
         b = (np.ones(units) if den_mask is None
              else np.bincount(at, np.where(den_mask[cls], mass, 0.0), units))
@@ -441,30 +451,64 @@ def _accumulate(model, factor, u_thr, n, seed, stream, shift, antithetic,
         res = a - r_c * b
         return (np.bincount(cls, weights=mass, minlength=n_cls),
                 np.bincount(cls, minlength=n_cls),
-                (r_c, (res * res).sum(), (res * b).sum(), (b * b).sum()), units)
+                (r_c, (res * res).sum(), (res * b).sum(), (b * b).sum()))
 
-    buckets, counts, n_units, moments = np.zeros(n_cls), np.zeros(n_cls, np.int64), 0, []
-    for bucket, count, chunk_moments, units in pool.map(chunk_sums, range(n_chunks)):
-        buckets, counts, n_units = buckets + bucket, counts + count, n_units + units
-        moments.append(chunk_moments)
-    # first moments from the per-index buckets, so complementary class
-    # selections partition the denominator mass exactly
-    num = float(np.sum(buckets[list(num_sel)]))
-    den = float(n_units) if den_sel is None else float(np.sum(buckets[list(den_sel)]))
-    if den <= 0.0:
-        raise InsufficientSamplesError(f"denominator saw no mass at u={u_thr} with n={n}")
-    ratio = num / den
-    r_c, res_sq, res_b, b_sq = np.array(moments).reshape(-1, 4).T
-    var = float(np.sum(res_sq - 2.0 * (ratio - r_c) * res_b + (ratio - r_c) ** 2 * b_sq))
-    return {"buckets": buckets, "counts": counts, "n": n, "n_units": n_units,
-            "num": num, "den": den, "ratio": ratio, "stderr": math.sqrt(max(var, 0.0)) / den}
+    def chunk_sums(chunk):
+        units = min(CHUNK, n - chunk * CHUNK) // parts
+        rng = _chunk_rng(seed, stream, chunk)
+        drawn, partners = [[] for _ in targets], [[] for _ in targets]
+        bufs = free.get()
+        try:
+            for lo in range(0, units, BLOCK // parts):
+                k = min(BLOCK // parts, units - lo)
+                block = [buf[:parts * k] for buf in bufs]
+                ys = block[0]
+                rng.standard_normal(out=ys[:k])
+                if antithetic == "flip":
+                    ys[k:] = ys[:k]
+                    ys[k:, rank0:] *= -1.0
+                elif parts == 2:
+                    np.negative(ys[:k], out=ys[k:])
+                for target_map, mine, theirs in zip(maps, drawn, partners):
+                    first, second = live_rows(target_map, *block, lo, k)
+                    mine.append(first)
+                    theirs.append(second)
+        finally:
+            free.put(bufs)
+        return units, [pair_sums(*mask, units, mine + theirs)
+                       for mask, mine, theirs in zip(masks, drawn, partners)]
+
+    n_units, chunks = 0, []
+    for units, sums in pool.map(chunk_sums, range(n_chunks)):
+        n_units += units
+        chunks.append(sums)
+    accs = []
+    for t, per_chunk in zip(targets, zip(*chunks)):
+        buckets, counts, moments = zip(*per_chunk)
+        buckets, counts = sum(buckets, np.zeros(n_cls)), sum(counts, np.zeros(n_cls, np.int64))
+        # first moments from the per-index buckets, so complementary class
+        # selections partition the denominator mass exactly
+        num = float(np.sum(buckets[list(t.num_sel)]))
+        den = float(n_units) if t.den_sel is None else float(np.sum(buckets[list(t.den_sel)]))
+        if den <= 0.0:
+            raise InsufficientSamplesError(f"denominator saw no mass at u={t.u_thr} with n={n}")
+        ratio = num / den
+        r_c, res_sq, res_b, b_sq = np.array(moments).reshape(-1, 4).T
+        var = float(np.sum(res_sq - 2.0 * (ratio - r_c) * res_b + (ratio - r_c) ** 2 * b_sq))
+        accs.append({"buckets": buckets, "counts": counts, "n": n, "n_units": n_units,
+                     "num": num, "den": den, "ratio": ratio,
+                     "stderr": math.sqrt(max(var, 0.0)) / den})
+    return accs
 
 
-def _sample(model, r, u_thr, n, seed, stream, antithetic, shift, num_sel, den_sel=None):
-    """:func:`_accumulate` on the factor of Sigma(r) and the shift policy ``shift``."""
-    factor, sigma = _factor_matrix(model, r, antithetic == "flip")
-    return _accumulate(model, factor, u_thr, n, seed, STREAMS[stream],
-                       _resolve_shift(u_thr, sigma, factor, shift), antithetic, num_sel, den_sel)
+def _sample(model, points, n, seed, stream, antithetic, shift, num_sel, den_sel=None):
+    """:func:`_accumulate` at every (r, u_thr) of ``points``: the factor of
+    Sigma(r) and the shift policy ``shift``, one factor per distinct r."""
+    factors = {r: _factor_matrix(model, r, antithetic == "flip") for r, _ in points}
+    targets = [_Target(factors[r][0], u_thr, _resolve_shift(u_thr, factors[r][1], factors[r][0],
+                                                            shift), num_sel, den_sel)
+               for r, u_thr in points]
+    return _accumulate(model, n, seed, STREAMS[stream], antithetic, targets)
 
 
 def _estimate(acc, t0, value, stderr, seed, k, r, u_thr, **extras):
@@ -490,11 +534,22 @@ def rice_density_mc(model, r, u_thr, k=None, n=200_000, seed=0, antithetic="nega
         return RiceEstimate(0.0, 0.0, int(n), int(seed), k, float(r), float(u_thr))
     t0 = time.perf_counter()
     sel = tuple(range(model.n_dim + 1)) if k is None else (int(k),)
-    acc = _sample(model, r, u_thr, n, seed, "density", antithetic, shift, sel)
+    (acc,) = _sample(model, [(r, u_thr)], n, seed, "density", antithetic, shift, sel)
     pref = _prefactor(model, r, u_thr)
     return _estimate(acc, t0, pref * acc["num"] / acc["n"],
                      pref * acc["stderr"] * acc["n_units"] / acc["n"], seed, k, r, u_thr,
                      raw_sum=acc["num"], prefactor=pref)
+
+
+def _ratios(model, points, num_sel, den_sel, n, seed, stream, k, antithetic="negate",
+            shift="auto"):
+    """:func:`index_ratio_mc` at every (r, u_thr) of ``points`` from one pass,
+    each estimate labelled ``k``; ``wall_ms`` times the whole pass."""
+    t0 = time.perf_counter()
+    accs = _sample(model, points, n, seed, stream, antithetic, shift, num_sel, den_sel)
+    return [_estimate(acc, t0, acc["ratio"], acc["stderr"], seed, k, r, u_thr,
+                      num_sum=acc["num"], den_sum=acc["den"])
+            for acc, (r, u_thr) in zip(accs, points)]
 
 
 def index_ratio_mc(model, r, u_thr, num_indices, den_indices, n=2_000_000, seed=0,
@@ -509,11 +564,34 @@ def index_ratio_mc(model, r, u_thr, num_indices, den_indices, n=2_000_000, seed=
     the small systematic deviation of sign ratios far below plain-sampling
     noise.
     """
-    t0 = time.perf_counter()
     num_sel, den_sel = tuple(num_indices), tuple(den_indices)
-    acc = _sample(model, r, u_thr, n, seed, stream, antithetic, shift, num_sel, den_sel)
-    return _estimate(acc, t0, acc["ratio"], acc["stderr"], seed, (num_sel, den_sel), r, u_thr,
-                     num_sum=acc["num"], den_sum=acc["den"])
+    (est,) = _ratios(model, [(r, u_thr)], num_sel, den_sel, n, seed, stream, (num_sel, den_sel),
+                     antithetic, shift)
+    return est
+
+
+# estimator: (its stream, its label k, its numerator and denominator index
+# classes at dimension N)
+RATIOS = {
+    "sign_ratio": ("ratio", "+/-",
+                   lambda n: (tuple(range(0, n + 1, 2)), tuple(range(1, n + 1, 2)))),
+    "psi_ratio": ("psi", "psi", lambda n: (tuple(range(n - 1)), (n - 1, n))),
+    "maxima_share": ("share", "share", lambda n: ((n,), (n - 1, n))),
+}
+
+
+def ratio_sweep(estimator, model, points, n, seed, **kw):
+    """The estimates of ``estimator`` at every (r, u_thr) of ``points``, from one pass.
+
+    ``estimator`` names one of :func:`sign_ratio`, :func:`psi_ratio` and
+    :func:`maxima_share`, and ``kw`` takes their keyword options.  The points
+    share the seed and the stream, so they share every chunk's draws (common
+    random numbers): each chunk is drawn and paired once and then mapped
+    through every point.  Each estimate is bit-identical to the one the
+    single-point call gives; its ``wall_ms`` is that of the whole pass.
+    """
+    stream, k, classes = RATIOS[estimator]
+    return _ratios(model, points, *classes(model.n_dim), n, seed, stream, k, **kw)
 
 
 def sign_ratio(model, r, u_thr, n=2_000_000, seed=0, **kw):
@@ -522,26 +600,17 @@ def sign_ratio(model, r, u_thr, n=2_000_000, seed=0, **kw):
     The determinant sign is (-1)^index, so the classes are the even and odd
     indices.
     """
-    evens = tuple(k for k in range(model.n_dim + 1) if k % 2 == 0)
-    odds = tuple(k for k in range(model.n_dim + 1) if k % 2 == 1)
-    est = index_ratio_mc(model, r, u_thr, evens, odds, n=n, seed=seed, **kw)
-    return replace(est, k="+/-")
+    return ratio_sweep("sign_ratio", model, [(r, u_thr)], n, seed, **kw)[0]
 
 
 def psi_ratio(model, r, u_thr, n=2_000_000, seed=0, **kw):
     """Mass of indices <= N-2 relative to the top two indices (limit 0 as u grows)."""
-    n_dim = model.n_dim
-    est = index_ratio_mc(model, r, u_thr, tuple(range(n_dim - 1)),
-                         (n_dim - 1, n_dim), n=n, seed=seed, stream="psi", **kw)
-    return replace(est, k="psi")
+    return ratio_sweep("psi_ratio", model, [(r, u_thr)], n, seed, **kw)[0]
 
 
 def maxima_share(model, r, u_thr, n=2_000_000, seed=0, **kw):
     """Share of local maxima among the top two index classes (limit 1/2)."""
-    n_dim = model.n_dim
-    est = index_ratio_mc(model, r, u_thr, (n_dim,), (n_dim - 1, n_dim),
-                         n=n, seed=seed, stream="share", **kw)
-    return replace(est, k="share")
+    return ratio_sweep("maxima_share", model, [(r, u_thr)], n, seed, **kw)[0]
 
 
 def mean_critical_density(model, k=None, n=500_000, seed=0):
@@ -562,7 +631,8 @@ def mean_critical_density(model, k=None, n=500_000, seed=0):
     root = _sym_root(_g22_origin(model.d2, n_dim))
     p_grad0 = (-4.0 * math.pi * model.d1) ** (-n_dim / 2.0)
     sel = tuple(range(n_dim + 1)) if k is None else (int(k),)
-    acc = _accumulate(model, root, None, n, seed, STREAMS["unconditional"], None, None, sel)
+    (acc,) = _accumulate(model, n, seed, STREAMS["unconditional"], None,
+                         [_Target(root, None, None, sel)])
     # unpaired, so a pair unit is one sample
     return _estimate(acc, t0, p_grad0 * acc["num"] / acc["n"], p_grad0 * acc["stderr"],
                      seed, k, 0.0, -math.inf)
@@ -629,6 +699,14 @@ def _cone_frame(sigma, u_thr):
             max(u_thr, 0.0) * math.sqrt(max(1.0 / var, corner)), cv[0, 0])
 
 
+@functools.cache
+def _gauss_legendre(size):
+    """Gauss-Legendre nodes and weights on [-1, 1], made once per size, read-only."""
+    nodes, weights = leggauss(size)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 def _cone_rows(frame, u_thr, k, n_rad, n_t, psi):
     """Integral of index class k over (s, nu) at each angular node ``psi``.
 
@@ -643,7 +721,7 @@ def _cone_rows(frame, u_thr, k, n_rad, n_t, psi):
     scales, gain, sd, eta, t_hi, h11_sign = frame
     phi = 0.5 * math.pi + np.arctan2(PHI_WIDTH * np.sin(psi), np.cos(psi))
     dphi = PHI_WIDTH / (np.cos(psi) ** 2 + (PHI_WIDTH * np.sin(psi)) ** 2)
-    nu, w_nu = leggauss(n_t)
+    nu, w_nu = _gauss_legendre(n_t)
     if k == 1:
         p, w, weight = nu, np.ones(n_t), w_nu * (1.0 - nu * nu)
     else:  # index 0 is the nappe on which h11 > 0
@@ -656,7 +734,7 @@ def _cone_rows(frame, u_thr, k, n_rad, n_t, psi):
     low = means.min(axis=0)  # the survival turns on near t = u / low
     span = T_TAIL + np.minimum(np.divide(max(u_thr, 0.0), low, out=np.full_like(low, t_hi),
                                          where=low > 0), t_hi)
-    x, w_x = leggauss(n_rad)
+    x, w_x = _gauss_legendre(n_rad)
     t = 0.5 * span[..., None] * (x + 1.0)
     lo = (u_thr - t * means[..., None]) / sd[:, None, None, None]
     surv = _bvn_survival(lo[0], lo[1], eta)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -13,7 +14,8 @@ from critfield.covariance import (OracleConvergenceError,
                                   conditional_covariance,
                                   conditional_covariance_oracle, cov_partials,
                                   sigma_expansion)
-from critfield.models import RadialModel, cauchy_model, gaussian_model
+from critfield.cli import main
+from critfield.models import RadialModel, cauchy_model, gaussian_model, rescale
 from critfield.symmetric import tau_index, vech_indices
 
 
@@ -377,6 +379,14 @@ class TestCheckQualified:
         assert "curvature_ratio" in report.failed()
         assert report["curvature_ratio"].value == pytest.approx(0.0, abs=1e-14)
 
+    @pytest.mark.parametrize("scale", [1e-6, 1e-5, 1e-3, 1.0, 1e3])
+    def test_joint_nondegenerate_is_scale_free(self, gauss2, scale):
+        # the correlation matrix of Sigma(r) does not move under rescaling,
+        # while the smallest eigenvalue of Sigma(r) itself moves with scale^2
+        check = check_qualified(rescale(gauss2, scale))["joint_nondegenerate"]
+        assert check.passed
+        assert check.value == pytest.approx(8.585458e-7, rel=1e-5)
+
     def test_report_serializes(self, gauss2):
         d = check_qualified(gauss2).to_dict()
         assert d["overall_pass"] is True
@@ -384,3 +394,21 @@ class TestCheckQualified:
             "unit_variance", "curvature_ratio", "gradient_bound",
             "paired_conditioning", "joint_nondegenerate",
         }
+
+
+def test_contour_rule_follows_the_model_scale(tmp_path):
+    # the circles are measured in the trusted window delta^2, which a
+    # rescaled model shrinks with its singularities: every oracle error is
+    # small and covered by its estimate, far from the unit scale too
+    argv = ["sigma", "--verify", "--scale", "300", "--r", "0.05,0.02,0.005,0.001",
+            "--tol", "1e-6", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    with open(tmp_path / "sigma.json") as fh:
+        verify = json.load(fh)["verify"]
+    assert len(verify) == 4
+    for rec in verify:
+        assert rec["max_abs"] <= rec["estimate"], rec
+        assert rec["max_abs"] < 1e-6, rec
+    assert main(["check", "--scale", "1e6", "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "check.json") as fh:
+        assert json.load(fh)["overall_pass"]

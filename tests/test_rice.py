@@ -1,3 +1,4 @@
+import json
 import math
 import multiprocessing
 import os
@@ -10,6 +11,7 @@ import pytest
 import scipy.special
 from scipy.special import ndtr, owens_t
 
+import critfield.cli as cli_mod
 import critfield.rice as rice_mod
 from critfield.covariance import (OracleConvergenceError, _g22_origin,
                                   conditional_covariance)
@@ -17,8 +19,8 @@ from critfield.models import cauchy_model, gaussian_model
 from critfield.rice import (InsufficientSamplesError, hessian_index,
                             index_ratio_mc, maxima_share,
                             mean_critical_density, projection_point, psi_ratio,
-                            rice_density_mc, rice_density_quadrature,
-                            sign_ratio)
+                            ratio_sweep, rice_density_mc,
+                            rice_density_quadrature, sign_ratio)
 from critfield.symmetric import matriculate_batch, vech_indices
 
 
@@ -631,3 +633,69 @@ def test_class_hits_count_live_samples(gauss2, gauss3):
     # with no threshold every sample is live, across chunks
     ratio = sign_ratio(gauss3, 0.3, -math.inf, n=150_000, seed=1, shift="none")
     assert int(ratio.extras["class_hits"].sum()) == ratio.n
+
+
+SINGLE = {"maxima_share": maxima_share, "sign_ratio": sign_ratio, "psi_ratio": psi_ratio}
+
+
+def _assert_same_estimate(swept, single):
+    assert (swept.value, swept.stderr, swept.n, swept.n_degenerate, swept.k, swept.r,
+            swept.u_threshold, swept.seed) == (single.value, single.stderr, single.n,
+                                               single.n_degenerate, single.k, single.r,
+                                               single.u_threshold, single.seed)
+    assert swept.extras.keys() == single.extras.keys()
+    for key, value in single.extras.items():
+        np.testing.assert_array_equal(swept.extras[key], value, err_msg=key)
+
+
+@pytest.mark.parametrize("model_name, estimator, points, antithetic", [
+    ("gauss2", "maxima_share", [(0.02, 1.0), (0.02, 2.0), (0.02, 4.0)], "negate"),
+    ("gauss3", "maxima_share", [(0.02, 1.0), (0.02, 2.0), (0.02, 4.0)], "negate"),
+    ("gauss2", "maxima_share", [(0.02, 1.0), (0.02, 2.0), (0.02, 4.0)], "flip"),
+    ("gauss3", "maxima_share", [(0.05, 4.0), (0.05, 1.0)], "flip"),
+    ("gauss2", "sign_ratio", [(0.1, 1.0), (0.05, 1.0), (0.02, 1.0)], "negate"),
+    ("gauss3", "sign_ratio", [(0.2, 1.0), (0.05, 1.0)], "flip"),
+    ("gauss3", "psi_ratio", [(0.05, 1.0), (0.05, 2.0), (0.3, 2.0)], "negate"),
+], ids=["u-sweep-N2", "u-sweep-N3", "u-sweep-N2-flip", "u-sweep-N3-flip", "r-sweep-N2",
+        "r-sweep-N3-flip", "psi-N3"])
+def test_sweep_matches_single_points_bit_for_bit(request, model_name, estimator, points,
+                                                 antithetic):
+    # one pass maps each chunk's draws through every point; a short last
+    # chunk puts the chunk-order reduction of every point to the test
+    model = request.getfixturevalue(model_name)
+    n = rice_mod.CHUNK + 4099
+    swept = ratio_sweep(estimator, model, points, n, 5, antithetic=antithetic)
+    assert len(swept) == len(points)
+    for est, (r, u_thr) in zip(swept, points):
+        single = SINGLE[estimator](model, r, u_thr, n=n, seed=5, antithetic=antithetic)
+        _assert_same_estimate(est, single)
+
+
+def test_sweep_with_an_empty_denominator_raises(gauss2):
+    with pytest.raises(InsufficientSamplesError, match="u=30"):
+        ratio_sweep("maxima_share", gauss2, [(0.1, 1.0), (0.1, 30.0)], 2000, 0, shift="none")
+
+
+def test_cli_sweep_is_one_pass_of_single_points(gauss2, tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli_mod, "ratio_sweep",
+                        lambda *args: calls.append(args) or ratio_sweep(*args))
+    argv = ["share", "--u", "1,4", "--n", "4096", "--seed", "3", "--out", str(tmp_path)]
+    assert cli_mod.main(argv) == 0
+    assert len(calls) == 1
+    with open(tmp_path / "share.json") as fh:
+        results = json.load(fh)["results"]
+    for rec, u_thr in zip(results, (1.0, 4.0)):
+        single = maxima_share(gauss2, 0.1, u_thr, n=4096, seed=3)
+        assert (rec["value"], rec["stderr"], rec["n"]) == (single.value, single.stderr, single.n)
+
+
+def test_cli_sweep_with_an_empty_denominator_writes_nothing(tmp_path, capsys):
+    # every point comes from the one pass, so nothing is printed or written
+    # before the failing point raises
+    out = tmp_path / "out"
+    assert cli_mod.main(["share", "--u", "1,1e6", "--n", "4096", "--out", str(out)]) == 3
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "denominator saw no mass at u=1000000.0" in captured.err
