@@ -345,10 +345,10 @@ class _Target(NamedTuple):
     and the index classes of its numerator and denominator (None: b = 1)."""
 
     factor: np.ndarray
-    u_thr: object
-    shift: object
+    u_thr: float | None
+    shift: np.ndarray | None
     num_sel: tuple
-    den_sel: object = None
+    den_sel: tuple | None = None
 
 
 def _accumulate(model, n, seed, stream, antithetic, targets):
@@ -505,9 +505,11 @@ def _sample(model, points, n, seed, stream, antithetic, shift, num_sel, den_sel=
     """:func:`_accumulate` at every (r, u_thr) of ``points``: the factor of
     Sigma(r) and the shift policy ``shift``, one factor per distinct r."""
     factors = {r: _factor_matrix(model, r, antithetic == "flip") for r, _ in points}
-    targets = [_Target(factors[r][0], u_thr, _resolve_shift(u_thr, factors[r][1], factors[r][0],
-                                                            shift), num_sel, den_sel)
-               for r, u_thr in points]
+    targets = []
+    for r, u_thr in points:
+        factor, sigma = factors[r]
+        targets.append(_Target(factor, u_thr, _resolve_shift(u_thr, sigma, factor, shift),
+                               num_sel, den_sel))
     return _accumulate(model, n, seed, STREAMS[stream], antithetic, targets)
 
 
