@@ -264,10 +264,9 @@ def cmd_sigma(cfg):
         if cfg.verify:
             oracle = conditional_covariance_oracle(model, r)
             diff = np.abs(cc.sigma - oracle.sigma)
-            loc = np.unravel_index(diff.argmax(), diff.shape)
+            loc = tuple(int(i) for i in np.unravel_index(diff.argmax(), diff.shape))
             records["verify"].append(
-                {"r": r, "max_abs": float(diff.max()),
-                 "at": [int(loc[0]), int(loc[1])],
+                {"r": r, "max_abs": float(diff.max()), "at": list(loc),
                  "estimate": oracle.error_estimate}
             )
             worst_est = max(worst_est, oracle.error_estimate)

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rice import _chunk_rng, _inertia
-from .symmetric import vech_indices
+from .rice import _chunk_rng
+from .symmetric import packed_inertia, vech_indices
 
 __all__ = [
     "GridSpec",
@@ -364,11 +364,12 @@ def find_critical_points(realization, u_thr=-math.inf):
     ``_CONTRACT_AFTER`` steps a walker whose step does not shrink is retired:
     it is cycling or at the roundoff floor.  The points that pass the
     gradient test are deduplicated on the torus, classified by the index rule
-    of :func:`critfield.rice._inertia` and filtered by field value.  Returns
-    the points and a diagnostics dict: ``cells_flagged`` counts candidate
-    cells, ``starts`` walkers, ``diverged`` the walkers that left their leash
-    or met a singular Hessian, and ``stalled`` the others that stopped
-    without settling, by the contraction test or after ``_MAX_STEPS`` steps.
+    of :func:`critfield.symmetric.packed_inertia` and filtered by field
+    value.  Returns the points and a diagnostics dict: ``cells_flagged``
+    counts candidate cells, ``starts`` walkers, ``diverged`` the walkers that
+    left their leash or met a singular Hessian, and ``stalled`` the others
+    that stopped without settling, by the contraction test or after
+    ``_MAX_STEPS`` steps.
     """
     surface = FieldSurface(realization)
     h, extent = surface.h, realization.extent
@@ -424,7 +425,7 @@ def find_critical_points(realization, u_thr=-math.inf):
         settled, kept = np.array_equal(new, kept), new
     pts, gnorm, vals, hess = (a[sel[kept]] for a in (pts, gnorm, vals, hess))
     rows, cols = vech_indices(2)
-    _, index, _ = _inertia(hess[:, rows, cols], 2)  # packed (h11, h12, h22)
+    _, index, _ = packed_inertia(hess[:, rows, cols], 2)  # packed (h11, h12, h22)
     points = [CriticalPoint(position=pts[i].copy(), value=float(vals[i]),
                             grad_norm=float(gnorm[i]), hessian=hess[i].copy(),
                             index=int(index[i]))

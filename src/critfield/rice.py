@@ -13,8 +13,9 @@ the closed-form prefactor cancels exactly, and a density takes b = 1.
 Only live samples, those with both field values above the threshold, are
 shifted and mapped to packed Hessian rows; the rest carry no mass, and
 the values take the mean shift as its image.  A live Hessian's determinant
-and index come from one LDL^T pass on its row (a closed form at N=2), with
-an eigvalsh fallback for the rare rows whose pivots cannot settle the index.
+and index come from :func:`critfield.symmetric.packed_inertia`: one LDL^T
+pass on its row at every N (a closed form at N=2), with an eigvalsh fallback
+for the rare rows whose pivots cannot settle the index.
 The N=2 quadrature oracle takes P(both values > u) as Phibar of the larger
 bound wherever the bound Phibar(hi) Phi(-(rho hi - low) / sqrt(1 - rho^2))
 on the rest is below 1e-19 of it, and from Owen's T near the diagonal.
@@ -48,13 +49,13 @@ from .covariance import (OracleConvergenceError, _g22_origin, conditional_covari
                          sigma_expansion)
 from .io import SCHEMA
 from .spectral import factor_at
-from .symmetric import ldl_inertia, matriculate, matriculate_batch
+from . import symmetric
+from .symmetric import matriculate, packed_inertia
 
 __all__ = [
     "RiceEstimate",
     "ProjectionDiag",
     "InsufficientSamplesError",
-    "hessian_index",
     "projection_point",
     "rice_density_mc",
     "rice_density_quadrature",
@@ -129,71 +130,10 @@ class ProjectionDiag:
 
     @property
     def negative_count(self):
-        """Negative eigenvalues by :func:`hessian_index`'s ``DEGEN_TOL`` rule."""
-        tol = DEGEN_TOL * np.linalg.norm(self.hessian_eigs)
+        """Negative eigenvalues by the ``symmetric.DEGEN_TOL`` rule of
+        :func:`~critfield.symmetric.packed_inertia`."""
+        tol = symmetric.DEGEN_TOL * np.linalg.norm(self.hessian_eigs)
         return int((self.hessian_eigs < -tol).sum())
-
-
-DEGEN_TOL = 1e-10    # an eigenvalue within this times ||H||_F of zero is degenerate
-
-
-def hessian_index(mat):
-    """Number of negative eigenvalues; flags near-singular input.
-
-    Returns (index, degenerate).  Degeneracy (an eigenvalue within
-    ``DEGEN_TOL`` times the Frobenius norm of zero) is flagged rather than
-    raised: it has probability zero under the sampled laws.
-    """
-    mat = np.asarray(mat, dtype=float)
-    (idx,), (degen,) = _batch_index((0.5 * (mat + mat.T))[None])
-    return int(idx), bool(degen)
-
-
-def _batch_index(hessians):
-    """Vectorized index + degeneracy flags for a (m, N, N) batch."""
-    eigs = np.linalg.eigvalsh(hessians)
-    tol = DEGEN_TOL * np.maximum(
-        np.sqrt((hessians ** 2).sum(axis=(1, 2))), 1e-300
-    )
-    idx = (eigs < -tol[:, None]).sum(axis=1)
-    degen = (np.abs(eigs) <= tol[:, None]).any(axis=1)
-    return idx, degen
-
-
-def _inertia(packed, n_dim):
-    """Determinant, index and degeneracy flags of (k, N(N+1)/2) packed rows.
-
-    Each row is a half-vectorized symmetric matrix (see
-    :mod:`critfield.symmetric`).  At N <= 4 one pass of
-    :func:`~critfield.symmetric.ldl_inertia` gives all three: the closed
-    form at N=2, an unrolled LDL^T at N=3, 4, with the negative pivots as
-    the index.  A row keeps this result only where ``ldl_inertia`` trusts
-    it, and there it agrees with :func:`_batch_index`: the leading pivots
-    bound the multipliers, and |det| > floor * ||H||_F^(N-1) with floor =
-    ``DET_FLOOR * ||H||_F``.  Since |det| <= |lambda_min| ||H||_2^(N-1),
-    every eigenvalue then lies beyond floor, a hundred times ``DEGEN_TOL``,
-    so the row is not degenerate.
-
-    Every other row, and every row at N >= 5, is rebuilt as a matrix for
-    ``np.linalg.det`` and :func:`_batch_index`, which keeps its index and
-    degeneracy flag exactly.  The last pivot is held only to the lower floor
-    because near a conditioned critical point the small eigenvalue lies
-    along the last axis and lands in that pivot; with ``PIVOT_FLOOR`` there,
-    15-20 % of such Hessians at N=3, 4 would fall back, not under 0.1 %.
-    """
-    packed = np.asarray(packed, dtype=float)
-    count = packed.shape[0]
-    if n_dim <= 4:
-        det, idx, ok = ldl_inertia(packed, n_dim)
-    else:
-        det, idx, ok = np.zeros(count), np.zeros(count, dtype=np.intp), np.zeros(count, dtype=bool)
-    degen = np.zeros(count, dtype=bool)
-    slow = np.flatnonzero(~ok)
-    if slow.size:
-        sub = matriculate_batch(packed[slow], n_dim)
-        det[slow] = np.linalg.det(sub)
-        idx[slow], degen[slow] = _batch_index(sub)
-    return det, idx, degen
 
 
 # ---------------------------------------------------------------------------
@@ -368,14 +308,13 @@ def _accumulate(model, n, seed, stream, antithetic, targets):
     field values, to which its mean shift adds its image; this keeps the
     live samples, those with both values above its ``u_thr``, and every
     other sample has zero mass.  Only the live samples are shifted, mapped
-    to packed Hessian rows, weighted, and passed to :func:`_inertia`, one
-    LDL^T pass for determinant and index, with an eigvalsh fallback for the
-    few rows it cannot settle.  ``u_thr=None`` means the factor has the
-    Hessian rows only and every sample is live.  A chunk's pair sums are
-    bincounts over its live rows, and each target's chunk sums are reduced
-    in chunk order, so its estimate depends neither on the number of workers
-    nor on the other targets: a target's result is that of a pass over it
-    alone.
+    to packed Hessian rows, weighted, and passed to
+    :func:`~critfield.symmetric.packed_inertia` for determinant and index.
+    ``u_thr=None`` means the factor has the Hessian rows only and every
+    sample is live.  A chunk's pair sums are bincounts over its live rows,
+    and each target's chunk sums are reduced in chunk order, so its estimate
+    depends neither on the number of workers nor on the other targets: a
+    target's result is that of a pass over it alone.
 
     Returns, per target, per-index |det|-mass buckets and hit counts (index
     0..N, then degenerate) and R = sum(a)/sum(b) over pair units, a and b a
@@ -431,7 +370,7 @@ def _accumulate(model, n, seed, stream, antithetic, targets):
         np.take(ys, rows, axis=0, out=picked)
         if shift is not None:
             picked += shift
-        dets, idx, degen = _inertia(_serial_matmul(picked, hess_rows, hess), n_dim)
+        dets, idx, degen = packed_inertia(_serial_matmul(picked, hess_rows, hess), n_dim)
         mass = np.abs(dets)
         if shift is not None:
             mass *= np.exp(log_w[rows])

@@ -23,7 +23,7 @@ import numpy as np
 
 from .covariance import conditional_covariance, sigma_expansion
 from .models import w_eigenvalues
-from .symmetric import matriculate_batch, packed_det, vech_indices
+from .symmetric import matriculate_batch, packed_inertia, vech_indices
 
 __all__ = [
     "DEFAULT_R_GRID",
@@ -348,7 +348,7 @@ class LimitPolynomial:
         (det(M0 + eps M1) - det(M0 - eps M1)) / 2, has the ceil(N/2) odd
         coefficients, so at eps = 1..ceil(N/2) a fixed Vandermonde solve
         takes the first of them.  Every determinant is one
-        :func:`~critfield.symmetric.packed_det` on packed rows.  Flipping
+        :func:`~critfield.symmetric.packed_inertia` on packed rows.  Flipping
         the kernel coordinates swaps det(M0 + eps M1) and det(M0 - eps M1)
         bit for bit, so it negates the value exactly.
         """
@@ -368,7 +368,8 @@ class LimitPolynomial:
         # weights[j]: the share of the odd part at eps[j] in the eps-coefficient
         weights = 0.5 * np.linalg.solve(eps[None, :] ** np.arange(1, n + 1, 2)[:, None],
                                         np.eye(eps.size)[0])
-        vals = sum(w * (packed_det((p0 + e * p1).T, n) - packed_det((p0 - e * p1).T, n))
+        vals = sum(w * (packed_inertia((p0 + e * p1).T, n)[0]
+                         - packed_inertia((p0 - e * p1).T, n)[0])
                    for w, e in zip(weights, eps))
         return float(vals[0]) if single else vals
 

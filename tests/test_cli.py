@@ -116,6 +116,12 @@ class TestExitCodes:
         code = run_cli("sigma", "--r", "1e-3", "--verify", "--out", str(tmp_path))
         assert code == 0
 
+    def test_verify_line_prints_plain_numbers(self, tmp_path, capsys):
+        # the worst location reads (r, (i, j)), with no numpy scalar reprs
+        assert run_cli("sigma", "--r", "0.5", "--verify", "--out", str(tmp_path)) == 0
+        line = capsys.readouterr().out.splitlines()[0]
+        assert line.startswith("sigma verify:") and "np." not in line
+
     def test_verify_cauchy_passes_at_default_tolerance(self, tmp_path):
         code = run_cli("sigma", "--model", "cauchy:ell=1,nu=2",
                        "--r", "1,0.5,0.1,0.05,0.02,0.01", "--verify",

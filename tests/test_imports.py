@@ -6,8 +6,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 # The torus path, the spectrum, hpoly and verified sigma commands, a two-point
-# share sweep, the finite-r factor and a flip-paired ratio run on numpy alone;
-# scipy.special arrives with the quadrature.
+# share sweep, an N=5 share, the finite-r factor and a flip-paired ratio run on
+# numpy alone; scipy.special arrives with the quadrature.
 COLD_START = """
 import sys, tempfile
 import numpy as np
@@ -22,7 +22,8 @@ table = pair_statistics(points, 0.5 * model.correlation_length, field.extent)
 assert len(points) > 0 and table.n_pairs > 0
 with tempfile.TemporaryDirectory() as out:
     for argv in (["spectrum", "--N", "3"], ["hpoly", "--N", "3"], ["hpoly", "--N", "4"],
-                 ["sigma", "--r", "0.1", "--verify"], ["share", "--u", "1,4", "--n", "4096"]):
+                 ["sigma", "--r", "0.1", "--verify"], ["share", "--u", "1,4", "--n", "4096"],
+                 ["share", "--N", "5", "--n", "4096"]):
         assert critfield.cli.main(argv + ["--out", out]) == 0, argv
 y = np.ones(8) / np.sqrt(8.0)
 assert np.isfinite(h_r(gaussian_model(3), 0.3, y))  # past an eigenvalue crossing

@@ -16,39 +16,12 @@ import critfield.rice as rice_mod
 from critfield.covariance import (OracleConvergenceError, _g22_origin,
                                   conditional_covariance)
 from critfield.models import cauchy_model, gaussian_model
-from critfield.rice import (InsufficientSamplesError, hessian_index,
-                            index_ratio_mc, maxima_share,
-                            mean_critical_density, projection_point, psi_ratio,
-                            ratio_sweep, rice_density_mc,
-                            rice_density_quadrature, sign_ratio)
-from critfield.symmetric import matriculate_batch, vech_indices
-
-
-class TestHessianIndex:
-    def test_negative_identity_is_maximum(self):
-        idx, degen = hessian_index(-np.eye(4))
-        assert idx == 4 and not degen
-
-    def test_saddle(self):
-        idx, degen = hessian_index(np.diag([1.0, -1.0]))
-        assert idx == 1 and not degen
-
-    def test_degenerate_flagged(self):
-        idx, degen = hessian_index(np.diag([1.0, 0.0, -2.0]))
-        assert degen and idx == 1
-
-    def test_matches_characteristic_root_oracle(self, rng):
-        # companion-matrix roots of the characteristic polynomial as an
-        # independent counter of negative eigenvalues
-        for _ in range(20):
-            n = int(rng.integers(2, 6))
-            g = rng.normal(size=(n, n))
-            mat = (g + g.T) / math.sqrt(2.0 * n)
-            roots = np.roots(np.poly(mat))
-            brute = int((roots.real < 0).sum())
-            idx, degen = hessian_index(mat)
-            assert not degen
-            assert idx == brute
+from critfield.rice import (InsufficientSamplesError, index_ratio_mc,
+                            maxima_share, mean_critical_density,
+                            projection_point, psi_ratio, ratio_sweep,
+                            rice_density_mc, rice_density_quadrature,
+                            sign_ratio)
+from critfield.symmetric import matriculate_batch, packed_inertia
 
 
 class TestDensityEstimator:
@@ -296,7 +269,7 @@ class TestRatios:
         else:
             vals = ys @ factor[m:].T
             rows = np.flatnonzero((vals[:, 0] > u_thr) & (vals[:, 1] > u_thr))
-        det, idx, degen = rice_mod._inertia(ys[rows] @ factor[:m].T, n_dim)
+        det, idx, degen = packed_inertia(ys[rows] @ factor[:m].T, n_dim)
         mass = np.where(degen, 0.0, np.abs(det) * np.exp(log_w[rows]))
         a, b = np.zeros(n), np.zeros(n)
         if estimator == "share":
@@ -426,7 +399,7 @@ class TestProjection:
             projection_point(gauss2, 0.5, 0.0)
 
     def test_negative_count_is_scale_free(self, gauss3):
-        # the count follows hessian_index's rule, relative to ||H||_F
+        # the count follows packed_inertia's DEGEN_TOL rule, relative to ||H||_F
         diag = projection_point(gauss3, 0.2, 1.0)
         tiny = replace(diag, hessian_eigs=1e-12 * diag.hessian_eigs)
         assert tiny.negative_count == diag.negative_count >= gauss3.n_dim - 1
@@ -470,77 +443,6 @@ def test_mean_critical_density_closed_form_n2(gauss2, k, factor):
     assert abs(est.value - exact) < 4.0 * est.stderr
 
 
-def _reference_inertia(packed, n_dim):
-    """The eigvalsh route the LDL^T kernel replaced: det plus _batch_index."""
-    hessians = matriculate_batch(packed, n_dim)
-    idx, degen = rice_mod._batch_index(hessians)
-    return np.linalg.det(hessians), idx, degen
-
-
-def _pack(hessians):
-    rows, cols = vech_indices(hessians.shape[-1])
-    return hessians[:, rows, cols]
-
-
-def _symmetric_batch(rng, count, n_dim):
-    g = rng.standard_normal((count, n_dim, n_dim))
-    return _pack(0.5 * (g + g.transpose(0, 2, 1)))
-
-
-def _assert_same_inertia(packed, n_dim):
-    det, idx, degen = rice_mod._inertia(packed, n_dim)
-    ref_det, ref_idx, ref_degen = _reference_inertia(packed, n_dim)
-    np.testing.assert_array_equal(idx, ref_idx)
-    np.testing.assert_array_equal(degen, ref_degen)
-    np.testing.assert_allclose(det, ref_det, rtol=1e-10, atol=0.0)
-
-
-class TestInertiaKernel:
-    @pytest.mark.parametrize("n_dim", [2, 3, 4])
-    def test_matches_eigvalsh_on_random_batches(self, rng, n_dim):
-        _assert_same_inertia(_symmetric_batch(rng, 1 << 17, n_dim), n_dim)
-
-    @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
-    def test_zero_pivots_and_singular(self, rng, scale):
-        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
-        cases = [
-            swap,
-            np.block([[swap, np.zeros((2, 1))], [np.zeros((1, 2)), -np.eye(1)]]),
-            np.block([[swap, np.zeros((2, 2))], [np.zeros((2, 2)), np.diag([2.0, -3.0])]]),
-            np.diag([1.0, 0.0, -2.0]),
-            np.ones((2, 2)),
-        ]
-        with np.errstate(over="ignore"):  # det overflows at 1e150, on both routes
-            for mat in cases:
-                _assert_same_inertia(_pack(scale * mat[None]), len(mat))
-            for n_dim in (2, 3, 4):
-                _assert_same_inertia(scale * _symmetric_batch(rng, 4096, n_dim), n_dim)
-        det, idx, degen = rice_mod._inertia(_pack(scale * np.diag([1.0, 0.0, -2.0])[None]), 3)
-        assert degen[0] and idx[0] == 1
-        assert rice_mod._inertia(_pack(scale * np.ones((1, 2, 2))), 2)[2][0]
-
-    def test_five_dimensions_fall_back(self, rng):
-        hess = _symmetric_batch(rng, 2048, 5)
-        det, idx, degen = rice_mod._inertia(hess, 5)
-        ref_det, ref_idx, ref_degen = _reference_inertia(hess, 5)
-        np.testing.assert_array_equal(det, ref_det)
-        np.testing.assert_array_equal(idx, ref_idx)
-        np.testing.assert_array_equal(degen, ref_degen)
-
-    @pytest.mark.parametrize("n_dim", [2, 3, 4])
-    def test_few_rows_fall_back(self, rng, monkeypatch, n_dim):
-        seen = []
-        original = rice_mod._batch_index
-
-        def counting(hessians, *args):
-            seen.append(len(hessians))
-            return original(hessians, *args)
-
-        monkeypatch.setattr(rice_mod, "_batch_index", counting)
-        rice_mod._inertia(_symmetric_batch(rng, 1 << 15, n_dim), n_dim)
-        assert sum(seen) < 0.01 * (1 << 15)
-
-
 def _estimator_runs(model):
     """Every sampling estimator, at n = one full chunk and a partial one."""
     n = 150_000
@@ -557,12 +459,12 @@ def _estimator_runs(model):
     }
 
 
-@pytest.mark.parametrize("model_name", ["gauss2", "gauss3"])
-def test_estimates_match_eigvalsh_route(request, monkeypatch, model_name):
+@pytest.mark.parametrize("model_name", ["gauss2", "gauss3", "gauss5"])
+def test_estimates_match_eigvalsh_route(request, monkeypatch, eigvalsh_inertia, model_name):
     # the eigvalsh route survives only here, as the oracle of the fast path
     runs = _estimator_runs(request.getfixturevalue(model_name))
     fast = {name: run() for name, run in runs.items()}
-    monkeypatch.setattr(rice_mod, "_inertia", _reference_inertia)
+    monkeypatch.setattr(rice_mod, "packed_inertia", eigvalsh_inertia)
     for name, run in runs.items():
         slow = run()
         assert fast[name].value == pytest.approx(slow.value, rel=1e-12, abs=0), name

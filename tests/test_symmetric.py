@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from critfield.symmetric import (matriculate, matriculate_batch, packed_det,
-                                 tau_index, vech_len, vectorize_sym)
+from critfield import symmetric
+from critfield.symmetric import (matriculate, matriculate_batch, packed_inertia,
+                                 tau_index, vech_indices, vech_len, vectorize_sym)
 
 
 def test_tau_index_corner_cases():
@@ -80,7 +83,103 @@ def test_packed_det_matches_lapack(n_dim, rng):
     packed = rng.normal(size=(4096, vech_len(n_dim)))
     packed[:8, 0] = 0.0  # a zero first pivot: past N=2 these rows go to LAPACK
     ref = np.linalg.det(matriculate_batch(packed, n_dim))
-    got = packed_det(packed, n_dim)
+    got = packed_inertia(packed, n_dim)[0]
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
     if n_dim > 2:
         assert np.array_equal(got[:8], ref[:8])
+
+
+def _pack(hessians):
+    rows, cols = vech_indices(hessians.shape[-1])
+    return hessians[:, rows, cols]
+
+
+def _symmetric_batch(rng, count, n_dim):
+    g = rng.standard_normal((count, n_dim, n_dim))
+    return _pack(0.5 * (g + g.transpose(0, 2, 1)))
+
+
+def _index(mat):
+    """(index, degenerate) of one symmetric matrix by the packed kernel."""
+    _, (idx,), (degen,) = packed_inertia(_pack(np.asarray(mat, dtype=float)[None]), len(mat))
+    return int(idx), bool(degen)
+
+
+class TestHessianIndex:
+    def test_negative_identity_is_maximum(self):
+        idx, degen = _index(-np.eye(4))
+        assert idx == 4 and not degen
+
+    def test_saddle(self):
+        idx, degen = _index(np.diag([1.0, -1.0]))
+        assert idx == 1 and not degen
+
+    def test_degenerate_flagged(self):
+        idx, degen = _index(np.diag([1.0, 0.0, -2.0]))
+        assert degen and idx == 1
+
+    def test_matches_characteristic_root_oracle(self, rng):
+        # companion-matrix roots of the characteristic polynomial as an
+        # independent counter of negative eigenvalues
+        for _ in range(20):
+            n = int(rng.integers(2, 6))
+            g = rng.normal(size=(n, n))
+            mat = (g + g.T) / math.sqrt(2.0 * n)
+            roots = np.roots(np.poly(mat))
+            brute = int((roots.real < 0).sum())
+            idx, degen = _index(mat)
+            assert not degen
+            assert idx == brute
+
+
+def _assert_same_inertia(oracle, packed, n_dim):
+    det, idx, degen = packed_inertia(packed, n_dim)
+    ref_det, ref_idx, ref_degen = oracle(packed, n_dim)
+    np.testing.assert_array_equal(idx, ref_idx)
+    np.testing.assert_array_equal(degen, ref_degen)
+    np.testing.assert_allclose(det, ref_det, rtol=1e-10, atol=0.0)
+
+
+class TestInertiaKernel:
+    @pytest.mark.parametrize("n_dim", [2, 3, 4])
+    def test_matches_eigvalsh_on_random_batches(self, rng, eigvalsh_inertia, n_dim):
+        _assert_same_inertia(eigvalsh_inertia, _symmetric_batch(rng, 1 << 17, n_dim), n_dim)
+
+    @pytest.mark.parametrize("n_dim", [5, 6, 8])
+    def test_matches_eigvalsh_above_four_dimensions(self, rng, eigvalsh_inertia, n_dim):
+        # the det bar scales with ||H||_F^N: a near-singular row's det is small
+        # against its rounding error, on either route; fewer rows than at N <= 4,
+        # as the oracle's eigvalsh takes most of the time
+        packed = _symmetric_batch(rng, 1 << 15, n_dim)
+        det, idx, degen = packed_inertia(packed, n_dim)
+        ref_det, ref_idx, ref_degen = eigvalsh_inertia(packed, n_dim)
+        np.testing.assert_array_equal(idx, ref_idx)
+        np.testing.assert_array_equal(degen, ref_degen)
+        norm = np.linalg.norm(matriculate_batch(packed, n_dim), axis=(1, 2))
+        assert (np.abs(det - ref_det) <= 1e-12 * norm ** n_dim).all()
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
+    def test_zero_pivots_and_singular(self, rng, eigvalsh_inertia, scale):
+        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+        cases = [
+            swap,
+            np.block([[swap, np.zeros((2, 1))], [np.zeros((1, 2)), -np.eye(1)]]),
+            np.block([[swap, np.zeros((2, 2))], [np.zeros((2, 2)), np.diag([2.0, -3.0])]]),
+            np.diag([1.0, 0.0, -2.0]),
+            np.ones((2, 2)),
+        ]
+        with np.errstate(over="ignore"):  # det overflows at 1e150, on both routes
+            for mat in cases:
+                _assert_same_inertia(eigvalsh_inertia, _pack(scale * mat[None]), len(mat))
+            for n_dim in (2, 3, 4):
+                _assert_same_inertia(eigvalsh_inertia,
+                                     scale * _symmetric_batch(rng, 4096, n_dim), n_dim)
+        det, idx, degen = packed_inertia(_pack(scale * np.diag([1.0, 0.0, -2.0])[None]), 3)
+        assert degen[0] and idx[0] == 1
+        assert packed_inertia(_pack(scale * np.ones((1, 2, 2))), 2)[2][0]
+
+    @pytest.mark.parametrize("n_dim", [2, 3, 4, 5])
+    def test_few_rows_fall_back(self, rng, n_dim):
+        # the rows the LDL^T floors reject go to LAPACK
+        _, _, ok = symmetric._ldl_inertia(_symmetric_batch(rng, 1 << 15, n_dim), n_dim)
+        assert (~ok).sum() < 0.01 * (1 << 15)
