@@ -8,9 +8,10 @@ eigenvalues come from the reflections and permutations of the first N-1
 axes, which commute with Sigma(r e_N) at every r, so one fixed basis written
 down from the packed layout diagonalizes Sigma(r) but for a 4 x 4 block.
 That basis alone builds the degree-N limit polynomial of
-r^{-1} det(Matri(A(r) y)), whose sign splits close critical-point pairs by
-Hessian-determinant sign.  For r > 0 only the 4 x 4 block needs an
-eigensolver (``factor_at``), and a fit over a grid of radii gives
+r^{-1} det(Matri(A(r) y)), a kernel coordinate times an (N-1)-dimensional
+determinant, whose sign splits close critical-point pairs by Hessian
+determinant.  For r > 0 only the 4 x 4 block needs an eigensolver
+(``factor_at``), and a fit over a grid of radii gives
 Lambda(r) = Lambda0 + Lambda2 r^2 + o(r^2) and P(r) = P0 + P1 r + o(r).
 """
 
@@ -42,7 +43,7 @@ __all__ = [
 
 # Radii of the eigenpath's expansion fit; descending toward 0.
 DEFAULT_R_GRID = (5e-2, 2e-2, 1e-2, 5e-3, 2e-3, 1e-3)
-COEFF_TOL = 1e-12    # monomial coefficients dropped up to this, relative to the largest
+COEFF_TOL = 1e-12    # coefficients dropped, and premise residuals allowed, up to this relative
 CATALOGUE_TOL = 1e-9  # catalogue vs numeric spectrum of Sigma0, relative to its scale
 
 
@@ -51,7 +52,7 @@ class EigenvalueCollisionError(RuntimeError):
 
 
 class EigenpathError(RuntimeError):
-    """Continuity of the eigenpath could not be maintained across the grid."""
+    """The eigenpath breaks continuity on the grid, or the limit polynomial does not factor."""
 
 
 @dataclass(frozen=True)
@@ -324,8 +325,10 @@ class LimitPolynomial:
 
     ``mats`` stacks Matri of every column of the symmetry-adapted basis: the
     rank columns scaled by sqrt(lambda0), the kernel columns by the square
-    roots of their r^2 curvatures.  Flipping the sign of the kernel
-    coordinates negates the value exactly.
+    roots of their r^2 curvatures.  The rank matrices have a zero N-th row
+    and column, and of the kernel matrices only column k has a nonzero
+    H_NN entry c, so with M0' the leading (N-1) x (N-1) block of the rank
+    part M0 at y the value tr(adj(M0) M1) is c y_k det M0'.
     """
 
     rank0: int
@@ -339,38 +342,29 @@ class LimitPolynomial:
     def L(self):
         return self.mats.shape[0]
 
-    def evaluate(self, y):
-        """Value tr(adj(M0) M1) at y, one value per row of a 2-D y.
+    def _kernel_column(self):
+        """k, the kernel column with the largest |H_NN|, and c, its H_NN entry."""
+        k = self.rank0 + int(np.abs(self.mats[self.rank0:, -1, -1]).argmax())
+        return k, float(self.mats[k, -1, -1])
 
-        M0 and M1 are sum_k y_k mats[k] over the rank and the kernel columns,
-        so the value is the eps-coefficient of the degree-N polynomial
-        det(M0 + eps M1).  Its odd part in eps,
-        (det(M0 + eps M1) - det(M0 - eps M1)) / 2, has the ceil(N/2) odd
-        coefficients, so at eps = 1..ceil(N/2) a fixed Vandermonde solve
-        takes the first of them.  Every determinant is one
-        :func:`~critfield.symmetric.packed_inertia` on packed rows.  Flipping
-        the kernel coordinates swaps det(M0 + eps M1) and det(M0 - eps M1)
-        bit for bit, so it negates the value exactly.
+    def evaluate(self, y):
+        """Value c y_k det M0' at y, one value per row of a 2-D y.
+
+        det M0' is one :func:`~critfield.symmetric.packed_inertia` on the
+        (N-1)-dimensional packed rows of M0' = sum_{i < rank0} y_i mats[i]'.
+        Flipping the kernel coordinates negates y_k alone, so it negates the
+        value exactly.
         """
         y = np.asarray(y, dtype=float)
         single = y.ndim == 1
         y2 = np.atleast_2d(y)
         if y2.shape[-1] != self.L:
             raise ValueError(f"y must have length {self.L}")
-        n, rank = self.n_dim, self.rank0
+        n, k, c = self.n_dim - 1, *self._kernel_column()
         rows, cols = vech_indices(n)
-        packed = self.mats[:, rows, cols]
-        split = np.zeros((self.L, 2, rows.size))  # rank columns build M0, kernel columns M1
-        split[:rank, 0], split[rank:, 1] = packed[:rank], packed[rank:]
-        # packed M0 and M1 with one row per entry, so each entry is a contiguous column
-        p0, p1 = (split.reshape(self.L, -1).T @ y2.T).reshape(2, rows.size, -1)
-        eps = np.arange(1.0, (n + 1) // 2 + 1)
-        # weights[j]: the share of the odd part at eps[j] in the eps-coefficient
-        weights = 0.5 * np.linalg.solve(eps[None, :] ** np.arange(1, n + 1, 2)[:, None],
-                                        np.eye(eps.size)[0])
-        vals = sum(w * (packed_inertia((p0 + e * p1).T, n)[0]
-                         - packed_inertia((p0 - e * p1).T, n)[0])
-                   for w, e in zip(weights, eps))
+        # one row per entry of M0', so each entry is a contiguous column
+        minor = self.mats[:self.rank0, rows, cols].T @ y2[:, :self.rank0].T
+        vals = c * y2[:, k] * packed_inertia(minor.T, n)[0]
         return float(vals[0]) if single else vals
 
     def flip(self, y):
@@ -382,41 +376,45 @@ class LimitPolynomial:
     def coefficients(self):
         """Monomial map {sorted 1-based index tuple: coefficient}.
 
-        Every surviving monomial has exactly one index in the kernel range
-        and N-1 indices among the rank columns.  Expanding every row of the
-        determinants in ``evaluate`` over the columns makes the coefficient
-        of monomial m the sum, over the distinct orderings of m, of the
-        determinant whose row i is row i of mats[m_i].  Taken over all N!
-        orderings, which counts each distinct one prod(multiplicity!) times,
-        that sum is the coefficient of t_1 ... t_N in det(sum_i t_i mats[m_i]),
-        by inclusion-exclusion the sum over nonempty slot subsets S of
-        (-1)^(N-|S|) det(sum_{i in S} mats[m_i]); it is divided by the product.
+        Monomial m + (k,), m a multiset of N-1 rank columns, has c times the
+        coefficient of prod_i y_{m_i} in det M0': the mixed discriminant of
+        the minors mats[m_i]', by inclusion-exclusion the sum over nonempty
+        slot subsets S of (-1)^(N-1-|S|) det(sum_{i in S} mats[m_i]'),
+        divided by the product of the multiplicity factorials.  Coefficients
+        up to ``COEFF_TOL`` of the largest are dropped.
         """
-        n, rank = self.n_dim, self.rank0
-        monomials = np.array([
-            m + (k,) for k in range(rank, self.L)
-            for m in itertools.combinations_with_replacement(range(rank), n - 1)
-        ])
-        # one (monomials, N, N) batch per slot keeps memory O(monomials N^2)
-        total = np.zeros(len(monomials))
+        n, k, c = self.n_dim - 1, *self._kernel_column()
+        minors = self.mats[:self.rank0, :n, :n]
+        multisets = np.array(list(itertools.combinations_with_replacement(range(self.rank0), n)))
+        # one (multisets, N-1, N-1) batch per slot keeps memory O(multisets N^2)
+        total = np.zeros(len(multisets))
         for size in range(1, n + 1):
             for subset in itertools.combinations(range(n), size):
-                part = sum(self.mats[monomials[:, i]] for i in subset)
+                part = sum(minors[multisets[:, i]] for i in subset)
                 total += (-1) ** (n - size) * np.linalg.det(part)
-        mult = [math.prod(map(math.factorial, np.bincount(m).tolist())) for m in monomials]
-        coefs = total / mult
-        cut = COEFF_TOL * max(np.abs(coefs).max(), 1.0)
+        mult = [math.prod(map(math.factorial, np.bincount(m).tolist())) for m in multisets]
+        coefs = c * total / mult
+        cut = COEFF_TOL * np.abs(coefs).max()
         return {
-            tuple(int(i) + 1 for i in m): float(c)
-            for m, c in zip(monomials, coefs) if abs(c) > cut
+            tuple(int(i) + 1 for i in m) + (k + 1,): float(v)
+            for m, v in zip(multisets, coefs) if abs(v) > cut
         }
 
 
 def limit_polynomial(model):
-    """Assemble the limit polynomial from the symmetry-adapted basis."""
+    """Assemble the limit polynomial from the symmetry-adapted basis.  An N-th
+    row of a rank matrix, or a second kernel H_NN entry, above ``COEFF_TOL``
+    of the largest entry breaks its factorization and raises
+    :class:`EigenpathError`."""
     basis = _symmetry_basis(model)
     mats = matriculate_batch((basis.vectors * np.sqrt(basis.leading)).T, model.n_dim)
-    return LimitPolynomial(rank0=model.cond_dim - model.n_dim - 1, mats=mats)
+    rank0 = model.cond_dim - model.n_dim - 1
+    scale = np.abs(mats).max()
+    resid = max(np.abs(mats[:rank0, -1]).max(), np.sort(np.abs(mats[rank0:, -1, -1]))[-2])
+    if resid > COEFF_TOL * scale:
+        raise EigenpathError(f"the limit polynomial does not factor: an N-th rank row or a "
+                             f"second kernel H_NN reaches {resid:.3e} of {scale:.3e}")
+    return LimitPolynomial(rank0=rank0, mats=mats)
 
 
 def h_r(model, r, y):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from critfield.cli import main
 from critfield.covariance import conditional_covariance, sigma_expansion
 from critfield.models import (RadialModel, cauchy_model, find_rescaling,
-                              gaussian_model, rescale)
+                              gaussian_model, model_from_spec, rescale)
 from critfield.spectral import (EigenpathError, EigenvalueCollisionError,
                                 LimitPolynomial, _basis_eigh, _symmetry_basis,
                                 _SymmetryBasis, eigenpath, factor_at, h_matrix,
@@ -516,6 +517,7 @@ class TestLimitPolynomial:
             for key in coeffs:
                 kernel_hits = sum(1 for i in key if i > poly.rank0)
                 assert kernel_hits == 1
+                assert key[-1] == poly.rank0 + 1  # the one kernel column with an H_NN entry
                 assert max(key) < poly.L  # the vanishing-curvature column is absent
             ys = rng.normal(size=(50, poly.L))
             direct = poly.evaluate(ys)
@@ -541,14 +543,62 @@ class TestLimitPolynomial:
         scale = max(abs(c) for c in expected.values())
         assert max(abs(got[k] - expected[k]) for k in got) <= 1e-12 * scale
 
-    def test_h_r_converges_to_limit(self, gauss2, rng):
-        poly = limit_polynomial(gauss2)
-        ys = rng.normal(size=(300, 5))
+    @pytest.mark.parametrize("maker", [gaussian_model, cauchy_model], ids=["gaussian", "cauchy"])
+    @pytest.mark.parametrize("n_dim", [2, 3, 4])
+    def test_h_r_converges_to_limit(self, maker, n_dim, rng):
+        # h_r tends to the limit to first order in r: gaussian is within 1e-2
+        # at r = 1e-3, and for both families a decade of r takes a decade off
+        # the error (cauchy's first-order term is up to 0.4 at r = 1e-3)
+        model = maker(n_dim)
+        poly = limit_polynomial(model)
+        ys = rng.normal(size=(300, poly.L))
         ys /= np.linalg.norm(ys, axis=1, keepdims=True)
-        near = h_r(gauss2, 1e-3, ys)
         limit = poly.evaluate(ys)
-        rel = np.abs(near - limit) / np.maximum(1.0, np.abs(limit))
-        assert rel.max() < 1e-2
+        err = [(np.abs(h_r(model, r, ys) - limit) / np.maximum(1.0, np.abs(limit))).max()
+               for r in (1e-3, 1e-4)]
+        if maker is gaussian_model:
+            assert err[0] < 1e-2
+        assert err[1] <= 0.15 * err[0]
+
+    @pytest.mark.parametrize("maker", [gaussian_model, cauchy_model], ids=["gaussian", "cauchy"])
+    @pytest.mark.parametrize("n_dim, count", [(2, 2), (3, 5), (4, 22), (5, 124)])
+    def test_coefficient_count_at_small_scale(self, maker, n_dim, count):
+        # the cut is relative to the largest coefficient alone, so a small
+        # argument scale, which shrinks every coefficient, drops none.  The
+        # rank columns reorder with the scale, so the keys move; the count
+        # does not
+        for scale in (1.0, 1e-3, 1e-6):
+            assert len(limit_polynomial(rescale(maker(n_dim), scale)).coefficients()) == count
+
+    @pytest.mark.parametrize("family", ["gaussian", "cauchy"])
+    @pytest.mark.parametrize("n_dim", [2, 3, 4, 5])
+    def test_coefficients_match_pinned(self, family, n_dim):
+        # the coefficients as the N-slot mixed discriminants over every
+        # kernel column computed them, before the factorization
+        with open(Path(__file__).with_name("limit_coefficients.json")) as fh:
+            pinned = json.load(fh)[family][str(n_dim)]
+        poly = limit_polynomial(model_from_spec(family, n_dim))
+        got = {"+".join(map(str, key)): c for key, c in poly.coefficients().items()}
+        assert list(got) == list(pinned)
+        scale = max(abs(c) for c in pinned.values())
+        assert max(abs(got[k] - pinned[k]) for k in got) <= 1e-13 * scale
+
+    def test_broken_premise_raises(self, monkeypatch, tmp_path):
+        # a rank column tilted by 1e-3 rad toward an H_iN kernel column gives
+        # its matrix an N-th row, so the polynomial no longer factors
+        def tilted(model):
+            basis = _symmetry_basis(model)
+            vectors = basis.vectors.copy()
+            j = int(np.abs(vectors[tau_index(1, model.n_dim) - 1]).argmax())  # the H_1N column
+            t = 1e-3
+            vectors[:, [0, j]] = (vectors[:, [0, j]]
+                                  @ [[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+            return basis._replace(vectors=vectors)
+
+        monkeypatch.setattr("critfield.spectral._symmetry_basis", tilted)
+        with pytest.raises(EigenpathError, match="does not factor"):
+            limit_polynomial(gaussian_model(3))
+        assert main(["hpoly", "--N", "3", "--out", str(tmp_path)]) == 3
 
     @pytest.mark.parametrize("maker, param", [(gaussian_model, "a"), (cauchy_model, "ell")],
                              ids=["gaussian", "cauchy"])
@@ -590,6 +640,7 @@ def test_hpoly_artifact_shape(n_dim, count, moment, tmp_path):
     keys = [tuple(map(int, key.split("+"))) for key in coeffs]
     assert len(keys) == count
     assert all(sum(i > rank for i in key) == 1 for key in keys)
+    assert all(key[-1] == rank + 1 for key in keys)
     assert _second_moment(dict(zip(keys, coeffs.values()))) == pytest.approx(moment, rel=1e-12)
 
 
