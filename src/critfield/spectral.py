@@ -10,9 +10,9 @@ down from the packed layout diagonalizes Sigma(r) but for a 4 x 4 block.
 That basis alone builds the degree-N limit polynomial of
 r^{-1} det(Matri(A(r) y)), a kernel coordinate times an (N-1)-dimensional
 determinant, whose sign splits close critical-point pairs by Hessian
-determinant.  For r > 0 only the 4 x 4 block needs an eigensolver
-(``factor_at``), and a fit over a grid of radii gives
-Lambda(r) = Lambda0 + Lambda2 r^2 + o(r^2) and P(r) = P0 + P1 r + o(r).
+determinant, and the expansion Lambda(r) = Lambda0 + Lambda2 r^2 + O(r^4),
+P(r) = P0 + O(r^2) in closed form.  For r > 0 only the 4 x 4 block needs an
+eigensolver (``factor_at``).
 """
 
 import itertools
@@ -41,7 +41,7 @@ __all__ = [
     "h_r",
 ]
 
-# Radii of the eigenpath's expansion fit; descending toward 0.
+# Radii at which eigenpath measures its path quality; descending toward 0.
 DEFAULT_R_GRID = (5e-2, 2e-2, 1e-2, 5e-3, 2e-3, 1e-3)
 COEFF_TOL = 1e-12    # coefficients dropped, and premise residuals allowed, up to this relative
 CATALOGUE_TOL = 1e-9  # catalogue vs numeric spectrum of Sigma0, relative to its scale
@@ -97,7 +97,9 @@ def spectrum_sigma0(model):
     lam_p, lam_m = w_eigenvalues(model)
     four, eight = 4.0 * model.d2, 8.0 * model.d2
     scale = max(abs(lam_p), abs(eight), 1.0)
-    if min(abs(lam_m - four), abs(lam_m - eight)) <= 1e-9 * scale and n >= 3:
+    # a relative gap to 8 rho''(0), plus lambda_minus's rounding against lambda_plus
+    gap_tol = 1e-9 * abs(eight) + 4.0 * np.finfo(float).eps * abs(lam_p)
+    if min(abs(lam_m - four), abs(lam_m - eight)) <= gap_tol and n >= 3:
         raise EigenvalueCollisionError(
             f"lambda_minus={lam_m:.6g} collides with a multiple eigenvalue "
             f"(4 rho''(0)={four:.6g}, 8 rho''(0)={eight:.6g}); "
@@ -225,35 +227,22 @@ def _basis_eigh(basis, sig, r):
     return out, vec, quality
 
 
-def _poly_fit(rs, values, degrees):
-    """Least-squares fit sum_d c_d r^d on a radius-normalized basis.
-
-    ``values`` has shape (len(rs), ...); returns coefficients keyed by degree
-    with the normalization undone.
-    """
-    rmax = rs.max()
-    design = np.stack([(rs / rmax) ** d for d in degrees], axis=1)
-    coef = np.linalg.lstsq(design, values.reshape(len(rs), -1), rcond=None)[0]
-    return {d: (c / rmax ** d).reshape(values.shape[1:]) for d, c in zip(degrees, coef)}
-
-
 @dataclass(frozen=True)
 class SpectralExpansion:
-    """Eigenpath of Sigma(r) on ``DEFAULT_R_GRID`` and its fitted expansion.
+    """Expansion Lambda(r) = Lambda0 + Lambda2 r^2 + O(r^4), P(r) = P0 + O(r^2)
+    of the eigenpairs of Sigma(r e_N), in closed form on the symmetry-adapted
+    basis.
 
-    Every radius is written in the symmetry-adapted basis, so the path has
-    no free rotation.  Lambda0/Lambda2 come from an even fit (the covariance is exactly
-    even in r), Lambda1 from a fit with odd terms included and is reported as
-    a diagnostic of the expected vanishing linear term.
+    Sigma(r) is even in r, so the linear terms Lambda1 and P1 vanish exactly;
+    ``to_dict`` writes them as zeros.  ``path_quality`` is the least overlap
+    of the finite-r eigenbasis with the basis over ``DEFAULT_R_GRID``.
     """
 
     L: int
     rank0: int
     Lambda0: np.ndarray
-    Lambda1: np.ndarray
     Lambda2: np.ndarray
     P0: np.ndarray
-    P1: np.ndarray
     path_quality: float
 
     def to_dict(self):
@@ -262,10 +251,10 @@ class SpectralExpansion:
             "rank0": self.rank0,
             "r_grid": list(DEFAULT_R_GRID),
             "lambda0": self.Lambda0.tolist(),
-            "lambda1": self.Lambda1.tolist(),
+            "lambda1": np.zeros_like(self.Lambda0).tolist(),
             "lambda2": self.Lambda2.tolist(),
             "P0": self.P0.ravel().tolist(),
-            "P1": self.P1.ravel().tolist(),
+            "P1": np.zeros_like(self.P0).ravel().tolist(),
             "path_quality": self.path_quality,
         }
 
@@ -279,40 +268,26 @@ def factor_at(model, r):
 
 
 def eigenpath(model):
-    """Eigendecomposition of Sigma(r e_N) at each radius of ``DEFAULT_R_GRID``,
-    in the symmetry-adapted gauge, and its fitted expansion.  An eigenbasis
-    that does not continue the basis raises :class:`EigenpathError` naming
-    the radius.
+    """Expansion of the eigenpairs of Sigma(r e_N) in the symmetry-adapted basis V.
+
+    With Sigma(r) = Sigma0 + r^2 Sigma2 + O(r^4), P0 = V, Lambda0 =
+    diag(V^T Sigma0 V) with the kernel set to 0, and Lambda2 = diag(V^T Sigma2 V),
+    first-order perturbation in r^2: V diagonalizes Sigma0, and Sigma2 on
+    each multiple eigenspace of Sigma0.  The eigenbasis at each radius of
+    ``DEFAULT_R_GRID`` measures ``path_quality``; one that does not continue
+    the basis raises :class:`EigenpathError` naming the radius.
     """
     basis = _symmetry_basis(model)
-    rs = np.array(DEFAULT_R_GRID)
-    lam_path, vec_path, qualities = zip(*(
-        _basis_eigh(basis, conditional_covariance(model, r).sigma, r) for r in rs))
-    # The covariance is exactly even in r, so the production fit uses even
-    # powers only; the odd-inclusive fit exists to measure the linear term.
-    lam_path = np.stack(lam_path)
-    lam_even = _poly_fit(rs, lam_path, (0, 2, 4, 6))
-    lam_full = _poly_fit(rs, lam_path, (0, 1, 2, 3, 4))
-    vec_fit = _poly_fit(rs, np.stack(vec_path), (0, 1, 2, 3, 4))
-    lam0 = lam_even[0]
-
-    L = model.cond_dim
-    rank0 = L - model.n_dim - 1
-    kernel0 = np.abs(lam0[rank0:]).max()
-    if kernel0 > 1e-6 * max(lam0.max(), 1.0):
-        raise EigenpathError(
-            f"fitted limit eigenvalues of the kernel block do not vanish; max {kernel0:.3e}")
+    quality = min(_basis_eigh(basis, conditional_covariance(model, r).sigma, r)[2]
+                  for r in DEFAULT_R_GRID)
+    s0, s2 = sigma_expansion(model)
+    vectors = basis.vectors
+    rank0 = model.cond_dim - model.n_dim - 1
+    lam0 = np.einsum("ij,ij->j", vectors, s0 @ vectors)
     lam0[rank0:] = 0.0  # exact kernel
-    return SpectralExpansion(
-        L=L,
-        rank0=rank0,
-        Lambda0=lam0,
-        Lambda1=lam_full[1],
-        Lambda2=lam_even[2],
-        P0=vec_fit[0],
-        P1=vec_fit[1],
-        path_quality=min(qualities),
-    )
+    return SpectralExpansion(L=model.cond_dim, rank0=rank0, Lambda0=lam0,
+                             Lambda2=np.einsum("ij,ij->j", vectors, s2 @ vectors),
+                             P0=vectors, path_quality=quality)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ import pytest
 from critfield.cli import (FIELDS, RunConfig, build_parser, load_config, main,
                            resolve_config)
 from critfield.io import load_field, matrix_from_record
+from critfield.models import cauchy_model
+from critfield.spectral import eigenpath
 
 
 def run_cli(*argv):
@@ -29,6 +31,15 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as err:
             run_cli("frobnicate")
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("n_dim", [3, 4, 5])
+    @pytest.mark.parametrize("scale, code", [("1e-3", 0), ("1e-6", 3)])
+    def test_spectrum_collision_check_at_small_scale(self, n_dim, scale, code, tmp_path):
+        # lambda_minus nears 8 rho''(0) as the scale shrinks: a gap of 4e-6
+        # relative at 1e-3 is no collision, but at 1e-6 the computed gap is
+        # below lambda_minus's own rounding
+        assert run_cli("spectrum", "--N", str(n_dim), "--scale", scale,
+                       "--out", str(tmp_path)) == code
 
     def test_malformed_model_flag(self, tmp_path):
         assert run_cli("check", "--model", "gaussian:a", "--out", str(tmp_path)) == 2
@@ -204,6 +215,14 @@ class TestArtifacts:
         mults = [e["multiplicity"] for e in payload["catalogue"]["catalogue"]]
         assert sum(mults) == 12
         assert (tmp_path / "spectrum.csv").exists()
+        # Sigma(r) is even in r: the linear terms are exact zeros, and lambda2
+        # is the closed form
+        assert run_cli("spectrum", "--model", "cauchy", "--N", "2",
+                       "--out", str(tmp_path / "cauchy")) == 0
+        expansion = read(tmp_path / "cauchy" / "spectrum.json")["expansion"]
+        assert expansion["lambda1"] == [0.0] * 5
+        assert expansion["P1"] == [0.0] * 25
+        assert expansion["lambda2"] == eigenpath(cauchy_model(2)).Lambda2.tolist()
 
     def test_hpoly_artifact(self, tmp_path):
         run_cli("hpoly", "--model", "gaussian:a=1", "--N", "2",

@@ -161,9 +161,10 @@ class TestEigenpath:
             assert np.all(kernel[:-1] > 0.0)
             assert abs(kernel[-1]) < 1e-8
 
-    def test_lambda1_vanishes(self, path2, path3):
-        assert np.abs(path2.Lambda1).max() < 1e-6
-        assert np.abs(path3.Lambda1).max() < 1e-6
+    def test_lambda1_vanishes(self, gauss2, gauss3, fitted_eigenpath):
+        # measured by the odd-inclusive fit, since the closed form has no Lambda1
+        assert np.abs(fitted_eigenpath(gauss2).Lambda1).max() < 1e-6
+        assert np.abs(fitted_eigenpath(gauss3).Lambda1).max() < 1e-6
 
     def test_last_column_is_field_difference(self, path2, path3):
         for ex in (path2, path3):
@@ -173,11 +174,22 @@ class TestEigenpath:
             col = ex.P0[:, -1]
             assert min(np.abs(col - j).max(), np.abs(col + j).max()) < 1e-6
 
-    def test_kernel_lambda2_equals_quadratic_form(self, gauss3, path3):
-        _, s2 = sigma_expansion(gauss3)
-        for i in range(path3.rank0, path3.L):
-            quad = path3.P0[:, i] @ s2 @ path3.P0[:, i]
-            assert path3.Lambda2[i] == pytest.approx(quad, abs=1e-6)
+    @pytest.mark.parametrize("maker", [gaussian_model, cauchy_model])
+    @pytest.mark.parametrize("n_dim", [2, 3, 4, 5])
+    def test_closed_form_meets_finite_r(self, maker, n_dim):
+        # the eigenvalues of Sigma(r) are Lambda0 + Lambda2 r^2 + O(r^4), so
+        # [lambda(r) - Lambda0] / r^2 - Lambda2 is small at r = 1e-3 and
+        # falls like r^2 (a ratio of 1/4) from r = 2e-3
+        model = maker(n_dim)
+        ex = eigenpath(model)
+        basis = _symmetry_basis(model)
+
+        def error(r):
+            lam = _basis_eigh(basis, conditional_covariance(model, r).sigma, r)[0]
+            return np.abs((lam - ex.Lambda0) / r ** 2 - ex.Lambda2).max()
+
+        assert error(1e-3) <= 1e-5 * np.abs(ex.Lambda2).max()
+        assert error(1e-3) <= 0.3 * error(2e-3)
 
     def test_kernel_lambda2_values_match_reduction(self, gauss2, path2):
         # compressing the quadratic coefficient onto the kernel gives
@@ -614,12 +626,12 @@ class TestLimitPolynomial:
 
     @pytest.mark.parametrize("maker", [gaussian_model, cauchy_model])
     @pytest.mark.parametrize("n_dim", [2, 3, 4])
-    def test_second_moment_matches_fitted_eigenpath(self, maker, n_dim):
+    def test_second_moment_matches_fitted_eigenpath(self, maker, n_dim, fitted_eigenpath):
         # E h^2 under standard Gaussian y does not see the gauge, so the
         # closed form must agree with the polynomial assembled from the
         # fitted P0, Lambda0 and Lambda2 of the eigenpath
         model = maker(n_dim)
-        ex = eigenpath(model)
+        ex = fitted_eigenpath(model)
         rank = ex.rank0
         leading = np.concatenate([ex.Lambda0[:rank], ex.Lambda2[rank:]])
         fitted = LimitPolynomial(rank0=rank, mats=matriculate_batch(
