@@ -215,29 +215,20 @@ def _g22_origin(d2, n_dim):
     return 4.0 * d2 * dd
 
 
-@np.errstate(over="ignore", invalid="ignore")  # the non-finite check below reports overflow
-def conditional_covariance(model, r):
-    """Sigma(r e_N) assembled from the closed-form blocks.
-
-    Raises :class:`SingularConditioningError` when the gradient-gradient
-    block cannot be inverted (1 - k1^2 <= 0 or 1 - k*^2 <= 0), which the
-    qualification conditions rule out inside the validity radius, or when
-    the assembled matrix is not finite (r far enough out to overflow).
+def _gradient_coupling(model, r):
+    """(k1, k2, k*, 1 - k1^2, 1 - k*^2) of the gradients at 0 and r e_N, whose
+    cross-covariance is -2 rho'(0) (k1 I + k2 r^2 e_N e_N^T), k* = k1 + k2 r^2:
+    their joint covariance has determinant (-2 rho'(0))^{2N} (1 - k1^2)^{N-1}
+    (1 - k*^2).  Raises :class:`SingularConditioningError` when a factor is
+    <= 0, which the qualification conditions rule out inside the validity radius.
     """
-    if not r > 0:
-        raise ValueError("r must be positive; use sigma_expansion for the r=0 limit")
-    n, m = model.n_dim, model.vech_dim
-    L = m + 2
-    t = r * model.axis_direction()
     x = r * r
     d10 = model.d1
-    p0, p1, p2 = model.rho(x), model.rho_d1(x), model.rho_d2(x)
-
     # One-sided factorizations 1 - k^2 = (1 - k)(1 + k) with the differences
     # evaluated through the stable increment closure; the naive forms lose
     # most of their precision once r^2 approaches machine epsilon scale.
-    k1 = p1 / d10
-    k2 = 2.0 * p2 / d10
+    k1 = model.rho_d1(x) / d10
+    k2 = 2.0 * model.rho_d2(x) / d10
     kstar = k1 + k2 * x
     one_minus_k1 = -model.d1_increment(x) / d10
     one_minus_kstar = one_minus_k1 - k2 * x
@@ -247,6 +238,26 @@ def conditional_covariance(model, r):
         raise SingularConditioningError(
             f"gradient conditioning singular at r={r}: 1-k1^2={q1:.3e}, 1-k*^2={qstar:.3e}"
         )
+    return k1, k2, kstar, q1, qstar
+
+
+@np.errstate(over="ignore", invalid="ignore")  # the non-finite check below reports overflow
+def conditional_covariance(model, r):
+    """Sigma(r e_N) assembled from the closed-form blocks.
+
+    Raises :class:`SingularConditioningError` when the gradient-gradient
+    block cannot be inverted (see :func:`_gradient_coupling`), or when the
+    assembled matrix is not finite (r far enough out to overflow).
+    """
+    if not r > 0:
+        raise ValueError("r must be positive; use sigma_expansion for the r=0 limit")
+    n, m = model.n_dim, model.vech_dim
+    L = m + 2
+    t = r * model.axis_direction()
+    x = r * r
+    d10 = model.d1
+    p0, p1, p2 = model.rho(x), model.rho_d1(x), model.rho_d2(x)
+    k1, k2, kstar, q1, qstar = _gradient_coupling(model, r)
     k4 = k2 * (k1 + kstar) / qstar
     k5 = k2 * (1.0 + k1 * kstar) / qstar
     cfac = 1.0 / (2.0 * d10 * q1)

@@ -15,7 +15,7 @@ written with numpy ufuncs (np.exp, np.expm1, np.log1p, np.power) for that.
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -65,7 +65,6 @@ class RadialModel:
     scale: float = 1.0
     validity_radius: float = 1.0
     name: str = "custom"
-    params: dict = field(default_factory=dict)
     # Optional cancellation-free evaluation of rho'(x) - rho'(0); built-in
     # families supply expm1-based versions so the conditional covariance
     # keeps full precision as r -> 0.  Falls back to naive subtraction.
@@ -144,7 +143,6 @@ def gaussian_model(n_dim, a=1.0, validity_radius=1.0):
         rho_d3=lambda x: -(a ** 3) * np.exp(-a * x),
         validity_radius=validity_radius,
         name=f"gaussian(a={a:g})",
-        params={"family": "gaussian", "a": a},
         rho_d1_increment=lambda x: -a * np.expm1(-a * x),
     )
 
@@ -167,7 +165,6 @@ def cauchy_model(n_dim, ell=1.0, nu=2.0, validity_radius=1.0):
         rho_d3=deriv(3),
         validity_radius=validity_radius,
         name=f"cauchy(ell={ell:g},nu={nu:g})",
-        params={"family": "cauchy", "ell": ell, "nu": nu},
         rho_d1_increment=lambda x: -(nu / ell)
         * np.expm1(-(nu + 1.0) * np.log1p(x / ell)),
     )
@@ -230,10 +227,11 @@ def w_matrix(model):
 
 
 def w_eigenvalues(model):
-    """(lambda_plus, lambda_minus) of :func:`w_matrix`, via the quadratic formula."""
+    """(lambda_plus, lambda_minus) of :func:`w_matrix`; lambda_minus is (ad - bc) / lambda_plus,
+    as (a + d - disc) / 2 cancels once lambda_minus << lambda_plus (at small scales)."""
     (a, b), (c, d) = w_matrix(model)
-    disc = math.sqrt((a - d) ** 2 + 4.0 * b * c)
-    return (a + d + disc) / 2.0, (a + d - disc) / 2.0
+    lam_p = (a + d + math.sqrt((a - d) ** 2 + 4.0 * b * c)) / 2.0
+    return lam_p, (a * d - b * c) / lam_p
 
 
 MAX_DOUBLINGS = 60         # rescale factors tried: 2^j for j = 0..MAX_DOUBLINGS

@@ -28,9 +28,10 @@ bit, whatever the number of workers.  The points of a sweep share the seed
 and the stream, hence the draws: :func:`ratio_sweep` draws each chunk once
 and maps it through every point, and each point's estimate is the one a
 single-point call gives.  High thresholds use a mean-shift
-importance proposal centered at the closest point of the feasible region,
-which keeps the effective sample size usable out to thresholds where plain
-sampling would see no hits at all.
+importance proposal centered at the closest point of the feasible region
+(Sadowsky & Bucklew 1990), the projection of the origin onto the hyperplane
+where both field values equal the threshold, which keeps the effective
+sample size usable out to thresholds where plain sampling would see no hits.
 """
 
 import functools
@@ -45,8 +46,8 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .covariance import (OracleConvergenceError, _g22_origin, conditional_covariance,
-                         sigma_expansion)
+from .covariance import (OracleConvergenceError, _g22_origin, _gradient_coupling,
+                         conditional_covariance, sigma_expansion)
 from .io import SCHEMA
 from .spectral import factor_at
 from . import symmetric
@@ -120,12 +121,12 @@ class RiceEstimate:
 
 @dataclass(frozen=True)
 class ProjectionDiag:
-    """Closest feasible point of the two-threshold region and its Hessian."""
+    """Closest point of the two-threshold region, where both field values
+    equal the threshold, and the eigenvalues of its Hessian."""
 
     r: float
     u_threshold: float
     y_hat: np.ndarray
-    which: str                 # "face-a", "face-b", or "edge"
     hessian_eigs: np.ndarray
 
     @property
@@ -147,7 +148,7 @@ def _sym_root(sigma):
 
 
 def _factor_matrix(model, r, flip):
-    """A factor M with M M^T = Sigma(r u) along the axis direction u, and Sigma.
+    """A factor M with M M^T = Sigma(r u) along the axis direction u.
 
     With ``flip``, M is :func:`~critfield.spectral.factor_at`'s factor, whose
     last N+1 columns continue ker Sigma0 through every eigenvalue crossing:
@@ -155,44 +156,29 @@ def _factor_matrix(model, r, flip):
     Otherwise M is the symmetric root.  The two differ by an orthogonal right
     factor, so the induced laws agree.
     """
-    sigma = conditional_covariance(model, r).sigma
-    return (factor_at(model, r) if flip else _sym_root(sigma)), sigma
+    if flip:
+        return factor_at(model, r)
+    return _sym_root(conditional_covariance(model, r).sigma)
 
 
-def _projection_from(sigma, factor, u_thr):
-    """Projection of the origin onto {y: rows L-1, L of factor both >= u_thr}."""
-    L = sigma.shape[0]
-    a = sigma[L - 2, L - 2]
-    b = sigma[L - 2, L - 1]
-    row_a, row_b = factor[L - 2], factor[L - 1]
-    cand = []
-    if a > 0:
-        y = (u_thr / a) * row_a
-        cand.append(("face-a", y, float(row_b @ y)))
-        y = (u_thr / a) * row_b
-        cand.append(("face-b", y, float(row_a @ y)))
-    if a + b > 0 and abs(a - b) > 1e-14 * max(abs(a), 1.0):
-        y = (u_thr / (a + b)) * (row_a + row_b)
-        cand.append(("edge", y, u_thr))
-    feas = [
-        (np.linalg.norm(y), which, y)
-        for which, y, other in cand
-        if other >= u_thr - 1e-12 * max(abs(u_thr), 1.0)
-    ]
-    if not feas:
-        raise InsufficientSamplesError("no feasible projection candidate")
-    feas.sort(key=lambda t: t[0])
-    _, which, y = feas[0]
-    return which, y
+def _projection_from(factor, u_thr):
+    """Projection of the origin onto {y: rows L-1, L of factor both >= u_thr}.
+
+    The reflection t <-> 0 gives the two field values equal variances, so the
+    point lies on the bisecting hyperplane s.y = 2 u_thr, s the sum of the two
+    rows: it is 2 u_thr s / (s.s).  At r = 0 the two rows coincide."""
+    s = factor[-2] + factor[-1]
+    return (2.0 * u_thr / float(s @ s)) * s
 
 
 def projection_point(model, r, u_thr):
     """Closest point of the two-threshold region in whitened coordinates.
 
     Uses the symmetric nonnegative square root of Sigma(r) (Sigma0 at r=0)
-    and reports which face or edge realizes the minimum together with the
-    eigenvalues of the Hessian rebuilt at that point; at least N-1 of them
-    are negative whenever the paired-conditioning inequality holds.
+    and reports the point, where both field values equal ``u_thr``
+    (:func:`_projection_from`), together with the eigenvalues of the Hessian
+    rebuilt there; at least N-1 of them are negative whenever the
+    paired-conditioning inequality holds.
     """
     if not u_thr > 0:
         raise ValueError("the projection is defined for positive thresholds")
@@ -201,43 +187,34 @@ def projection_point(model, r, u_thr):
     else:
         sigma = conditional_covariance(model, r).sigma
     root = _sym_root(sigma)
-    which, y_hat = _projection_from(sigma, root, u_thr)
+    y_hat = _projection_from(root, u_thr)
     hess = matriculate(root @ y_hat, model.n_dim)
     return ProjectionDiag(
         r=float(r),
         u_threshold=float(u_thr),
         y_hat=y_hat,
-        which=which,
         hessian_eigs=np.linalg.eigvalsh(hess),
     )
 
 
 def _prefactor(model, r, u_thr):
     """Phibar(u)^{-1} p_grad(0)^{-1} p_t(0,0): converts the Gaussian
-    expectation into the conditioned critical-point density."""
+    expectation into the conditioned critical-point density.  The gradient
+    pair's determinant (:func:`~critfield.covariance._gradient_coupling`) gives
+    p_t(0,0) = p_grad(0)^2 / sqrt((1 - k1^2)^{N-1} (1 - k*^2))."""
     from scipy.special import ndtr
 
     n = model.n_dim
-    t = r * np.asarray(model.axis_direction(), dtype=float)
-    x = r * r
-    d1 = model.d1
-    cross = -2.0 * model.rho_d1(x) * np.eye(n) - 4.0 * model.rho_d2(x) * np.outer(t, t)
-    v22 = np.block([[-2.0 * d1 * np.eye(n), cross], [cross, -2.0 * d1 * np.eye(n)]])
-    sign, logdet = np.linalg.slogdet(v22)
-    if sign <= 0:
-        raise InsufficientSamplesError("gradient covariance is not positive definite")
-    p_t00 = math.exp(-0.5 * logdet) / (2.0 * math.pi) ** n
-    p_grad0 = (-4.0 * math.pi * d1) ** (-n / 2.0)
-    survival = float(ndtr(-u_thr))
-    return p_t00 / (p_grad0 * survival)
+    _, _, _, q1, qstar = _gradient_coupling(model, r)
+    p_grad0 = (-4.0 * math.pi * model.d1) ** (-n / 2.0)
+    return p_grad0 / (math.sqrt(q1 ** (n - 1) * qstar) * float(ndtr(-u_thr)))
 
 
-def _resolve_shift(u_thr, sigma, factor, shift):
+def _resolve_shift(u_thr, factor, shift):
     if shift == "none" or (shift == "auto" and u_thr < 2.0):
         return None
     if shift == "auto":
-        _, y = _projection_from(sigma, factor, u_thr)
-        return y
+        return _projection_from(factor, u_thr)
     raise ValueError(f"unknown shift policy {shift!r}")
 
 
@@ -444,11 +421,8 @@ def _sample(model, points, n, seed, stream, antithetic, shift, num_sel, den_sel=
     """:func:`_accumulate` at every (r, u_thr) of ``points``: the factor of
     Sigma(r) and the shift policy ``shift``, one factor per distinct r."""
     factors = {r: _factor_matrix(model, r, antithetic == "flip") for r, _ in points}
-    targets = []
-    for r, u_thr in points:
-        factor, sigma = factors[r]
-        targets.append(_Target(factor, u_thr, _resolve_shift(u_thr, sigma, factor, shift),
-                               num_sel, den_sel))
+    targets = [_Target(factors[r], u_thr, _resolve_shift(u_thr, factors[r], shift),
+                       num_sel, den_sel) for r, u_thr in points]
     return _accumulate(model, n, seed, STREAMS[stream], antithetic, targets)
 
 

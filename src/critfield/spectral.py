@@ -97,9 +97,7 @@ def spectrum_sigma0(model):
     lam_p, lam_m = w_eigenvalues(model)
     four, eight = 4.0 * model.d2, 8.0 * model.d2
     scale = max(abs(lam_p), abs(eight), 1.0)
-    # a relative gap to 8 rho''(0), plus lambda_minus's rounding against lambda_plus
-    gap_tol = 1e-9 * abs(eight) + 4.0 * np.finfo(float).eps * abs(lam_p)
-    if min(abs(lam_m - four), abs(lam_m - eight)) <= gap_tol and n >= 3:
+    if min(abs(lam_m - four), abs(lam_m - eight)) <= 1e-9 * abs(eight) and n >= 3:
         raise EigenvalueCollisionError(
             f"lambda_minus={lam_m:.6g} collides with a multiple eigenvalue "
             f"(4 rho''(0)={four:.6g}, 8 rho''(0)={eight:.6g}); "

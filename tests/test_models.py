@@ -106,6 +106,20 @@ def test_find_rescaling_separates_spectrum():
 
 def test_model_from_spec_round_trip():
     m = model_from_spec("cauchy", 3, ell=0.5, nu=1.5)
-    assert m.params == {"family": "cauchy", "ell": 0.5, "nu": 1.5}
+    assert m.name == "cauchy(ell=0.5,nu=1.5)" and m.n_dim == 3
+    assert m.rho(1.0) == pytest.approx(3.0 ** -1.5, rel=1e-15)
     with pytest.raises(ValueError):
         model_from_spec("matern", 2)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1e-5, 1e-6])
+def test_w_eigenvalues_match_mpmath_at_small_scale(scale):
+    # (a + d - disc) / 2 cancels against lambda_plus as the scale shrinks, and
+    # at 1e-5 puts gaussian(3)'s lambda_minus above 8 rho''(0), where it is not
+    mpmath = pytest.importorskip("mpmath")
+    model = model_from_spec("gaussian", 3, scale=scale)
+    with mpmath.workdps(50):
+        ref = mpmath.eig(mpmath.matrix(w_matrix(model).tolist()), left=False, right=False)
+        ref = sorted((float(mpmath.re(v)) for v in ref), reverse=True)
+    for got, want in zip(w_eigenvalues(model), ref):
+        assert abs(got - want) <= 1e-14 * abs(want)

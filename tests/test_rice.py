@@ -14,7 +14,7 @@ from scipy.special import ndtr, owens_t
 import critfield.cli as cli_mod
 import critfield.rice as rice_mod
 from critfield.covariance import (OracleConvergenceError, _g22_origin,
-                                  conditional_covariance)
+                                  conditional_covariance, sigma_expansion)
 from critfield.models import cauchy_model, gaussian_model
 from critfield.rice import (InsufficientSamplesError, index_ratio_mc,
                             maxima_share, mean_critical_density,
@@ -250,8 +250,8 @@ class TestRatios:
             else:
                 est = rice_density_mc(model, r, u_thr, n=n, seed=1, antithetic=antithetic)
                 scale = est.extras["prefactor"] / parts
-            factor, sigma = rice_mod._factor_matrix(model, r, antithetic == "flip")
-            shift = rice_mod._resolve_shift(u_thr, sigma, factor, "auto")
+            factor = rice_mod._factor_matrix(model, r, antithetic == "flip")
+            shift = rice_mod._resolve_shift(u_thr, factor, "auto")
         assert (shift is not None) == (u_thr is not None and u_thr >= 2.0)
         ys = np.empty((n, factor.shape[1]))
         rice_mod._chunk_rng(1, rice_mod.STREAMS[estimator], 0).standard_normal(out=ys[: n // parts])
@@ -373,9 +373,6 @@ class TestProjection:
         three = projection_point(gauss2, 0.5, 3.0)
         assert np.allclose(three.y_hat, 3.0 * one.y_hat, rtol=1e-12)
 
-    def test_edge_selected_away_from_limit(self, gauss2):
-        assert projection_point(gauss2, 0.5, 1.0).which == "edge"
-
     def test_negative_eigenvalue_count(self, gauss2, gauss3):
         for model in (gauss2, gauss3):
             for r in (0.0, 0.2, 0.5):
@@ -404,6 +401,42 @@ class TestProjection:
         tiny = replace(diag, hessian_eigs=1e-12 * diag.hessian_eigs)
         assert tiny.negative_count == diag.negative_count >= gauss3.n_dim - 1
 
+    @pytest.mark.parametrize("maker", [gaussian_model, cauchy_model])
+    @pytest.mark.parametrize("n_dim", [2, 3, 4])
+    def test_shift_is_the_bisecting_projection(self, maker, n_dim):
+        # the two field values have equal variances, so the nearest point of
+        # {both values >= u} is where both equal u, along the sum of the two
+        # value rows; a point on one face misses it by up to 3.8e-7 at r <= 0.005
+        model, u_thr = maker(n_dim), 4.0
+        for r in (0.0, 1e-3, 5e-3, 0.02, 0.3):
+            sigma = sigma_expansion(model)[0] if r == 0 else conditional_covariance(model, r).sigma
+            pairs = [(rice_mod._sym_root(sigma), projection_point(model, r, u_thr).y_hat)]
+            if r > 0:
+                flip = rice_mod._factor_matrix(model, r, True)
+                pairs.append((flip, rice_mod._resolve_shift(u_thr, flip, "auto")))
+            for factor, shift in pairs:
+                s = factor[-2] + factor[-1]
+                off = shift - (shift @ s) / (s @ s) * s
+                assert np.linalg.norm(off) <= 1e-12 * np.linalg.norm(shift)
+                assert np.abs(factor[-2:] @ shift - u_thr).max() <= 1e-12 * u_thr
+
+
+@pytest.mark.parametrize("n_dim", [2, 3, 4])
+def test_prefactor_matches_closed_form(n_dim):
+    # gaussian(a=1) has 1 - k1^2 = -expm1(-2x) and 1 - k*^2 = 1 - e^(-2x) (1 - 2x)^2
+    # at x = r^2; a log-determinant of the gradient pair's 2N x 2N covariance
+    # has an error growing like 1/r^2, 2.9e-9 for N=2 at r = 1e-4
+    mpmath = pytest.importorskip("mpmath")
+    model, u_thr = gaussian_model(n_dim), 3.0
+    for r in (1e-4, 1e-3):
+        with mpmath.workdps(50):
+            x = mpmath.mpf(r) ** 2
+            q1 = -mpmath.expm1(-2 * x)
+            qstar = 1 - mpmath.exp(-2 * x) * (1 - 2 * x) ** 2
+            ref = float((4 * mpmath.pi) ** (-mpmath.mpf(n_dim) / 2)
+                        / (mpmath.sqrt(q1 ** (n_dim - 1) * qstar) * mpmath.ncdf(-u_thr)))
+        assert rice_mod._prefactor(model, r, u_thr) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
 
 def test_factor_matrix_follows_the_kernel():
     # the flip pairing negates the flip factor's last N+1 columns; these
@@ -413,7 +446,7 @@ def test_factor_matrix_follows_the_kernel():
     flipped = ys.copy()
     flipped[:, 2:] *= -1.0  # L = 5 at N=2, the last N+1 = 3 columns
     for model, r in ((cauchy_model(2), 0.1), (cauchy_model(2), 0.3), (gaussian_model(2), 0.3)):
-        factor, _ = rice_mod._factor_matrix(model, r, True)
+        factor = rice_mod._factor_matrix(model, r, True)
         det, det_flipped = (np.linalg.det(matriculate_batch(y @ factor.T, 2))
                             for y in (ys, flipped))
         assert np.mean(det * det_flipped < 0) >= 0.6
@@ -421,7 +454,8 @@ def test_factor_matrix_follows_the_kernel():
     for model in (gaussian_model(n_dim) for n_dim in (2, 3, 4)):
         for r in (0.02, 0.3):
             for flip in (True, False):
-                factor, sigma = rice_mod._factor_matrix(model, r, flip)
+                factor = rice_mod._factor_matrix(model, r, flip)
+                sigma = conditional_covariance(model, r).sigma
                 scale = np.abs(sigma).max()
                 assert np.abs(factor @ factor.T - sigma).max() <= 1e-12 * scale
                 if not flip:
@@ -524,7 +558,7 @@ def test_class_hits_count_live_samples(gauss2, gauss3):
     n, u_thr = 50_000, 0.5
     est = rice_density_mc(gauss2, 0.3, u_thr, n=n, seed=4, antithetic=None,
                           shift="none")
-    factor, _ = rice_mod._factor_matrix(gauss2, 0.3, False)
+    factor = rice_mod._factor_matrix(gauss2, 0.3, False)
     rng = rice_mod._chunk_rng(4, rice_mod.STREAMS["density"], 0)
     vals = rng.standard_normal((n, factor.shape[1])) @ factor[-2:].T
     live = int(((vals[:, 0] > u_thr) & (vals[:, 1] > u_thr)).sum())

@@ -141,22 +141,28 @@ def _assert_same_inertia(oracle, packed, n_dim):
 
 
 class TestInertiaKernel:
-    @pytest.mark.parametrize("n_dim", [2, 3, 4])
-    def test_matches_eigvalsh_on_random_batches(self, rng, eigvalsh_inertia, n_dim):
-        _assert_same_inertia(eigvalsh_inertia, _symmetric_batch(rng, 1 << 17, n_dim), n_dim)
-
-    @pytest.mark.parametrize("n_dim", [5, 6, 8])
-    def test_matches_eigvalsh_above_four_dimensions(self, rng, eigvalsh_inertia, n_dim):
+    @staticmethod
+    def _assert_matches_eigvalsh(oracle, packed, n_dim):
         # the det bar scales with ||H||_F^N: a near-singular row's det is small
-        # against its rounding error, on either route; fewer rows than at N <= 4,
-        # as the oracle's eigvalsh takes most of the time
-        packed = _symmetric_batch(rng, 1 << 15, n_dim)
+        # against its rounding error, on either route, so a relative bar
+        # passes or fails with the seed
         det, idx, degen = packed_inertia(packed, n_dim)
-        ref_det, ref_idx, ref_degen = eigvalsh_inertia(packed, n_dim)
+        ref_det, ref_idx, ref_degen = oracle(packed, n_dim)
         np.testing.assert_array_equal(idx, ref_idx)
         np.testing.assert_array_equal(degen, ref_degen)
         norm = np.linalg.norm(matriculate_batch(packed, n_dim), axis=(1, 2))
         assert (np.abs(det - ref_det) <= 1e-12 * norm ** n_dim).all()
+
+    @pytest.mark.parametrize("n_dim", [2, 3, 4])
+    def test_matches_eigvalsh_on_random_batches(self, rng, eigvalsh_inertia, n_dim):
+        self._assert_matches_eigvalsh(eigvalsh_inertia, _symmetric_batch(rng, 1 << 17, n_dim),
+                                      n_dim)
+
+    @pytest.mark.parametrize("n_dim", [5, 6, 8])
+    def test_matches_eigvalsh_above_four_dimensions(self, rng, eigvalsh_inertia, n_dim):
+        # fewer rows than at N <= 4, as the oracle's eigvalsh takes most of the time
+        self._assert_matches_eigvalsh(eigvalsh_inertia, _symmetric_batch(rng, 1 << 15, n_dim),
+                                      n_dim)
 
     @pytest.mark.parametrize("scale", [1.0, 1e-150, 1e150])
     def test_zero_pivots_and_singular(self, rng, eigvalsh_inertia, scale):
