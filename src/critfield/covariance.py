@@ -13,6 +13,10 @@ other, and the second reports its own error estimate.  The second fills
 its joint covariance from a structure tensor built once per dimension, so
 a call costs two weight products and the Schur step.  The r -> 0 expansion
 Sigma = Sigma0 + Sigma2 r^2 + o(r^2) is also provided in closed form.
+The routes share no derivative code: the closed forms read the profile's
+derivative closures in array expressions of their own, while the generic
+partials (:func:`_partial`) serve only the oracle's structure tensor and
+:func:`cov_partials`.
 """
 
 import functools
@@ -203,10 +207,16 @@ def cov_partials(model, t, multi_index):
 # closed-form conditional covariance
 # ---------------------------------------------------------------------------
 
+def _vech_pairs(n_dim):
+    """Index arrays (i1, j1, i2, j2) of pairs of vech positions: the first
+    pair runs down the rows, the second across the columns."""
+    rows, cols = vech_indices(n_dim)
+    return rows[:, None], cols[:, None], rows[None, :], cols[None, :]
+
+
 def _g22_origin(d2, n_dim):
     """Hessian-Hessian block at one point, over pairs of vech positions."""
-    rows, cols = vech_indices(n_dim)
-    i1, j1, i2, j2 = rows[:, None], cols[:, None], rows[None, :], cols[None, :]
+    i1, j1, i2, j2 = _vech_pairs(n_dim)
     dd = (
         ((i1 == j1) & (i2 == j2)).astype(int)
         + ((i2 == j1) & (i1 == j2))
@@ -256,19 +266,20 @@ def conditional_covariance(model, r):
     t = r * model.axis_direction()
     x = r * r
     d10 = model.d1
-    p0, p1, p2 = model.rho(x), model.rho_d1(x), model.rho_d2(x)
+    p0, p1, p2, p3 = model.rho(x), model.rho_d1(x), model.rho_d2(x), model.rho_d3(x)
     k1, k2, kstar, q1, qstar = _gradient_coupling(model, r)
     k4 = k2 * (k1 + kstar) / qstar
     k5 = k2 * (1.0 + k1 * kstar) / qstar
     cfac = 1.0 / (2.0 * d10 * q1)
 
-    rder = _analytic_rho_derivs(model)
-    # third-order block: rows over vech positions, columns over directions
-    g21 = np.array([[_partial(rder, t, (i, j, k)) for k in range(n)]
-                    for i, j in zip(*vech_indices(n))])
+    # third-order block R_ijk(t): rows over vech positions (i, j), columns
+    # over directions k
+    rows, cols = vech_indices(n)
+    i, j, k = rows[:, None], cols[:, None], np.arange(n)[None, :]
+    lin = t[k] * (i == j) + t[i] * (j == k) + t[j] * (i == k)
+    g21 = 4.0 * lin * p2 + 8.0 * t[i] * t[j] * t[k] * p3
     g21t = g21 @ t
 
-    rows, cols = vech_indices(n)
     g20_0 = 2.0 * d10 * (rows == cols).astype(float)
     g20_t = 2.0 * p1 * (rows == cols) + 4.0 * t[rows] * t[cols] * p2
 
@@ -451,46 +462,31 @@ def sigma_expansion(model):
     ap = d2                       # alpha'
     bp = d1 * model.d3 / d2       # beta'
 
-    rows, cols = vech_indices(n)
-    s0 = np.zeros((L, L))
-    s2 = np.zeros((L, L))
-    for a in range(m):
-        i1, j1 = int(rows[a]), int(cols[a])
-        u1, v1 = float(u[i1]), float(u[j1])
-        for b in range(m):
-            i2, j2 = int(rows[b]), int(cols[b])
-            u2, v2 = float(u[i2]), float(u[j2])
-            s0[a, b] = 4.0 * d2 * (
-                (i2 == j1) * (i1 == j2)
-                + (i1 == i2) * (j1 == j2)
-                - (j1 == j2) * u1 * u2
-                - (i1 == j2) * v1 * u2
-                - (i2 == j1) * u1 * v2
-                - (i1 == i2) * v1 * v2
-                + 2.0 * u1 * v1 * u2 * v2
-            ) + (8.0 / 3.0) * d2 * ((i1 == j1) - u1 * v1) * ((i2 == j2) - u2 * v2)
-            s2[a, b] = (
-                (2.0 * alpha - 14.0 * beta / 9.0) * (i1 == j1) * (i2 == j2)
-                + (4.0 * alpha - 52.0 * beta / 9.0)
-                * ((i2 == j2) * u1 * v1 + (i1 == j1) * u2 * v2)
-                + (2.0 * alpha - 6.0 * beta)
-                * (
-                    (j1 == j2) * u1 * u2
-                    + (i1 == j2) * v1 * u2
-                    + (i2 == j1) * u1 * v2
-                    + (i1 == i2) * v1 * v2
-                )
-                + (64.0 / 9.0) * beta * u1 * v1 * u2 * v2
-            )
-        side0 = (4.0 / 3.0) * d1 * ((i1 == j1) - u1 * v1)
-        side2 = (ap / 3.0 - bp / 9.0) * (i1 == j1) + (2.0 * ap / 3.0 - 14.0 * bp / 9.0) * u1 * v1
-        for col in (m, m + 1):
-            s0[a, col] = s0[col, a] = side0
-            s2[a, col] = s2[col, a] = side2
-    corner0 = 1.0 - d1 * d1 / (3.0 * d2)
-    corner2 = -d1 / 6.0 + (5.0 / 18.0) * d1 * d1 * model.d3 / (d2 * d2)
-    s0[m:, m:] = corner0
-    s2[m:, m:] = corner2
+    i1, j1, i2, j2 = _vech_pairs(n)
+    u1, v1, u2, v2 = u[i1], u[j1], u[i2], u[j2]
+    # u = e_N, so every product of its components and the 0/1 deltas is
+    # exact and the integer-valued sums need no fixed order; the deltas are
+    # floats so that a sum of two counts 2
+    ii, jj, ij, ji = (i1 == i2) * 1.0, (j1 == j2) * 1.0, (i1 == j2) * 1.0, (i2 == j1) * 1.0
+    diag = (i1 == j1) * 1.0
+    uv = u1 * v1
+    proj = diag - uv
+    pairs = ji * ij + ii * jj
+    cross = jj * u1 * u2 + ij * v1 * u2 + ji * u1 * v2 + ii * v1 * v2
+    s0, s2 = np.empty((L, L)), np.empty((L, L))
+    s0[:m, :m] = (4.0 * d2 * (pairs - cross + 2.0 * uv * uv.T)
+                  + (8.0 / 3.0) * d2 * proj * proj.T)
+    s2[:m, :m] = (
+        (2.0 * alpha - 14.0 * beta / 9.0) * diag * diag.T
+        + (4.0 * alpha - 52.0 * beta / 9.0) * (diag.T * uv + diag * uv.T)
+        + (2.0 * alpha - 6.0 * beta) * cross
+        + (64.0 / 9.0) * beta * uv * uv.T
+    )
+    s0[:m, m:] = (4.0 / 3.0) * d1 * proj
+    s2[:m, m:] = (ap / 3.0 - bp / 9.0) * diag + (2.0 * ap / 3.0 - 14.0 * bp / 9.0) * uv
+    s0[m:, :m], s2[m:, :m] = s0[:m, m:].T, s2[:m, m:].T
+    s0[m:, m:] = 1.0 - d1 * d1 / (3.0 * d2)
+    s2[m:, m:] = -d1 / 6.0 + (5.0 / 18.0) * d1 * d1 * model.d3 / (d2 * d2)
     return s0, s2
 
 

@@ -353,11 +353,16 @@ class LimitPolynomial:
         coefficient of prod_i y_{m_i} in det M0': the mixed discriminant of
         the minors mats[m_i]', by inclusion-exclusion the sum over nonempty
         slot subsets S of (-1)^(N-1-|S|) det(sum_{i in S} mats[m_i]'),
-        divided by the product of the multiplicity factorials.  Coefficients
-        up to ``COEFF_TOL`` of the largest are dropped.
+        divided by the product of the multiplicity factorials.  It is linear
+        in each minor, so each enters at unit largest entry and its scale is
+        multiplied back into the coefficient: the rank columns' scales part
+        with the argument scale, and the cut, which drops normalized
+        coefficients up to ``COEFF_TOL`` of the largest, sees none of them.
         """
         n, k, c = self.n_dim - 1, *self._kernel_column()
         minors = self.mats[:self.rank0, :n, :n]
+        scales = np.abs(minors).max(axis=(1, 2))
+        minors = minors / scales[:, None, None]
         multisets = np.array(list(itertools.combinations_with_replacement(range(self.rank0), n)))
         # one (multisets, N-1, N-1) batch per slot keeps memory O(multisets N^2)
         total = np.zeros(len(multisets))
@@ -367,10 +372,11 @@ class LimitPolynomial:
                 total += (-1) ** (n - size) * np.linalg.det(part)
         mult = [math.prod(map(math.factorial, np.bincount(m).tolist())) for m in multisets]
         coefs = c * total / mult
-        cut = COEFF_TOL * np.abs(coefs).max()
+        kept = np.abs(coefs) > COEFF_TOL * np.abs(coefs).max()
+        coefs = coefs * scales[multisets].prod(axis=1)
         return {
             tuple(int(i) + 1 for i in m) + (k + 1,): float(v)
-            for m, v in zip(multisets, coefs) if abs(v) > cut
+            for m, v in zip(multisets[kept], coefs[kept])
         }
 
 

@@ -38,19 +38,13 @@ def tau_index(i, j):
     return i + j * (j - 1) // 2
 
 
-def _tau0(i, j):
-    """0-based packed position for 0-based indices i <= j."""
-    return i + (j + 1) * j // 2
-
-
 def vech_indices(n_dim):
-    """Arrays (rows, cols) of 0-based (i, j) pairs, i <= j, in packed order."""
-    rows = np.empty(vech_len(n_dim), dtype=np.intp)
-    cols = np.empty(vech_len(n_dim), dtype=np.intp)
-    for j in range(n_dim):
-        for i in range(j + 1):
-            rows[_tau0(i, j)] = i
-            cols[_tau0(i, j)] = j
+    """Arrays (rows, cols) of 0-based (i, j) pairs, i <= j, in packed order.
+
+    The packed order walks the upper triangle column by column, which is the
+    lower triangle's row-major walk with its two index arrays swapped.
+    """
+    cols, rows = np.tril_indices(n_dim)
     return rows, cols
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from critfield.covariance import (OracleConvergenceError,
                                   conditional_covariance_oracle, cov_partials,
                                   sigma_expansion)
 from critfield.cli import main
-from critfield.models import RadialModel, cauchy_model, gaussian_model, rescale
+from critfield.models import (RadialModel, cauchy_model, gaussian_model,
+                              model_from_spec, rescale)
 from critfield.symmetric import tau_index, vech_indices
 
 
@@ -412,3 +414,38 @@ def test_contour_rule_follows_the_model_scale(tmp_path):
     assert main(["check", "--scale", "1e6", "--out", str(tmp_path)]) == 0
     with open(tmp_path / "check.json") as fh:
         assert json.load(fh)["overall_pass"]
+
+
+@pytest.mark.parametrize("family", ["gaussian", "cauchy"])
+@pytest.mark.parametrize("n_dim", [2, 3, 4])
+def test_closed_form_matches_pinned(family, n_dim):
+    # D13's deterministic rows: Sigma(r) and (Sigma0, Sigma2) as written by
+    # tests/regenerate_pinned.py, each within 1e-12 of its largest entry
+    with open(Path(__file__).with_name("sigma_closed_form.json")) as fh:
+        pinned = json.load(fh)[family][str(n_dim)]
+    model = model_from_spec(family, n_dim)
+    s0, s2 = sigma_expansion(model)
+    got = {r: conditional_covariance(model, float(r)).sigma for r in pinned["sigma"]}
+    got.update(sigma0=s0, sigma2=s2)
+    ref = {**pinned["sigma"], "sigma0": pinned["sigma0"], "sigma2": pinned["sigma2"]}
+    assert len(pinned["sigma"]) == 4
+    for key, want in ref.items():
+        want = np.array(want)
+        assert got[key].shape == want.shape, key
+        assert np.abs(got[key] - want).max() <= 1e-12 * np.abs(want).max(), key
+
+
+@pytest.mark.parametrize("n_dim", [2, 3, 4])
+def test_closed_form_shares_no_partials_with_oracle(monkeypatch, n_dim):
+    # the closed form reads the profile closures itself, so a fault in the
+    # generic partials behind the oracle's structure tensor cannot reach it
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the closed form called a generic partial")
+
+    monkeypatch.setattr("critfield.covariance._partial", forbidden)
+    monkeypatch.setattr("critfield.covariance._analytic_rho_derivs", forbidden)
+    for model in (gaussian_model(n_dim), cauchy_model(n_dim)):
+        for r in (1.0, 0.02):
+            assert np.isfinite(conditional_covariance(model, r).sigma).all()
+        s0, s2 = sigma_expansion(model)
+        assert np.isfinite(s0).all() and np.isfinite(s2).all()

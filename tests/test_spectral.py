@@ -575,11 +575,19 @@ class TestLimitPolynomial:
     @pytest.mark.parametrize("maker", [gaussian_model, cauchy_model], ids=["gaussian", "cauchy"])
     @pytest.mark.parametrize("n_dim, count", [(2, 2), (3, 5), (4, 22), (5, 124)])
     def test_coefficient_count_at_small_scale(self, maker, n_dim, count):
-        # the cut is relative to the largest coefficient alone, so a small
-        # argument scale, which shrinks every coefficient, drops none.  The
-        # rank columns reorder with the scale, so the keys move; the count
-        # does not
+        # the cut is relative, so a small argument scale, which shrinks
+        # every coefficient, drops none.  The rank columns reorder with the
+        # scale, so the keys move; the count does not
         for scale in (1.0, 1e-3, 1e-6):
+            assert len(limit_polynomial(rescale(maker(n_dim), scale)).coefficients()) == count
+
+    @pytest.mark.parametrize("maker", [gaussian_model, cauchy_model], ids=["gaussian", "cauchy"])
+    @pytest.mark.parametrize("n_dim, count", [(2, 2), (3, 5), (4, 22), (5, 124)])
+    def test_coefficient_count_at_large_scale(self, maker, n_dim, count):
+        # the rank columns' scales part with the argument scale (gaussian(2)
+        # at 1e6: 3.3e6 and 1.8e-7); the cut runs on minors taken at unit
+        # largest entry, so it drops no monomial there either
+        for scale in (1e3, 1e6):
             assert len(limit_polynomial(rescale(maker(n_dim), scale)).coefficients()) == count
 
     @pytest.mark.parametrize("family", ["gaussian", "cauchy"])

@@ -33,6 +33,15 @@ def test_tau_index_rejects_bad_order():
         tau_index(0, 1)
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_vech_indices_follow_tau_index(n):
+    rows, cols = vech_indices(n)
+    assert rows.shape == cols.shape == (vech_len(n),)
+    assert (rows <= cols).all()
+    assert [tau_index(i + 1, j + 1) for i, j in zip(rows.tolist(), cols.tolist())] == list(
+        range(1, vech_len(n) + 1))
+
+
 def test_matriculate_two_by_two():
     mat = matriculate([1.5, -2.0, 7.0], 2)
     assert np.array_equal(mat, [[1.5, -2.0], [-2.0, 7.0]])
