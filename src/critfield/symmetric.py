@@ -11,6 +11,8 @@ come from one LDL^T elimination on their columns (a closed form at N=2),
 with LAPACK for the rows it cannot settle.
 """
 
+import functools
+
 import numpy as np
 
 DEGEN_TOL = 1e-10    # an eigenvalue within this times ||H||_F of zero is degenerate
@@ -38,13 +40,14 @@ def tau_index(i, j):
     return i + j * (j - 1) // 2
 
 
+@functools.lru_cache(maxsize=None)  # np.tril_indices builds an n x n mask; callers ask per batch
 def vech_indices(n_dim):
-    """Arrays (rows, cols) of 0-based (i, j) pairs, i <= j, in packed order.
+    """Read-only arrays (rows, cols) of 0-based (i, j) pairs, i <= j, in packed order.
 
-    The packed order walks the upper triangle column by column, which is the
-    lower triangle's row-major walk with its two index arrays swapped.
+    That order is the lower triangle's row-major walk with the arrays swapped.
     """
     cols, rows = np.tril_indices(n_dim)
+    rows.flags.writeable = cols.flags.writeable = False
     return rows, cols
 
 

@@ -575,19 +575,14 @@ class TestLimitPolynomial:
     @pytest.mark.parametrize("maker", [gaussian_model, cauchy_model], ids=["gaussian", "cauchy"])
     @pytest.mark.parametrize("n_dim, count", [(2, 2), (3, 5), (4, 22), (5, 124)])
     def test_coefficient_count_at_small_scale(self, maker, n_dim, count):
-        # the cut is relative, so a small argument scale, which shrinks
-        # every coefficient, drops none.  The rank columns reorder with the
-        # scale, so the keys move; the count does not
-        for scale in (1.0, 1e-3, 1e-6):
-            assert len(limit_polynomial(rescale(maker(n_dim), scale)).coefficients()) == count
-
-    @pytest.mark.parametrize("maker", [gaussian_model, cauchy_model], ids=["gaussian", "cauchy"])
-    @pytest.mark.parametrize("n_dim, count", [(2, 2), (3, 5), (4, 22), (5, 124)])
-    def test_coefficient_count_at_large_scale(self, maker, n_dim, count):
-        # the rank columns' scales part with the argument scale (gaussian(2)
-        # at 1e6: 3.3e6 and 1.8e-7); the cut runs on minors taken at unit
-        # largest entry, so it drops no monomial there either
-        for scale in (1e3, 1e6):
+        # the count is the same at every argument scale, small and large.  A
+        # small scale shrinks every coefficient, and the cut is relative, so
+        # it drops none.  A large one parts the rank columns' scales
+        # (gaussian(2) at 1e6: 3.3e6 and 1.8e-7), and the cut runs on minors
+        # taken at unit largest entry, so it drops none there either.  The
+        # rank columns reorder with the scale, so the keys move; the count
+        # does not
+        for scale in (1.0, 1e-3, 1e-6, 1e3, 1e6):
             assert len(limit_polynomial(rescale(maker(n_dim), scale)).coefficients()) == count
 
     @pytest.mark.parametrize("family", ["gaussian", "cauchy"])

@@ -40,6 +40,8 @@ def test_vech_indices_follow_tau_index(n):
     assert (rows <= cols).all()
     assert [tau_index(i + 1, j + 1) for i, j in zip(rows.tolist(), cols.tolist())] == list(
         range(1, vech_len(n) + 1))
+    # the pair is cached per n, so no caller may write into it
+    assert not rows.flags.writeable and not cols.flags.writeable
 
 
 def test_matriculate_two_by_two():
