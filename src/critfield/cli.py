@@ -26,12 +26,10 @@ from .covariance import (OracleConvergenceError, SingularConditioningError,
 from .fieldsim import (EmbeddingError, GridSpec, PairTable, euler_characteristic,
                        find_critical_points, pair_statistics, sample_field)
 from .models import model_from_spec
-from .rice import InsufficientSamplesError, ratio_sweep
+from .rice import STREAMS, InsufficientSamplesError, _chunk_rng, ratio_sweep
 from .spectral import (EigenpathError, EigenvalueCollisionError, eigenpath,
                        limit_polynomial, spectrum_sigma0)
 
-COMMANDS = ("check", "sigma", "spectrum", "hpoly", "ratio", "psi", "share",
-            "simulate", "report")
 N_POLY_SAMPLES = 10_000     # antisymmetry probes of `hpoly`
 
 
@@ -62,7 +60,7 @@ class RunConfig:
 
     def validate(self):
         """Check the fields and build the model; returns self."""
-        if self.command not in COMMANDS:
+        if self.command not in DISPATCH:
             raise ConfigError(f"unknown command {self.command!r}")
         if not self.r_list:
             raise ConfigError("r list must be nonempty")
@@ -197,7 +195,7 @@ def build_parser():
         prog="critfield",
         description="Critical-point pair structure of isotropic Gaussian fields",
     )
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=tuple(DISPATCH))
     parser.add_argument("--config", help="JSON config file; flags override it")
     parser.add_argument("--model", help="family:key=val,... e.g. gaussian:a=1")
     for name, _, flag, text in FIELDS:
@@ -298,7 +296,7 @@ def cmd_spectrum(cfg):
 
 def cmd_hpoly(cfg):
     poly = limit_polynomial(cfg.model)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed)))
+    rng = _chunk_rng(cfg.seed, STREAMS["hpoly"], 0)
     ys = rng.standard_normal((N_POLY_SAMPLES, poly.L))
     vals = poly.evaluate(ys)
     resid = float(np.max(np.abs(vals + poly.evaluate(poly.flip(ys)))

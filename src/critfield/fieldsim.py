@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .rice import _chunk_rng
-from .symmetric import packed_inertia, vech_indices
+from .rice import STREAMS, _chunk_rng
+from .symmetric import packed_inertia, vectorize_sym
 
 __all__ = [
     "GridSpec",
@@ -34,9 +34,6 @@ __all__ = [
     "euler_characteristic",
     "pair_statistics",
 ]
-
-FIELD_STREAM = 31
-
 
 class EmbeddingError(RuntimeError):
     """The circulant spectrum of the torus kernel is negative on the grid."""
@@ -147,7 +144,7 @@ def sample_field(model, grid, seed=0):
             f"({8 * model.correlation_length:g})"
         )
     n = grid.n
-    rng = _chunk_rng(seed, FIELD_STREAM, 0)
+    rng = _chunk_rng(seed, STREAMS["field"], 0)
     noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     values = np.fft.ifft2(_root_spectrum(model.rho, grid) * noise).real * n
     return FieldRealization(values=values, spacing=grid.spacing, extent=grid.extent,
@@ -424,8 +421,7 @@ def find_critical_points(realization, u_thr=-math.inf):
         new[second[kept[first]]] = False
         settled, kept = np.array_equal(new, kept), new
     pts, gnorm, vals, hess = (a[sel[kept]] for a in (pts, gnorm, vals, hess))
-    rows, cols = vech_indices(2)
-    _, index, _ = packed_inertia(hess[:, rows, cols], 2)  # packed (h11, h12, h22)
+    _, index, _ = packed_inertia(vectorize_sym(hess), 2)
     points = [CriticalPoint(position=pts[i].copy(), value=float(vals[i]),
                             grad_norm=float(gnorm[i]), hessian=hess[i].copy(),
                             index=int(index[i]))

@@ -15,10 +15,10 @@ import numpy as np
 SCHEMA = 1
 
 
-def matrix_record(mat, n_dim, r=None, u=None, **extra):
+def matrix_record(mat, n_dim, r=None, u=None):
     """Row-major JSON record of an L x L (or rectangular) matrix."""
     mat = np.asarray(mat, dtype=float)
-    rec = {
+    return {
         "schema": SCHEMA,
         "kind": "matrix",
         "N": int(n_dim),
@@ -28,8 +28,6 @@ def matrix_record(mat, n_dim, r=None, u=None, **extra):
         "shape": list(mat.shape),
         "data": mat.ravel(order="C").tolist(),
     }
-    rec.update(extra)
-    return rec
 
 
 def matrix_from_record(rec):

@@ -80,6 +80,8 @@ STREAMS = {
     "psi": 13,
     "share": 14,
     "unconditional": 15,
+    "hpoly": 16,  # the antisymmetry probes of `critfield hpoly`
+    "field": 31,  # the torus fields of critfield.fieldsim
 }
 
 
@@ -223,7 +225,12 @@ def _resolve_shift(u_thr, factor, shift):
 # ---------------------------------------------------------------------------
 
 def _chunk_rng(seed, stream, chunk):
-    ss = np.random.SeedSequence(int(seed), spawn_key=(int(stream), int(chunk)))
+    """Philox generator of one chunk of a ``STREAMS`` id under a root seed.
+
+    Every generator of the package comes from here, the torus fields' and
+    the ``hpoly`` probes' included, so no two consumers share draws.
+    """
+    ss =np.random.SeedSequence(int(seed), spawn_key=(int(stream), int(chunk)))
     return np.random.Generator(np.random.Philox(ss))
 
 
@@ -575,8 +582,8 @@ def _bvn_survival(lo1, lo2, rho):
     denom = math.sqrt(max((1.0 - rho) * (1.0 + rho), 1e-300))
     near = ~(rho * hi - np.minimum(lo1, lo2) >= 9.0 * denom) | (rho < 0.0)
     h, k = (np.where(lo == 0.0, 1e-150, -lo) for lo in (lo1[near], lo2[near]))
-    t_h, t_k = _executor().map(owens_t, (h, k), (((k - h) + (1.0 - rho) * h) / (h * denom),
-                                                 ((h - k) + (1.0 - rho) * k) / (k * denom)))
+    t_h = owens_t(h, ((k - h) + (1.0 - rho) * h) / (h * denom))
+    t_k = owens_t(k, ((h - k) + (1.0 - rho) * k) / (k * denom))
     out[near] = 0.5 * (ndtr(h) + ndtr(k)) - t_h - t_k - np.where(h * k < 0.0, 0.5, 0.0)
     return np.clip(out, 0.0, 1.0)
 

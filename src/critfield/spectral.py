@@ -24,7 +24,7 @@ import numpy as np
 
 from .covariance import conditional_covariance, sigma_expansion
 from .models import w_eigenvalues
-from .symmetric import matriculate_batch, packed_inertia, vech_indices
+from .symmetric import matriculate, packed_inertia, vech_indices, vectorize_sym
 
 __all__ = [
     "DEFAULT_R_GRID",
@@ -334,9 +334,8 @@ class LimitPolynomial:
         if y2.shape[-1] != self.L:
             raise ValueError(f"y must have length {self.L}")
         n, k, c = self.n_dim - 1, *self._kernel_column()
-        rows, cols = vech_indices(n)
         # one row per entry of M0', so each entry is a contiguous column
-        minor = self.mats[:self.rank0, rows, cols].T @ y2[:, :self.rank0].T
+        minor = vectorize_sym(self.mats[:self.rank0, :n, :n]).T @ y2[:, :self.rank0].T
         vals = c * y2[:, k] * packed_inertia(minor.T, n)[0]
         return float(vals[0]) if single else vals
 
@@ -386,7 +385,7 @@ def limit_polynomial(model):
     of the largest entry breaks its factorization and raises
     :class:`EigenpathError`."""
     basis = _symmetry_basis(model)
-    mats = matriculate_batch((basis.vectors * np.sqrt(basis.leading)).T, model.n_dim)
+    mats = matriculate((basis.vectors * np.sqrt(basis.leading)).T, model.n_dim)
     rank0 = model.cond_dim - model.n_dim - 1
     scale = np.abs(mats).max()
     resid = max(np.abs(mats[:rank0, -1]).max(), np.sort(np.abs(mats[rank0:, -1, -1]))[-2])
@@ -402,6 +401,6 @@ def h_r(model, r, y):
     y = np.asarray(y, dtype=float)
     single = y.ndim == 1
     y2 = np.atleast_2d(y)
-    mats = matriculate_batch(y2 @ factor.T, model.n_dim)
+    mats = matriculate(y2 @ factor.T, model.n_dim)
     vals = np.linalg.det(mats) / r
     return float(vals[0]) if single else vals

@@ -4,7 +4,9 @@ Half-vectorization utilities for symmetric matrices.
 A symmetric N x N matrix is stored as the vector of its upper triangle in
 column-major order, so entry (i, j) with 1 <= i <= j <= N sits at the
 1-based position i + j(j-1)/2.  Rebuilding the matrix from the first
-N(N+1)/2 coordinates of a (possibly longer) vector is the inverse map.
+N(N+1)/2 coordinates of a (possibly longer) vector is the inverse map; both
+maps work on stacks, packed rows along the last axis and matrices along the
+last two.
 :func:`packed_inertia` is the one determinant-and-index kernel of the
 package: the determinant, Hessian index and degeneracy flag of packed rows
 come from one LDL^T elimination on their columns (a closed form at N=2),
@@ -52,34 +54,19 @@ def vech_indices(n_dim):
 
 
 def matriculate(a, n_dim):
-    """Rebuild the symmetric n_dim x n_dim matrix packed in ``a``.
+    """Rebuild the symmetric n_dim x n_dim matrices packed along the last axis of ``a``.
 
-    Only the first n_dim(n_dim+1)/2 coordinates are used; extra coordinates
-    are ignored.  A vector shorter than that is rejected.
+    ``a`` has shape (..., >= N(N+1)/2); returns shape (..., N, N).  Only the
+    first N(N+1)/2 coordinates are used; extra coordinates are ignored.  A
+    last axis shorter than that is rejected.
     """
     a = np.asarray(a, dtype=float)
     m = vech_len(n_dim)
-    if a.ndim != 1 or a.shape[0] < m:
+    if a.ndim == 0 or a.shape[-1] < m:
         raise ValueError(
             f"need at least {m} coordinates to build a {n_dim}x{n_dim} "
             f"symmetric matrix, got shape {a.shape}"
         )
-    rows, cols = vech_indices(n_dim)
-    out = np.zeros((n_dim, n_dim))
-    out[rows, cols] = a[:m]
-    out[cols, rows] = a[:m]
-    return out
-
-
-def matriculate_batch(a, n_dim):
-    """Vectorized :func:`matriculate` over the last axis of ``a``.
-
-    ``a`` has shape (..., >= N(N+1)/2); returns shape (..., N, N).
-    """
-    a = np.asarray(a, dtype=float)
-    m = vech_len(n_dim)
-    if a.shape[-1] < m:
-        raise ValueError(f"last axis must have at least {m} coordinates")
     rows, cols = vech_indices(n_dim)
     pos = np.empty((n_dim, n_dim), dtype=np.intp)
     pos[rows, cols] = pos[cols, rows] = np.arange(m)
@@ -87,13 +74,13 @@ def matriculate_batch(a, n_dim):
 
 
 def vectorize_sym(mat):
-    """Packed upper-triangle vector of a symmetric matrix (inverse of matriculate)."""
+    """Packed upper triangles of the symmetric matrices on the last two axes
+    of ``mat`` (the inverse of :func:`matriculate`): (..., N, N) -> (..., N(N+1)/2)."""
     mat = np.asarray(mat, dtype=float)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {mat.shape}")
-    n_dim = mat.shape[0]
-    rows, cols = vech_indices(n_dim)
-    return mat[rows, cols].copy()
+    if mat.ndim < 2 or mat.shape[-2] != mat.shape[-1]:
+        raise ValueError(f"expected square matrices on the last two axes, got shape {mat.shape}")
+    rows, cols = vech_indices(mat.shape[-1])
+    return mat[..., rows, cols]
 
 
 def _ldl_pivots(s, n_dim):
@@ -163,7 +150,7 @@ def packed_inertia(packed, n_dim):
     degen = np.zeros(packed.shape[0], dtype=bool)
     slow = np.flatnonzero(~ok)
     if slow.size:
-        sub = matriculate_batch(packed[slow], n_dim)
+        sub = matriculate(packed[slow], n_dim)
         det[slow] = np.linalg.det(sub)
         eigs = np.linalg.eigvalsh(sub)
         tol = DEGEN_TOL * np.maximum(np.sqrt((sub ** 2).sum(axis=(1, 2))), 1e-300)[:, None]

@@ -6,7 +6,7 @@ import pytest
 from critfield.covariance import conditional_covariance
 from critfield.models import cauchy_model, gaussian_model
 from critfield.spectral import DEFAULT_R_GRID, _basis_eigh, _symmetry_basis
-from critfield.symmetric import DEGEN_TOL, matriculate_batch
+from critfield.symmetric import DEGEN_TOL, matriculate
 
 
 @pytest.fixture(scope="session")
@@ -45,7 +45,7 @@ def eigvalsh_inertia():
     oracle of ``symmetric.packed_inertia``: LAPACK det and eigvalsh on every
     row, with the ``DEGEN_TOL`` rule relative to ||H||_F."""
     def inertia(packed, n_dim):
-        hessians = matriculate_batch(packed, n_dim)
+        hessians = matriculate(packed, n_dim)
         eigs = np.linalg.eigvalsh(hessians)
         tol = DEGEN_TOL * np.maximum(np.sqrt((hessians ** 2).sum(axis=(1, 2))), 1e-300)[:, None]
         return (np.linalg.det(hessians), (eigs < -tol).sum(axis=1),

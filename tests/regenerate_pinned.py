@@ -1,27 +1,41 @@
 """Write the pinned numbers that the tests compare against.
 
-    PYTHONPATH=src python tests/regenerate_pinned.py [limit] [sigma]
+    PYTHONPATH=src python tests/regenerate_pinned.py [limit] [sigma] [quad] [torus]
 
 ``limit`` writes ``tests/limit_coefficients.json``, the limit polynomial's
 coefficients for gaussian and cauchy at N = 2..5 (read by
 ``test_spectral.py::TestLimitPolynomial::test_coefficients_match_pinned``).
 ``sigma`` writes ``tests/sigma_closed_form.json``, the closed-form Sigma(r)
 at ``SIGMA_RADII`` and (Sigma0, Sigma2) for gaussian and cauchy at N = 2..4
-(read by ``test_covariance.py::test_closed_form_matches_pinned``).  With no
-argument both files are written.  A change that rewrites a pinned row says
+(read by ``test_covariance.py::test_closed_form_matches_pinned``).
+``quad`` writes ``tests/quadrature_values.json``, the N = 2 quadrature oracle
+at u = 4 (read by ``test_rice.py::test_quadrature_matches_pinned``).
+``torus`` writes ``tests/torus_rows.json``, the per-index point counts and the
+pair table of the first ``TORUS_SEEDS`` fields on the grid of acceptance
+criterion 09, unthresholded and above u = 2.5 (read by
+``test_fieldsim.py::test_torus_rows_match_pinned``).  With no argument every
+file is written.  A change that rewrites a pinned row says
 which row, and why.
 """
 
 import json
+import math
 import sys
 from pathlib import Path
 
 from critfield.covariance import conditional_covariance, sigma_expansion
-from critfield.models import model_from_spec
+from critfield.fieldsim import GridSpec, find_critical_points, pair_statistics, sample_field
+from critfield.models import gaussian_model, model_from_spec
+from critfield.rice import rice_density_quadrature
 from critfield.spectral import limit_polynomial
 
 FAMILIES = ("gaussian", "cauchy")
 SIGMA_RADII = (1.0, 0.3, 0.02, 1e-3)
+QUAD_U = 4.0
+QUAD_POINTS = ((0.02, (0, 1, 2)), (0.005, (0, 1, 2)), (0.001, (2,)))  # (r, index classes)
+TORUS_GRID = GridSpec(n=128, spacing=11.3 / 128)  # criterion 09's grid
+TORUS_SEEDS = 3
+TORUS_THRESHOLDS = (-math.inf, 2.5)
 HERE = Path(__file__).parent
 
 
@@ -48,8 +62,32 @@ def sigma_rows():
     return rows
 
 
+def quad_rows():
+    model = gaussian_model(2)
+    return {repr(r): {str(k): rice_density_quadrature(model, r, QUAD_U, k).value for k in ks}
+            for r, ks in QUAD_POINTS}
+
+
+def torus_row(seed, u_thr):
+    """Per-index point counts and the pair table of one criterion 09 field."""
+    model = gaussian_model(2)
+    field = sample_field(model, TORUS_GRID, seed=seed)
+    points, _ = find_critical_points(field, u_thr=u_thr)
+    table = pair_statistics(points, 0.5 * model.correlation_length, field.extent)
+    return {"index_counts": [sum(p.index == i for p in points) for i in range(3)],
+            "n_pairs": table.n_pairs,
+            "pair_counts": {f"{i}-{j}": c for (i, j), c in sorted(table.counts.items())}}
+
+
+def torus_rows():
+    return {str(seed): {repr(u): torus_row(seed, u) for u in TORUS_THRESHOLDS}
+            for seed in range(TORUS_SEEDS)}
+
+
 TARGETS = {"limit": ("limit_coefficients.json", limit_rows),
-           "sigma": ("sigma_closed_form.json", sigma_rows)}
+           "sigma": ("sigma_closed_form.json", sigma_rows),
+           "quad": ("quadrature_values.json", quad_rows),
+           "torus": ("torus_rows.json", torus_rows)}
 
 
 def main(argv):

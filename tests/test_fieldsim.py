@@ -1,5 +1,7 @@
+import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -475,3 +477,20 @@ class TestPairStatistics:
         assert [p[:2] for p in table.pairs] == [p[:2] for p in pairs]
         dists = [p[2] for p in pairs]
         assert [p[2] for p in table.pairs] == pytest.approx(dists, rel=1e-14)
+
+
+def test_torus_rows_match_pinned(gauss2, grid):
+    # D13's torus rows, as written by tests/regenerate_pinned.py on criterion
+    # 09's grid: per-index counts and the pair table, compared exactly
+    with open(Path(__file__).with_name("torus_rows.json")) as fh:
+        pinned = json.load(fh)
+    assert len(pinned) == 3
+    eps = 0.5 * gauss2.correlation_length
+    for seed, rows in pinned.items():
+        field = sample_field(gauss2, grid, seed=int(seed))
+        for u_thr, want in rows.items():
+            points, _ = find_critical_points(field, u_thr=float(u_thr))
+            table = pair_statistics(points, eps, field.extent)
+            assert [sum(p.index == i for p in points) for i in range(3)] == want["index_counts"]
+            assert table.n_pairs == want["n_pairs"]
+            assert {f"{i}-{j}": c for (i, j), c in table.counts.items()} == want["pair_counts"]

@@ -5,6 +5,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from critfield.rice import (InsufficientSamplesError, index_ratio_mc,
                             projection_point, psi_ratio, ratio_sweep,
                             rice_density_mc, rice_density_quadrature,
                             sign_ratio)
-from critfield.symmetric import matriculate_batch, packed_inertia
+from critfield.symmetric import matriculate, packed_inertia
 
 
 class TestDensityEstimator:
@@ -84,6 +85,27 @@ class TestQuadratureOracle:
         total = rice_density_quadrature(gauss2, 0.5, 0.0, None)
         parts = [rice_density_quadrature(gauss2, 0.5, 0.0, k) for k in (0, 1, 2)]
         assert sum(p.value for p in parts) == pytest.approx(total.value, rel=1e-9)
+
+    def test_matches_pinned(self, gauss2):
+        # D13's quadrature rows at u = 4, as written by tests/regenerate_pinned.py
+        with open(Path(__file__).with_name("quadrature_values.json")) as fh:
+            pinned = json.load(fh)
+        assert sum(map(len, pinned.values())) == 7
+        for r, row in pinned.items():
+            for k, want in row.items():
+                got = rice_density_quadrature(gauss2, float(r), 4.0, int(k)).value
+                assert abs(got - want) <= 1e-12 * abs(want), (r, k)
+
+    def test_runs_off_the_worker_pool(self, gauss2, monkeypatch):
+        # the oracle shares only Sigma(r) and the prefactor with the Monte Carlo path
+        want = rice_density_quadrature(gauss2, 0.02, 4.0, None)
+
+        def forbidden():
+            raise AssertionError("the quadrature reached the worker pool")
+
+        monkeypatch.setattr(rice_mod, "_executor", forbidden)
+        got = rice_density_quadrature(gauss2, 0.02, 4.0, None)
+        assert (got.value, got.stderr, got.n) == (want.value, want.stderr, want.n)
 
     def test_requires_two_dimensions(self, gauss3):
         with pytest.raises(ValueError):
@@ -447,7 +469,7 @@ def test_factor_matrix_follows_the_kernel():
     flipped[:, 2:] *= -1.0  # L = 5 at N=2, the last N+1 = 3 columns
     for model, r in ((cauchy_model(2), 0.1), (cauchy_model(2), 0.3), (gaussian_model(2), 0.3)):
         factor = rice_mod._factor_matrix(model, r, True)
-        det, det_flipped = (np.linalg.det(matriculate_batch(y @ factor.T, 2))
+        det, det_flipped = (np.linalg.det(matriculate(y @ factor.T, 2))
                             for y in (ys, flipped))
         assert np.mean(det * det_flipped < 0) >= 0.6
     # both branches root Sigma(r); the negate pairing's root is symmetric

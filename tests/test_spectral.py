@@ -14,8 +14,7 @@ from critfield.spectral import (EigenpathError, EigenvalueCollisionError,
                                 LimitPolynomial, _basis_eigh, _symmetry_basis,
                                 _SymmetryBasis, eigenpath, factor_at, h_matrix,
                                 h_r, limit_polynomial, spectrum_sigma0)
-from critfield.symmetric import (matriculate, matriculate_batch, tau_index,
-                                 vech_len, vectorize_sym)
+from critfield.symmetric import matriculate, tau_index, vech_len, vectorize_sym
 
 
 class TestSpectrumCatalogue:
@@ -255,7 +254,7 @@ class TestEigenpath:
             factor = factor_at(model, r)
             sigma = conditional_covariance(model, r).sigma
             assert np.abs(factor @ factor.T - sigma).max() <= 1e-13 * np.abs(sigma).max()
-            direct = np.linalg.det(matriculate_batch(ys @ factor.T, 2)) / r
+            direct = np.linalg.det(matriculate(ys @ factor.T, 2)) / r
             assert np.array_equal(h_r(model, r, ys), direct)
 
     @pytest.mark.parametrize("maker", [gaussian_model, cauchy_model])
@@ -387,7 +386,7 @@ class TestRowDeterminants:
         # rows of the rearranged matrix are rows of matriculated columns
         factor = rng.normal(size=(8, 8))
         v = (2, 5, 7)
-        got = _mixed_dets(matriculate_batch(factor.T, 3), np.array(v) - 1)
+        got = _mixed_dets(matriculate(factor.T, 3), np.array(v) - 1)
         rows = np.stack(
             [matriculate(factor[:, c - 1], 3)[i] for i, c in enumerate(v)]
         )
@@ -423,7 +422,7 @@ def _row_mixed_sums(model, tuples):
     n = model.n_dim
     cols = np.asarray(tuples)[:, list(itertools.permutations(range(n)))] - 1
     return np.stack([
-        _mixed_dets(matriculate_batch(factor_at(model, r).T, n), cols).sum(1) for r in _RADII
+        _mixed_dets(matriculate(factor_at(model, r).T, n), cols).sum(1) for r in _RADII
     ], axis=1)
 
 
@@ -637,7 +636,7 @@ class TestLimitPolynomial:
         ex = fitted_eigenpath(model)
         rank = ex.rank0
         leading = np.concatenate([ex.Lambda0[:rank], ex.Lambda2[rank:]])
-        fitted = LimitPolynomial(rank0=rank, mats=matriculate_batch(
+        fitted = LimitPolynomial(rank0=rank, mats=matriculate(
             (ex.P0 * np.sqrt(np.clip(leading, 0.0, None))).T, n_dim))
         exact = _second_moment(limit_polynomial(model).coefficients())
         assert _second_moment(fitted.coefficients()) == pytest.approx(exact, rel=1e-5)

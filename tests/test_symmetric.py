@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from critfield import symmetric
-from critfield.symmetric import (matriculate, matriculate_batch, packed_inertia,
-                                 tau_index, vech_indices, vech_len, vectorize_sym)
+from critfield.symmetric import (matriculate, packed_inertia, tau_index, vech_indices,
+                                 vech_len, vectorize_sym)
 
 
 def test_tau_index_corner_cases():
@@ -82,18 +82,36 @@ def test_matriculate_vectorize_inverse(n, seed):
     assert np.allclose(rebuilt, mat)
 
 
-def test_matriculate_batch_matches_single(rng):
-    a = rng.normal(size=(5, vech_len(3)))
-    batch = matriculate_batch(a, 3)
-    for k in range(5):
-        assert np.allclose(batch[k], matriculate(a[k], 3))
+@pytest.mark.parametrize("lead", [(), (5,), (2, 3)], ids=["one", "5", "2x3"])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_stack_packing_matches_single(n, lead, rng):
+    # both maps act on the last axes of a stack, matrix by matrix; each
+    # matrix is checked against the packed layout of tau_index
+    a = rng.normal(size=lead + (vech_len(n) + 2,))  # two extra coordinates, ignored
+    mats = matriculate(a, n)
+    assert mats.shape == lead + (n, n)
+    packed = vectorize_sym(mats)
+    assert packed.shape == lead + (vech_len(n),)
+    for at in np.ndindex(lead):
+        want = [[a[at][tau_index(min(i, j), max(i, j)) - 1] for j in range(1, n + 1)]
+                for i in range(1, n + 1)]
+        assert np.array_equal(mats[at], want)
+        assert np.array_equal(mats[at], matriculate(a[at], n))
+        assert np.array_equal(packed[at], vectorize_sym(mats[at]))
+        assert np.array_equal(packed[at], a[at][:vech_len(n)])
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 3, 2), (2, 1, 4)])
+def test_vectorize_sym_rejects_non_square(shape):
+    with pytest.raises(ValueError):
+        vectorize_sym(np.zeros(shape))
 
 
 @pytest.mark.parametrize("n_dim", [2, 3, 4, 5, 6])
 def test_packed_det_matches_lapack(n_dim, rng):
     packed = rng.normal(size=(4096, vech_len(n_dim)))
     packed[:8, 0] = 0.0  # a zero first pivot: past N=2 these rows go to LAPACK
-    ref = np.linalg.det(matriculate_batch(packed, n_dim))
+    ref = np.linalg.det(matriculate(packed, n_dim))
     got = packed_inertia(packed, n_dim)[0]
     assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
     if n_dim > 2:
@@ -161,7 +179,7 @@ class TestInertiaKernel:
         ref_det, ref_idx, ref_degen = oracle(packed, n_dim)
         np.testing.assert_array_equal(idx, ref_idx)
         np.testing.assert_array_equal(degen, ref_degen)
-        norm = np.linalg.norm(matriculate_batch(packed, n_dim), axis=(1, 2))
+        norm = np.linalg.norm(matriculate(packed, n_dim), axis=(1, 2))
         assert (np.abs(det - ref_det) <= 1e-12 * norm ** n_dim).all()
 
     @pytest.mark.parametrize("n_dim", [2, 3, 4])
