@@ -230,7 +230,7 @@ def _chunk_rng(seed, stream, chunk):
     Every generator of the package comes from here, the torus fields' and
     the ``hpoly`` probes' included, so no two consumers share draws.
     """
-    ss =np.random.SeedSequence(int(seed), spawn_key=(int(stream), int(chunk)))
+    ss = np.random.SeedSequence(int(seed), spawn_key=(int(stream), int(chunk)))
     return np.random.Generator(np.random.Philox(ss))
 
 

@@ -9,13 +9,12 @@ coefficients for gaussian and cauchy at N = 2..5 (read by
 at ``SIGMA_RADII`` and (Sigma0, Sigma2) for gaussian and cauchy at N = 2..4
 (read by ``test_covariance.py::test_closed_form_matches_pinned``).
 ``quad`` writes ``tests/quadrature_values.json``, the N = 2 quadrature oracle
-at u = 4 (read by ``test_rice.py::test_quadrature_matches_pinned``).
+at u = 4 (read by ``test_rice.py::TestQuadratureOracle::test_matches_pinned``).
 ``torus`` writes ``tests/torus_rows.json``, the per-index point counts and the
 pair table of the first ``TORUS_SEEDS`` fields on the grid of acceptance
 criterion 09, unthresholded and above u = 2.5 (read by
 ``test_fieldsim.py::test_torus_rows_match_pinned``).  With no argument every
-file is written.  A change that rewrites a pinned row says
-which row, and why.
+file is written.  A change that rewrites a pinned row says which row, and why.
 """
 
 import json
