@@ -657,3 +657,20 @@ def test_cli_sweep_with_an_empty_denominator_writes_nothing(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "denominator saw no mass at u=1000000.0" in captured.err
+
+
+def test_mc_rows_match_pinned():
+    # D13's Monte Carlo rows at n = 2^17, as written by tests/regenerate_pinned.py
+    # with the call that makes each: value and stderr within 1e-3 of the row's
+    # own stderr, n exactly
+    with open(Path(__file__).with_name("mc_rows.json")) as fh:
+        pinned = json.load(fh)
+    assert len(pinned) == 13
+    for name, row in pinned.items():
+        got = getattr(rice_mod, row["estimator"])(model=gaussian_model(row["N"]), **row["kw"])
+        got = got if isinstance(got, list) else [got]
+        assert len(got) == len(row["estimates"]), name
+        for est, want in zip(got, row["estimates"]):
+            assert est.n == want["n"], name
+            for key in ("value", "stderr"):
+                assert abs(getattr(est, key) - want[key]) <= 1e-3 * want["stderr"], (name, key)
