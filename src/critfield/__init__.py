@@ -18,10 +18,9 @@ from .fieldsim import (CriticalPoint, FieldRealization, GridSpec, PairTable,
                        pair_statistics, sample_field)
 from .models import (RadialModel, cauchy_model, find_rescaling, gaussian_model,
                      model_from_spec, rescale)
-from .rice import (ProjectionDiag, RiceEstimate, index_ratio_mc, maxima_share,
-                   mean_critical_density, projection_point, psi_ratio,
-                   ratio_sweep, rice_density_mc, rice_density_quadrature,
-                   sign_ratio)
+from .rice import (RiceEstimate, index_ratio_mc, maxima_share,
+                   mean_critical_density, psi_ratio, ratio_sweep,
+                   rice_density_mc, rice_density_quadrature, sign_ratio)
 from .spectral import (LimitPolynomial, SpectralExpansion, SpectrumCatalogue,
                        eigenpath, factor_at, h_matrix, h_r, limit_polynomial,
                        spectrum_sigma0)

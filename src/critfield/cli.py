@@ -160,13 +160,24 @@ def _parse_floats(text):
 
 
 def _convert(name, value):
-    """``value`` (a file entry or flag text) as the type of the field's default."""
+    """``value`` (a file entry or flag text) as the type of the field's default.
+
+    Text converts as a flag's does.  A switch takes only a JSON bool, and no
+    other field does; a list holds numbers, and an int field no fraction.
+    """
     kind = type(getattr(DEFAULT, name))
     try:
+        if isinstance(value, bool) != (kind is bool):
+            raise TypeError("only a switch takes a bool")
         if kind is tuple and isinstance(value, str):
             return _parse_floats(value)
+        if kind is tuple and not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                                     for v in value):
+            raise TypeError("a list holds numbers")
+        if kind is int and isinstance(value, float) and not value.is_integer():
+            raise ValueError("not an integer")
         return kind(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed {name} {value!r}") from exc
 
 

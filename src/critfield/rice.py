@@ -27,11 +27,12 @@ in chunk order, so identical seeds reproduce identical estimates, bit for
 bit, whatever the number of workers.  The points of a sweep share the seed
 and the stream, hence the draws: :func:`ratio_sweep` draws each chunk once
 and maps it through every point, and each point's estimate is the one a
-single-point call gives.  High thresholds use a mean-shift
-importance proposal centered at the closest point of the feasible region
-(Sadowsky & Bucklew 1990), the projection of the origin onto the hyperplane
-where both field values equal the threshold, which keeps the effective
-sample size usable out to thresholds where plain sampling would see no hits.
+single-point call gives.  The threshold alone picks the proposal: at
+u >= 2 a mean shift to the closest point of the feasible region (Sadowsky &
+Bucklew 1990), the projection of the origin onto the hyperplane where both
+field values equal the threshold, which keeps the effective sample size
+usable out to thresholds where plain sampling would see no hits; below 2,
+plain sampling.
 """
 
 import functools
@@ -47,17 +48,14 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .covariance import (OracleConvergenceError, _g22_origin, _gradient_coupling,
-                         conditional_covariance, sigma_expansion)
+                         conditional_covariance)
 from .io import SCHEMA
 from .spectral import factor_at
-from . import symmetric
-from .symmetric import matriculate, packed_inertia
+from .symmetric import packed_inertia
 
 __all__ = [
     "RiceEstimate",
-    "ProjectionDiag",
     "InsufficientSamplesError",
-    "projection_point",
     "rice_density_mc",
     "rice_density_quadrature",
     "index_ratio_mc",
@@ -121,24 +119,6 @@ class RiceEstimate:
         return rec
 
 
-@dataclass(frozen=True)
-class ProjectionDiag:
-    """Closest point of the two-threshold region, where both field values
-    equal the threshold, and the eigenvalues of its Hessian."""
-
-    r: float
-    u_threshold: float
-    y_hat: np.ndarray
-    hessian_eigs: np.ndarray
-
-    @property
-    def negative_count(self):
-        """Negative eigenvalues by the ``symmetric.DEGEN_TOL`` rule of
-        :func:`~critfield.symmetric.packed_inertia`."""
-        tol = symmetric.DEGEN_TOL * np.linalg.norm(self.hessian_eigs)
-        return int((self.hessian_eigs < -tol).sum())
-
-
 # ---------------------------------------------------------------------------
 # factors, shifts, and the closed-form prefactor
 # ---------------------------------------------------------------------------
@@ -164,39 +144,14 @@ def _factor_matrix(model, r, flip):
 
 
 def _projection_from(factor, u_thr):
-    """Projection of the origin onto {y: rows L-1, L of factor both >= u_thr}.
+    """Projection of the origin onto {y: rows L-1, L of factor both >= u_thr},
+    the mean shift of the sampler at u_thr >= 2.
 
     The reflection t <-> 0 gives the two field values equal variances, so the
     point lies on the bisecting hyperplane s.y = 2 u_thr, s the sum of the two
     rows: it is 2 u_thr s / (s.s).  At r = 0 the two rows coincide."""
     s = factor[-2] + factor[-1]
     return (2.0 * u_thr / float(s @ s)) * s
-
-
-def projection_point(model, r, u_thr):
-    """Closest point of the two-threshold region in whitened coordinates.
-
-    Uses the symmetric nonnegative square root of Sigma(r) (Sigma0 at r=0)
-    and reports the point, where both field values equal ``u_thr``
-    (:func:`_projection_from`), together with the eigenvalues of the Hessian
-    rebuilt there; at least N-1 of them are negative whenever the
-    paired-conditioning inequality holds.
-    """
-    if not u_thr > 0:
-        raise ValueError("the projection is defined for positive thresholds")
-    if r == 0:
-        sigma, _ = sigma_expansion(model)
-    else:
-        sigma = conditional_covariance(model, r).sigma
-    root = _sym_root(sigma)
-    y_hat = _projection_from(root, u_thr)
-    hess = matriculate(root @ y_hat, model.n_dim)
-    return ProjectionDiag(
-        r=float(r),
-        u_threshold=float(u_thr),
-        y_hat=y_hat,
-        hessian_eigs=np.linalg.eigvalsh(hess),
-    )
 
 
 def _prefactor(model, r, u_thr):
@@ -210,14 +165,6 @@ def _prefactor(model, r, u_thr):
     _, _, _, q1, qstar = _gradient_coupling(model, r)
     p_grad0 = (-4.0 * math.pi * model.d1) ** (-n / 2.0)
     return p_grad0 / (math.sqrt(q1 ** (n - 1) * qstar) * float(ndtr(-u_thr)))
-
-
-def _resolve_shift(u_thr, factor, shift):
-    if shift == "none" or (shift == "auto" and u_thr < 2.0):
-        return None
-    if shift == "auto":
-        return _projection_from(factor, u_thr)
-    raise ValueError(f"unknown shift policy {shift!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -260,17 +207,17 @@ def _serial_matmul(a, b, out):
 
 
 def _check_n(n):
-    if n <= 0:
+    if not n >= 1:  # NaN too: a plan of no chunks is no sample
         raise ValueError(f"need a positive sample count, got n={n}")
 
 
 class _Target(NamedTuple):
-    """One point of a pass: a factor of Sigma, its threshold and mean shift,
-    and the index classes of its numerator and denominator (None: b = 1)."""
+    """One point of a pass: a factor of Sigma (its Hessian rows, then the two
+    field-value rows), its threshold, and the index classes of its numerator
+    and denominator (None: b = 1)."""
 
     factor: np.ndarray
-    u_thr: float | None
-    shift: np.ndarray | None
+    u_thr: float
     num_sel: tuple
     den_sel: tuple | None = None
 
@@ -291,21 +238,21 @@ def _accumulate(model, n, seed, stream, antithetic, targets):
     draws go through the last two rows of the target's factor only, the two
     field values, to which its mean shift adds its image; this keeps the
     live samples, those with both values above its ``u_thr``, and every
-    other sample has zero mass.  Only the live samples are shifted, mapped
+    other sample has zero mass.  The shift is :func:`_projection_from` at
+    ``u_thr`` >= 2 and none below.  Only the live samples are shifted, mapped
     to packed Hessian rows, weighted, and passed to
     :func:`~critfield.symmetric.packed_inertia` for determinant and index.
-    ``u_thr=None`` means the factor has the Hessian rows only and every
-    sample is live.  A chunk's pair sums are bincounts over its live rows,
-    and each target's chunk sums are reduced in chunk order, so its estimate
-    depends neither on the number of workers nor on the other targets: a
-    target's result is that of a pass over it alone.
+    A chunk's pair sums are bincounts over its live rows, and each target's
+    chunk sums are reduced in chunk order, so its estimate depends neither
+    on the number of workers nor on the other targets: a target's result is
+    that of a pass over it alone.
 
     Returns, per target, per-index |det|-mass buckets and hit counts (index
     0..N, then degenerate) and R = sum(a)/sum(b) over pair units, a and b a
     unit's mass in the classes of ``num_sel`` and ``den_sel`` (b = 1 if
     ``den_sel`` is None), with the delta-method error bar
     sqrt(sum((a - R b)^2)) / sum(b) from each chunk's moments about its own
-    R_c, which do not cancel.  Raises ValueError if ``n`` is not positive and
+    R_c, which do not cancel.  Raises ValueError if ``n`` is below 1 and
     InsufficientSamplesError if any target's sum(b) is 0.
     """
     _check_n(n)
@@ -318,14 +265,15 @@ def _accumulate(model, n, seed, stream, antithetic, targets):
     n_cls = n_dim + 2  # index 0..N, then degenerate
     maps, masks = [], []  # per target: what maps a block, what selects its classes
     for t in targets:
+        shift = _projection_from(t.factor, t.u_thr) if t.u_thr >= 2.0 else None
         value_rows = np.ascontiguousarray(t.factor[m:].T)
         maps.append((
-            t.u_thr, t.shift,
+            t.u_thr, shift,
             # C-ordered, as OpenBLAS threads a product with a transposed operand far sooner
             np.ascontiguousarray(t.factor[:m].T), value_rows,
             # the shift's half square and its image on the two field values
-            None if t.shift is None else 0.5 * float(t.shift @ t.shift),
-            None if t.shift is None else t.shift @ value_rows))
+            None if shift is None else 0.5 * float(shift @ shift),
+            None if shift is None else shift @ value_rows))
         masks.append((np.isin(np.arange(n_cls), t.num_sel),
                       None if t.den_sel is None else np.isin(np.arange(n_cls), t.den_sel)))
     n_chunks = -(-n // CHUNK)
@@ -340,16 +288,12 @@ def _accumulate(model, n, seed, stream, antithetic, targets):
         """Place, class and mass of a block's live rows under one target: the
         drawn rows', then the partners'."""
         u_thr, shift, hess_rows, value_rows, half_shift_sq, shift_vals = target_map
+        _serial_matmul(ys, value_rows, vals)
         if shift is not None:  # ys stay unshifted: the weight needs the draws
             np.negative(np.matmul(ys, shift, out=log_w), out=log_w)
             log_w -= half_shift_sq
-        if u_thr is None:
-            rows = np.arange(ys.shape[0])
-        else:
-            _serial_matmul(ys, value_rows, vals)
-            if shift is not None:
-                vals += shift_vals
-            rows = np.flatnonzero((vals[:, 0] > u_thr) & (vals[:, 1] > u_thr))
+            vals += shift_vals
+        rows = np.flatnonzero((vals[:, 0] > u_thr) & (vals[:, 1] > u_thr))
         picked, hess = picked[:rows.size], hess[:rows.size]
         np.take(ys, rows, axis=0, out=picked)
         if shift is not None:
@@ -424,12 +368,11 @@ def _accumulate(model, n, seed, stream, antithetic, targets):
     return accs
 
 
-def _sample(model, points, n, seed, stream, antithetic, shift, num_sel, den_sel=None):
-    """:func:`_accumulate` at every (r, u_thr) of ``points``: the factor of
-    Sigma(r) and the shift policy ``shift``, one factor per distinct r."""
+def _sample(model, points, n, seed, stream, antithetic, num_sel, den_sel=None):
+    """:func:`_accumulate` at every (r, u_thr) of ``points``, one factor of
+    Sigma(r) per distinct r."""
     factors = {r: _factor_matrix(model, r, antithetic == "flip") for r, _ in points}
-    targets = [_Target(factors[r], u_thr, _resolve_shift(u_thr, factors[r], shift),
-                       num_sel, den_sel) for r, u_thr in points]
+    targets = [_Target(factors[r], u_thr, num_sel, den_sel) for r, u_thr in points]
     return _accumulate(model, n, seed, STREAMS[stream], antithetic, targets)
 
 
@@ -443,8 +386,7 @@ def _estimate(acc, t0, value, stderr, seed, k, r, u_thr, **extras):
                                 "class_hits": acc["counts"].copy(), **extras})
 
 
-def rice_density_mc(model, r, u_thr, k=None, n=200_000, seed=0, antithetic="negate",
-                    shift="auto"):
+def rice_density_mc(model, r, u_thr, k=None, n=200_000, seed=0, antithetic="negate"):
     """Density of conditioned critical points with index ``k`` above ``u_thr``.
 
     ``k=None`` places no index restriction.  The value carries the full
@@ -456,26 +398,25 @@ def rice_density_mc(model, r, u_thr, k=None, n=200_000, seed=0, antithetic="nega
         return RiceEstimate(0.0, 0.0, int(n), int(seed), k, float(r), float(u_thr))
     t0 = time.perf_counter()
     sel = tuple(range(model.n_dim + 1)) if k is None else (int(k),)
-    (acc,) = _sample(model, [(r, u_thr)], n, seed, "density", antithetic, shift, sel)
+    (acc,) = _sample(model, [(r, u_thr)], n, seed, "density", antithetic, sel)
     pref = _prefactor(model, r, u_thr)
     return _estimate(acc, t0, pref * acc["num"] / acc["n"],
                      pref * acc["stderr"] * acc["n_units"] / acc["n"], seed, k, r, u_thr,
                      raw_sum=acc["num"], prefactor=pref)
 
 
-def _ratios(model, points, num_sel, den_sel, n, seed, stream, k, antithetic="negate",
-            shift="auto"):
+def _ratios(model, points, num_sel, den_sel, n, seed, stream, k, antithetic="negate"):
     """:func:`index_ratio_mc` at every (r, u_thr) of ``points`` from one pass,
     each estimate labelled ``k``; ``wall_ms`` times the whole pass."""
     t0 = time.perf_counter()
-    accs = _sample(model, points, n, seed, stream, antithetic, shift, num_sel, den_sel)
+    accs = _sample(model, points, n, seed, stream, antithetic, num_sel, den_sel)
     return [_estimate(acc, t0, acc["ratio"], acc["stderr"], seed, k, r, u_thr,
                       num_sum=acc["num"], den_sum=acc["den"])
             for acc, (r, u_thr) in zip(accs, points)]
 
 
 def index_ratio_mc(model, r, u_thr, num_indices, den_indices, n=2_000_000, seed=0,
-                   antithetic="negate", shift="auto", stream="ratio"):
+                   antithetic="negate", stream="ratio"):
     """Self-normalized ratio of |det|-masses over two disjoint index classes.
 
     Numerator and denominator share every sample, so the prefactor and the
@@ -488,7 +429,7 @@ def index_ratio_mc(model, r, u_thr, num_indices, den_indices, n=2_000_000, seed=
     """
     num_sel, den_sel = tuple(num_indices), tuple(den_indices)
     (est,) = _ratios(model, [(r, u_thr)], num_sel, den_sel, n, seed, stream, (num_sel, den_sel),
-                     antithetic, shift)
+                     antithetic)
     return est
 
 
@@ -542,8 +483,8 @@ def mean_critical_density(model, k=None, n=500_000, seed=0):
     is the gradient density at zero times E|det| restricted to the index
     class, with the Hessian drawn from its stationary law.  ``k=None`` places
     no index restriction.  The samples come from the same loop as the
-    conditioned estimators, with the stationary Hessian factor, no threshold
-    and no pairing.
+    conditioned estimators, with the stationary Hessian factor, two zero
+    field-value rows at threshold -inf (every sample live) and no pairing.
     """
     n_dim = model.n_dim
     if k is not None and not (0 <= k <= n_dim):
@@ -551,10 +492,11 @@ def mean_critical_density(model, k=None, n=500_000, seed=0):
         return RiceEstimate(0.0, 0.0, int(n), int(seed), k, 0.0, -math.inf)
     t0 = time.perf_counter()
     root = _sym_root(_g22_origin(model.d2, n_dim))
+    factor = np.vstack([root, np.zeros((2, root.shape[1]))])
     p_grad0 = (-4.0 * math.pi * model.d1) ** (-n_dim / 2.0)
     sel = tuple(range(n_dim + 1)) if k is None else (int(k),)
     (acc,) = _accumulate(model, n, seed, STREAMS["unconditional"], None,
-                         [_Target(root, None, None, sel)])
+                         [_Target(factor, -math.inf, sel)])
     # unpaired, so a pair unit is one sample
     return _estimate(acc, t0, p_grad0 * acc["num"] / acc["n"], p_grad0 * acc["stderr"],
                      seed, k, 0.0, -math.inf)

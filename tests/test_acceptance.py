@@ -226,11 +226,12 @@ def test_criterion_07b_maxima_share_half():
     #   - the deterministic N=2 quadrature over the quadric cone det = 0
     #     gives 0.51326, with error estimates of at most 1.1e-4 relative
     #     per class.
-    # Plain sampling (shift="none") cannot resolve it.  At n=2e6, seed 0
-    # sees no mass in the top two classes and raises, seed 1 gives
-    # 1.0 +- 0.0 from a single live hit, and seed 2 gives 0.49 +- 0.35 from
-    # two.  At n=1e8 its delta-method error bar is unreliable: seed 0 gives
-    # 0.68 +- 0.08 from 47 live hits, seed 1 gives 0.17 +- 0.06 from 46.
+    # Plain indicator sampling (_accumulate with no shift) cannot resolve
+    # it.  At n=2e6, seed 0 sees no mass in the top two classes and raises,
+    # seed 1 gives 1.0 +- 0.0 from a single live hit, and seed 2 gives
+    # 0.49 +- 0.35 from two.  At n=1e8 its delta-method error bar is
+    # unreliable: seed 0 gives 0.68 +- 0.08 from 47 live hits, seed 1 gives
+    # 0.17 +- 0.06 from 46.
     # The paper only says the share "settles near 1/2" and fixes no
     # tolerance for a finite scale, so the criterion is asserted as stated
     # and fails with the measured offset.

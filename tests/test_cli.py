@@ -55,6 +55,29 @@ class TestExitCodes:
         cfg.write_text(json.dumps({"model": {"N": 2}}))
         assert run_cli("check", "--config", str(cfg)) == 2
 
+    @pytest.mark.parametrize("raw", [
+        pytest.param({"r": ["0.1"]}, id="r-text-entry"),
+        pytest.param({"u": [None]}, id="u-null-entry"),
+        pytest.param({"u": [True]}, id="u-bool-entry"),
+        pytest.param({"verify": "false"}, id="verify-text"),
+        pytest.param({"verify": 0}, id="verify-number"),
+        pytest.param({"mc": {"n": 4096.9}}, id="n-fraction"),
+        pytest.param({"mc": {"n": float("inf")}}, id="n-inf"),
+        pytest.param({"mc": {"seed": True}}, id="seed-bool"),
+        pytest.param({"model": {"family": "gaussian", "N": 2.5}}, id="N-fraction"),
+        pytest.param({"tol": True}, id="tol-bool"),
+    ])
+    def test_malformed_config_value_is_config_error(self, raw, tmp_path, capsys):
+        # a file entry of the wrong JSON type exits 2 with one line: it is
+        # neither coerced nor left to fail later
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert run_cli("share", "--config", str(cfg), "--n", "4096", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error:") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_empty_config_loads_defaults(self, tmp_path):
         # a file run and a flag run start from the same defaults
         cfg = tmp_path / "empty.json"

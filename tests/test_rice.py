@@ -4,7 +4,6 @@ import multiprocessing
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,11 +17,10 @@ from critfield.covariance import (OracleConvergenceError, _g22_origin,
                                   conditional_covariance, sigma_expansion)
 from critfield.models import cauchy_model, gaussian_model
 from critfield.rice import (InsufficientSamplesError, index_ratio_mc,
-                            maxima_share, mean_critical_density,
-                            projection_point, psi_ratio, ratio_sweep,
-                            rice_density_mc, rice_density_quadrature,
+                            maxima_share, mean_critical_density, psi_ratio,
+                            ratio_sweep, rice_density_mc, rice_density_quadrature,
                             sign_ratio)
-from critfield.symmetric import matriculate, packed_inertia
+from critfield.symmetric import DEGEN_TOL, matriculate, packed_inertia
 
 
 class TestDensityEstimator:
@@ -71,7 +69,7 @@ class TestDensityEstimator:
 class TestQuadratureOracle:
     def test_matches_monte_carlo_at_zero_threshold(self, gauss2):
         quad = rice_density_quadrature(gauss2, 0.5, 0.0, 2)
-        mc = rice_density_mc(gauss2, 0.5, 0.0, k=2, n=400_000, seed=2, shift="none")
+        mc = rice_density_mc(gauss2, 0.5, 0.0, k=2, n=400_000, seed=2)
         assert abs(mc.value - quad.value) / quad.value < 0.02
 
     def test_node_refinement_stable(self, gauss2, monkeypatch):
@@ -247,20 +245,23 @@ class TestRatios:
         ("gauss2", "share", "flip", 0.02, 4.0), ("gauss2", "share", "flip", 0.001, 4.0),
         ("gauss3", "share", "negate", 0.02, 4.0), ("gauss4", "share", "negate", 0.02, 4.0),
         ("gauss2", "density", None, 0.3, 0.5), ("gauss3", "density", "negate", 0.05, 3.0),
-        ("gauss3", "unconditional", None, 0.0, None)],
+        ("gauss3", "unconditional", None, 0.0, -math.inf)],
         ids=["0.02", "0.001", "gauss3-negate-0.02", "gauss4-negate-0.02",
              "density-plain", "gauss3-density-negate-shift", "gauss3-unconditional"])
-    def test_ratio_stderr_matches_two_pass(self, request, model_name, estimator, antithetic,
-                                           r, u_thr):
+    def test_ratio_stderr_matches_two_pass(self, request, monkeypatch, model_name, estimator,
+                                           antithetic, r, u_thr):
         # one chunk of the estimator, its pair contributions rebuilt from the
-        # stream with the mean shift added to every draw and a zeroed array
-        # per sample; sum((a - R b)^2) is taken at the estimator's own R,
-        # since it moves by 1e-13 relative when R moves by one rounding.  A
-        # density is the ratio with b = 1 per pair unit, scaled to a mean per
-        # sample and by its prefactor
+        # stream with the mean shift the estimator made added to every draw
+        # and a zeroed array per sample; sum((a - R b)^2) is taken at the
+        # estimator's own R, since it moves by 1e-13 relative when R moves by
+        # one rounding.  A density is the ratio with b = 1 per pair unit,
+        # scaled to a mean per sample and by its prefactor
         model = request.getfixturevalue(model_name)
         n, m, n_dim = rice_mod.CHUNK, model.vech_dim, model.n_dim
-        parts, shift = (1 if antithetic is None else 2), None
+        parts = 1 if antithetic is None else 2
+        shifts, projection = [], rice_mod._projection_from
+        monkeypatch.setattr(rice_mod, "_projection_from",
+                            lambda *args: shifts.append(projection(*args)) or shifts[-1])
         if estimator == "unconditional":
             est = mean_critical_density(model, k=None, n=n, seed=1)
             factor = rice_mod._sym_root(_g22_origin(model.d2, n_dim))
@@ -273,8 +274,9 @@ class TestRatios:
                 est = rice_density_mc(model, r, u_thr, n=n, seed=1, antithetic=antithetic)
                 scale = est.extras["prefactor"] / parts
             factor = rice_mod._factor_matrix(model, r, antithetic == "flip")
-            shift = rice_mod._resolve_shift(u_thr, factor, "auto")
-        assert (shift is not None) == (u_thr is not None and u_thr >= 2.0)
+        assert len(shifts) <= 1
+        shift = shifts[0] if shifts else None
+        assert (shift is not None) == (u_thr >= 2.0)
         ys = np.empty((n, factor.shape[1]))
         rice_mod._chunk_rng(1, rice_mod.STREAMS[estimator], 0).standard_normal(out=ys[: n // parts])
         if antithetic == "flip":
@@ -286,7 +288,7 @@ class TestRatios:
         if shift is not None:
             log_w = -(ys @ shift) - 0.5 * float(shift @ shift)
             ys += shift
-        if u_thr is None:
+        if estimator == "unconditional":
             rows = np.arange(n)
         else:
             vals = ys @ factor[m:].T
@@ -334,12 +336,12 @@ class TestRatios:
     def test_psi_unthresholded_limit(self, gauss2):
         # with the threshold far below every sample the indicators are all
         # live, so the ratio matches the unconstrained index ratio
-        a = psi_ratio(gauss2, 0.3, -10.0, n=300_000, seed=9, shift="none")
-        b = psi_ratio(gauss2, 0.3, -math.inf, n=300_000, seed=10, shift="none")
+        a = psi_ratio(gauss2, 0.3, -10.0, n=300_000, seed=9)
+        b = psi_ratio(gauss2, 0.3, -math.inf, n=300_000, seed=10)
         assert a.value > 0.0
         assert abs(a.value - b.value) < 3.0 * math.hypot(a.stderr, b.stderr)
 
-    @pytest.mark.parametrize("n", [0, -5])
+    @pytest.mark.parametrize("n", [0, -5, 0.5, math.nan])
     @pytest.mark.parametrize("estimator", [
         lambda m, n: rice_density_mc(m, 0.5, 0.0, n=n),
         lambda m, n: index_ratio_mc(m, 0.5, 0.0, (2,), (1,), n=n),
@@ -357,9 +359,9 @@ class TestRatios:
             estimator(gauss2, n)
 
     def test_empty_denominator_raises(self, gauss2):
+        # the mean shift's weights underflow to 0 so far out
         with pytest.raises(InsufficientSamplesError):
-            index_ratio_mc(gauss2, 0.1, 30.0, (2,), (1,), n=2000, seed=0,
-                           shift="none")
+            index_ratio_mc(gauss2, 0.1, 1e6, (2,), (1,), n=2000, seed=0)
 
     def test_flip_antithetic_resolves_deviation(self, gauss2):
         # the class-swapping pairing collapses shared noise: the systematic
@@ -385,43 +387,39 @@ class TestRatios:
 
 
 class TestProjection:
+    # the sampler's mean shift at u >= 2: _projection_from on the symmetric
+    # root of Sigma(r), Sigma0 at r = 0
+    @staticmethod
+    def _shift(model, r, u_thr):
+        sigma = sigma_expansion(model)[0] if r == 0 else conditional_covariance(model, r).sigma
+        root = rice_mod._sym_root(sigma)
+        return root, rice_mod._projection_from(root, u_thr)
+
     def test_candidates_coincide_in_limit(self, gauss2):
-        small = projection_point(gauss2, 1e-9, 1.0)
-        limit = projection_point(gauss2, 0.0, 1.0)
-        assert np.abs(small.y_hat - limit.y_hat).max() < 1e-6
+        _, small = self._shift(gauss2, 1e-9, 1.0)
+        _, limit = self._shift(gauss2, 0.0, 1.0)
+        assert np.abs(small - limit).max() < 1e-6
 
     def test_scaling_in_threshold(self, gauss2):
-        one = projection_point(gauss2, 0.5, 1.0)
-        three = projection_point(gauss2, 0.5, 3.0)
-        assert np.allclose(three.y_hat, 3.0 * one.y_hat, rtol=1e-12)
+        _, one = self._shift(gauss2, 0.5, 1.0)
+        _, three = self._shift(gauss2, 0.5, 3.0)
+        assert np.allclose(three, 3.0 * one, rtol=1e-12)
 
     def test_negative_eigenvalue_count(self, gauss2, gauss3):
+        # at least N-1 negative eigenvalues of the Hessian rebuilt at the
+        # shift, by packed_inertia's DEGEN_TOL rule relative to ||H||_F
         for model in (gauss2, gauss3):
             for r in (0.0, 0.2, 0.5):
-                diag = projection_point(model, r, 1.0)
-                assert diag.negative_count >= model.n_dim - 1
+                root, y_hat = self._shift(model, r, 1.0)
+                eigs = np.linalg.eigvalsh(matriculate(root @ y_hat, model.n_dim))
+                assert (eigs < -DEGEN_TOL * np.linalg.norm(eigs)).sum() >= model.n_dim - 1
 
     def test_rebuilt_hessian_diagonal_with_negative_block(self, gauss3):
-        from critfield.symmetric import matriculate
-
-        diag = projection_point(gauss3, 0.4, 1.0)
-        sig = conditional_covariance(gauss3, 0.4).sigma
-        lam, vec = np.linalg.eigh(sig)
-        root = (vec * np.sqrt(np.clip(lam, 0, None))) @ vec.T
-        hess = matriculate(root @ diag.y_hat, 3)
+        root, y_hat = self._shift(gauss3, 0.4, 1.0)
+        hess = matriculate(root @ y_hat, 3)
         off = hess - np.diag(np.diag(hess))
         assert np.abs(off).max() < 1e-10
         assert (np.diag(hess)[: gauss3.n_dim - 1] < 0).all()
-
-    def test_requires_positive_threshold(self, gauss2):
-        with pytest.raises(ValueError):
-            projection_point(gauss2, 0.5, 0.0)
-
-    def test_negative_count_is_scale_free(self, gauss3):
-        # the count follows packed_inertia's DEGEN_TOL rule, relative to ||H||_F
-        diag = projection_point(gauss3, 0.2, 1.0)
-        tiny = replace(diag, hessian_eigs=1e-12 * diag.hessian_eigs)
-        assert tiny.negative_count == diag.negative_count >= gauss3.n_dim - 1
 
     @pytest.mark.parametrize("maker", [gaussian_model, cauchy_model])
     @pytest.mark.parametrize("n_dim", [2, 3, 4])
@@ -431,11 +429,10 @@ class TestProjection:
         # value rows; a point on one face misses it by up to 3.8e-7 at r <= 0.005
         model, u_thr = maker(n_dim), 4.0
         for r in (0.0, 1e-3, 5e-3, 0.02, 0.3):
-            sigma = sigma_expansion(model)[0] if r == 0 else conditional_covariance(model, r).sigma
-            pairs = [(rice_mod._sym_root(sigma), projection_point(model, r, u_thr).y_hat)]
+            pairs = [self._shift(model, r, u_thr)]
             if r > 0:
                 flip = rice_mod._factor_matrix(model, r, True)
-                pairs.append((flip, rice_mod._resolve_shift(u_thr, flip, "auto")))
+                pairs.append((flip, rice_mod._projection_from(flip, u_thr)))
             for factor, shift in pairs:
                 s = factor[-2] + factor[-1]
                 off = shift - (shift @ s) / (s @ s) * s
@@ -578,8 +575,7 @@ def test_forked_child_makes_its_own_pool(gauss2):
 def test_class_hits_count_live_samples(gauss2, gauss3):
     # plain sampling in one chunk: recount the live samples from the stream
     n, u_thr = 50_000, 0.5
-    est = rice_density_mc(gauss2, 0.3, u_thr, n=n, seed=4, antithetic=None,
-                          shift="none")
+    est = rice_density_mc(gauss2, 0.3, u_thr, n=n, seed=4, antithetic=None)
     factor = rice_mod._factor_matrix(gauss2, 0.3, False)
     rng = rice_mod._chunk_rng(4, rice_mod.STREAMS["density"], 0)
     vals = rng.standard_normal((n, factor.shape[1])) @ factor[-2:].T
@@ -589,7 +585,7 @@ def test_class_hits_count_live_samples(gauss2, gauss3):
     assert 0 < live < n
     assert int(hits.sum()) == live
     # with no threshold every sample is live, across chunks
-    ratio = sign_ratio(gauss3, 0.3, -math.inf, n=150_000, seed=1, shift="none")
+    ratio = sign_ratio(gauss3, 0.3, -math.inf, n=150_000, seed=1)
     assert int(ratio.extras["class_hits"].sum()) == ratio.n
 
 
@@ -630,8 +626,8 @@ def test_sweep_matches_single_points_bit_for_bit(request, model_name, estimator,
 
 
 def test_sweep_with_an_empty_denominator_raises(gauss2):
-    with pytest.raises(InsufficientSamplesError, match="u=30"):
-        ratio_sweep("maxima_share", gauss2, [(0.1, 1.0), (0.1, 30.0)], 2000, 0, shift="none")
+    with pytest.raises(InsufficientSamplesError, match="u=1000000.0"):
+        ratio_sweep("maxima_share", gauss2, [(0.1, 1.0), (0.1, 1e6)], 2000, 0)
 
 
 def test_cli_sweep_is_one_pass_of_single_points(gauss2, tmp_path, monkeypatch):
