@@ -1,6 +1,6 @@
 """Write the pinned numbers that the tests compare against.
 
-    PYTHONPATH=src python tests/regenerate_pinned.py [limit] [sigma] [quad] [torus] [mc]
+    PYTHONPATH=src python tests/regenerate_pinned.py [limit] [sigma] [quad] [torus] [mc] [spectral]
 
 ``limit`` writes ``tests/limit_coefficients.json``, the limit polynomial's
 coefficients for gaussian and cauchy at N = 2..5 (read by
@@ -16,8 +16,16 @@ criterion 09, unthresholded and above u = 2.5 (read by
 ``test_fieldsim.py::test_torus_rows_match_pinned``).
 ``mc`` writes ``tests/mc_rows.json``, the Monte Carlo estimates of ``MC_ROWS``
 at n = ``MC_N``, each with the call that makes it (read by
-``test_rice.py::test_mc_rows_match_pinned``).  With no argument every
-file is written.  A change that rewrites a pinned row says which row, and why.
+``test_rice.py::test_mc_rows_match_pinned``).
+``spectral`` writes ``tests/spectral_rows.json``: the oracle's Sigma(r) and
+``error_estimate`` at ``ORACLE_RADII`` for gaussian and cauchy at N = 2, 3, the
+``spectrum_sigma0`` catalogue at N = 2..4, and ``h_r`` on ``H_PROBES`` fixed
+probes at ``H_RADII`` (read by ``test_spectral.py::test_spectral_rows_match_pinned``).
+With no argument every file is written.
+
+Rewriting a file prints each row whose numbers changed, a Monte Carlo
+estimate with its move in combined standard errors.  A change that rewrites a
+pinned row says which row, and why.
 """
 
 import json
@@ -25,12 +33,15 @@ import math
 import sys
 from pathlib import Path
 
-from critfield.covariance import conditional_covariance, sigma_expansion
+import numpy as np
+
+from critfield.covariance import (conditional_covariance, conditional_covariance_oracle,
+                                  sigma_expansion)
 from critfield.fieldsim import GridSpec, find_critical_points, pair_statistics, sample_field
 from critfield.models import gaussian_model, model_from_spec
 from critfield import rice
 from critfield.rice import rice_density_quadrature
-from critfield.spectral import limit_polynomial
+from critfield.spectral import h_r, limit_polynomial, spectrum_sigma0
 
 FAMILIES = ("gaussian", "cauchy")
 SIGMA_RADII = (1.0, 0.3, 0.02, 1e-3)
@@ -53,6 +64,9 @@ MC_ROWS = {  # row: (rice estimator, gaussian N, its keyword arguments but n and
     "share-sweep-N2": ("ratio_sweep", 2, {"estimator": "maxima_share",
                                           "points": [[0.02, 1.0], [0.02, 2.0], [0.02, 4.0]]}),
 }
+ORACLE_RADII = (0.3, 0.05)
+H_RADII = (0.1, 0.02)
+H_PROBES = 8
 HERE = Path(__file__).parent
 
 
@@ -112,11 +126,60 @@ def mc_rows():
     return rows
 
 
+def spectral_rows():
+    rows = {}
+    for family in FAMILIES:
+        rows[family] = {}
+        for n in range(2, 5):
+            model = model_from_spec(family, n)
+            row = {"catalogue": [list(e) for e in spectrum_sigma0(model).entries]}
+            if n <= 3:
+                probes = np.random.default_rng(n).standard_normal((H_PROBES, model.cond_dim))
+                oracle = {r: conditional_covariance_oracle(model, r) for r in ORACLE_RADII}
+                row.update(
+                    oracle={repr(r): {"sigma": c.sigma.tolist(),
+                                      "error_estimate": c.error_estimate}
+                            for r, c in oracle.items()},
+                    probes=probes.tolist(),
+                    h_r={repr(r): h_r(model, r, probes).tolist() for r in H_RADII})
+            rows[family][str(n)] = row
+    return rows
+
+
+def _leaves(node, path=()):
+    """Each value of a JSON tree that is not an object, with its path of keys."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaves(value, path + (key,))
+    else:
+        yield path, node
+
+
+def report_changes(name, old, new):
+    """Print each row of ``new`` whose numbers differ from ``old``; a Monte
+    Carlo estimate prints its move in combined standard errors."""
+    before = dict(_leaves(old))
+    for path, after in _leaves(new):
+        was = before.pop(path, None)
+        if was == after:
+            continue
+        print(f"{name}: {'/'.join(path)} {'changed' if was is not None else 'added'}")
+        if path[-1] == "estimates" and was is not None:
+            for i, (b, a) in enumerate(zip(was, after)):
+                se = math.hypot(b["stderr"], a["stderr"])
+                print(f"  [{i}] value {b['value']!r} -> {a['value']!r} "
+                      f"({(a['value'] - b['value']) / se:+.2f} combined se), "
+                      f"stderr {b['stderr']!r} -> {a['stderr']!r}")
+    for path in before:
+        print(f"{name}: {'/'.join(path)} removed")
+
+
 TARGETS = {"limit": ("limit_coefficients.json", limit_rows),
            "sigma": ("sigma_closed_form.json", sigma_rows),
            "quad": ("quadrature_values.json", quad_rows),
            "torus": ("torus_rows.json", torus_rows),
-           "mc": ("mc_rows.json", mc_rows)}
+           "mc": ("mc_rows.json", mc_rows),
+           "spectral": ("spectral_rows.json", spectral_rows)}
 
 
 def main(argv):
@@ -125,8 +188,12 @@ def main(argv):
         sys.exit(f"unknown target(s) {sorted(unknown)}; choose from {sorted(TARGETS)}")
     for target in argv or TARGETS:
         name, rows = TARGETS[target]
+        new = json.loads(json.dumps(rows()))  # as the file reads back
+        if (HERE / name).exists():
+            with open(HERE / name) as fh:
+                report_changes(name, json.load(fh), new)
         with open(HERE / name, "w") as fh:
-            json.dump(rows(), fh, indent=1)
+            json.dump(new, fh, indent=1)
         print(f"wrote {HERE / name}")
 
 

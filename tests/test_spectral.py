@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from critfield.cli import main
-from critfield.covariance import conditional_covariance, sigma_expansion
+from critfield.covariance import (conditional_covariance, conditional_covariance_oracle,
+                                  sigma_expansion)
 from critfield.models import (RadialModel, cauchy_model, find_rescaling,
                               gaussian_model, model_from_spec, rescale)
 from critfield.spectral import (EigenpathError, EigenvalueCollisionError,
@@ -667,3 +668,32 @@ def _second_moment(coeffs):
         if not np.any(powers % 2):
             total += a[1] * b[1] * math.prod(math.prod(range(k - 1, 0, -2)) for k in powers)
     return total
+
+
+@pytest.mark.parametrize("family", ["gaussian", "cauchy"])
+@pytest.mark.parametrize("n_dim", [2, 3, 4])
+def test_spectral_rows_match_pinned(family, n_dim):
+    # D13's rows as written by tests/regenerate_pinned.py, each within 1e-12 of
+    # its largest entry: the catalogue, and at N <= 3 the oracle's Sigma(r)
+    # and error estimate (a row of its own) and h_r on the pinned probes,
+    # which reads the factor of Sigma(r) that the sampler maps through
+    with open(Path(__file__).with_name("spectral_rows.json")) as fh:
+        pinned = json.load(fh)[family][str(n_dim)]
+    model = model_from_spec(family, n_dim)
+
+    def close(got, want, key):
+        want = np.array(want)
+        assert np.shape(got) == want.shape, key
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), key
+
+    close(np.array(spectrum_sigma0(model).entries), pinned["catalogue"], "catalogue")
+    if n_dim > 3:
+        assert pinned.keys() == {"catalogue"}
+        return
+    assert len(pinned["oracle"]) == len(pinned["h_r"]) == 2 and len(pinned["probes"]) == 8
+    for r, want in pinned["oracle"].items():
+        got = conditional_covariance_oracle(model, float(r))
+        close(got.sigma, want["sigma"], ("sigma", r))
+        close(got.error_estimate, want["error_estimate"], ("error_estimate", r))
+    for r, want in pinned["h_r"].items():
+        close(h_r(model, float(r), np.array(pinned["probes"])), want, ("h_r", r))
