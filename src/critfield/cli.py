@@ -163,7 +163,8 @@ def _convert(name, value):
     """``value`` (a file entry or flag text) as the type of the field's default.
 
     Text converts as a flag's does.  A switch takes only a JSON bool, and no
-    other field does; a list holds numbers, and an int field no fraction.
+    other field does; text only a string and the model parameters only an
+    object; a list and the parameters hold numbers, an int field no fraction.
     """
     kind = type(getattr(DEFAULT, name))
     try:
@@ -171,9 +172,12 @@ def _convert(name, value):
             raise TypeError("only a switch takes a bool")
         if kind is tuple and isinstance(value, str):
             return _parse_floats(value)
-        if kind is tuple and not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                                     for v in value):
-            raise TypeError("a list holds numbers")
+        if kind in (str, dict) and not isinstance(value, kind):
+            raise TypeError(f"not a JSON {'string' if kind is str else 'object'}")
+        if kind in (tuple, dict) and not all(
+                isinstance(v, (int, float)) and not isinstance(v, bool)
+                for v in (value.values() if kind is dict else value)):
+            raise TypeError("a list or the parameters hold numbers")
         if kind is int and isinstance(value, float) and not value.is_integer():
             raise ValueError("not an integer")
         return kind(value)

@@ -207,8 +207,16 @@ def _serial_matmul(a, b, out):
 
 
 def _check_n(n):
-    if not n >= 1:  # NaN too: a plan of no chunks is no sample
-        raise ValueError(f"need a positive sample count, got n={n}")
+    if not 1 <= n < math.inf:  # NaN too: a plan of no chunks is no sample
+        raise ValueError(f"need a positive sample count (1 <= n < inf), got n={n}")
+
+
+def _index_sel(k, n_dim):
+    """The index classes ``k`` selects: all for None, none for an integral k
+    outside 0..N.  Any other k that is not integral raises ValueError."""
+    if k is not None and not float(k).is_integer():
+        raise ValueError(f"need an integral index k, got k={k}")
+    return tuple(range(n_dim + 1)) if k is None else (int(k),) if 0 <= k <= n_dim else ()
 
 
 class _Target(NamedTuple):
@@ -371,6 +379,8 @@ def _accumulate(model, n, seed, stream, antithetic, targets):
 def _sample(model, points, n, seed, stream, antithetic, num_sel, den_sel=None):
     """:func:`_accumulate` at every (r, u_thr) of ``points``, one factor of
     Sigma(r) per distinct r."""
+    if not points:
+        raise ValueError("need at least one (r, u_thr) point")
     factors = {r: _factor_matrix(model, r, antithetic == "flip") for r, _ in points}
     targets = [_Target(factors[r], u_thr, num_sel, den_sel) for r, u_thr in points]
     return _accumulate(model, n, seed, STREAMS[stream], antithetic, targets)
@@ -393,11 +403,11 @@ def rice_density_mc(model, r, u_thr, k=None, n=200_000, seed=0, antithetic="nega
     closed-form prefactor; only the absolute level depends on it, every
     ratio estimator cancels it.
     """
-    if k is not None and not (0 <= k <= model.n_dim):
+    sel = _index_sel(k, model.n_dim)
+    if not sel:
         _check_n(n)
         return RiceEstimate(0.0, 0.0, int(n), int(seed), k, float(r), float(u_thr))
     t0 = time.perf_counter()
-    sel = tuple(range(model.n_dim + 1)) if k is None else (int(k),)
     (acc,) = _sample(model, [(r, u_thr)], n, seed, "density", antithetic, sel)
     pref = _prefactor(model, r, u_thr)
     return _estimate(acc, t0, pref * acc["num"] / acc["n"],
@@ -487,14 +497,14 @@ def mean_critical_density(model, k=None, n=500_000, seed=0):
     field-value rows at threshold -inf (every sample live) and no pairing.
     """
     n_dim = model.n_dim
-    if k is not None and not (0 <= k <= n_dim):
+    sel = _index_sel(k, n_dim)
+    if not sel:
         _check_n(n)
         return RiceEstimate(0.0, 0.0, int(n), int(seed), k, 0.0, -math.inf)
     t0 = time.perf_counter()
     root = _sym_root(_g22_origin(model.d2, n_dim))
     factor = np.vstack([root, np.zeros((2, root.shape[1]))])
     p_grad0 = (-4.0 * math.pi * model.d1) ** (-n_dim / 2.0)
-    sel = tuple(range(n_dim + 1)) if k is None else (int(k),)
     (acc,) = _accumulate(model, n, seed, STREAMS["unconditional"], None,
                          [_Target(factor, -math.inf, sel)])
     # unpaired, so a pair unit is one sample

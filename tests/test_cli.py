@@ -66,6 +66,10 @@ class TestExitCodes:
         pytest.param({"mc": {"seed": True}}, id="seed-bool"),
         pytest.param({"model": {"family": "gaussian", "N": 2.5}}, id="N-fraction"),
         pytest.param({"tol": True}, id="tol-bool"),
+        pytest.param({"output": {"path": 5}}, id="path-number"),
+        pytest.param({"model": {"family": "gaussian", "params": [["a", 2]]}}, id="params-list"),
+        pytest.param({"model": {"family": "gaussian", "params": {"a": True}}},
+                     id="params-bool"),
     ])
     def test_malformed_config_value_is_config_error(self, raw, tmp_path, capsys):
         # a file entry of the wrong JSON type exits 2 with one line: it is

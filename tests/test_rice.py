@@ -65,6 +65,19 @@ class TestDensityEstimator:
         with pytest.raises(ValueError):
             rice_density_mc(gauss2, 0.5, 0.0, n=0)
 
+    @pytest.mark.parametrize("k", [1.5, 7.5, math.nan])
+    def test_non_integral_index_is_caller_error(self, gauss2, k):
+        # not read as the index it truncates to, nor as an out-of-range zero
+        for estimator in (lambda: rice_density_mc(gauss2, 0.1, 1.0, k=k, n=1000),
+                          lambda: mean_critical_density(gauss2, k=k, n=1000)):
+            with pytest.raises(ValueError, match="integral index"):
+                estimator()
+
+    def test_integral_float_index_is_that_index(self, gauss2):
+        a = rice_density_mc(gauss2, 0.1, 1.0, k=1, n=1000, seed=2)
+        b = rice_density_mc(gauss2, 0.1, 1.0, k=1.0, n=1000, seed=2)
+        assert (a.value, a.stderr) == (b.value, b.stderr)
+
 
 class TestQuadratureOracle:
     def test_matches_monte_carlo_at_zero_threshold(self, gauss2):
@@ -341,7 +354,7 @@ class TestRatios:
         assert a.value > 0.0
         assert abs(a.value - b.value) < 3.0 * math.hypot(a.stderr, b.stderr)
 
-    @pytest.mark.parametrize("n", [0, -5, 0.5, math.nan])
+    @pytest.mark.parametrize("n", [0, -5, 0.5, math.nan, math.inf])
     @pytest.mark.parametrize("estimator", [
         lambda m, n: rice_density_mc(m, 0.5, 0.0, n=n),
         lambda m, n: index_ratio_mc(m, 0.5, 0.0, (2,), (1,), n=n),
@@ -357,6 +370,10 @@ class TestRatios:
         # a caller error, not a sample that saw no mass
         with pytest.raises(ValueError, match="positive sample count"):
             estimator(gauss2, n)
+
+    def test_empty_point_list_is_caller_error(self, gauss2):
+        with pytest.raises(ValueError, match="at least one"):
+            ratio_sweep("maxima_share", gauss2, [], 4096, 0)
 
     def test_empty_denominator_raises(self, gauss2):
         # the mean shift's weights underflow to 0 so far out
