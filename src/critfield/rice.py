@@ -129,20 +129,6 @@ def _sym_root(sigma):
     return (vec * np.sqrt(np.clip(lam, 0.0, None))[None, :]) @ vec.T
 
 
-def _factor_matrix(model, r, flip):
-    """A factor M with M M^T = Sigma(r u) along the axis direction u.
-
-    With ``flip``, M is :func:`~critfield.spectral.factor_at`'s factor, whose
-    last N+1 columns continue ker Sigma0 through every eigenvalue crossing:
-    they are the kernel coordinates that the flip pairing negates.
-    Otherwise M is the symmetric root.  The two differ by an orthogonal right
-    factor, so the induced laws agree.
-    """
-    if flip:
-        return factor_at(model, r)
-    return _sym_root(conditional_covariance(model, r).sigma)
-
-
 def _projection_from(factor, u_thr):
     """Projection of the origin onto {y: rows L-1, L of factor both >= u_thr},
     the mean shift of the sampler at u_thr >= 2.
@@ -233,12 +219,12 @@ class _Target(NamedTuple):
 def _accumulate(model, n, seed, stream, antithetic, targets):
     """One pass over the sample plan, mapped through every target.
 
-    ``antithetic`` selects the pairing of each drawn innovation y':
-    "negate" pairs y' with -y' (the |det| part is even, so the symmetric
-    component of the integrand cancels); "flip" pairs y' with the reflection
-    negating the kernel coordinates, which swaps the two determinant-sign
-    classes in the r -> 0 limit and all but removes the shared noise from
-    sign ratios.
+    ``antithetic`` pairs each drawn innovation y' with a reflection of the
+    factor's columns: "negate" negates all L, giving -y' (the |det| part is
+    even, so the symmetric component of the integrand cancels); "flip" the
+    last N+1, which continue ker Sigma0, so the pair swaps the two
+    determinant-sign classes as r -> 0 and all but removes the shared noise
+    from sign ratios; None draws no partner, and any other value raises.
 
     The chunks run on the worker pool.  A worker draws and pairs its chunk
     BLOCK rows at a time, in place in a block buffer made by the caller, and
@@ -267,9 +253,11 @@ def _accumulate(model, n, seed, stream, antithetic, targets):
     n_dim = model.n_dim
     m = model.vech_dim
     L = targets[0].factor.shape[1]
-    parts = 2 if antithetic in ("negate", "flip") else 1  # samples per pair unit
+    pairings = {"negate": 0, "flip": L - n_dim - 1, None: None}  # the first column negated
+    if antithetic not in pairings:
+        raise ValueError(f"unknown antithetic pairing {antithetic!r}")
+    parts = 1 if antithetic is None else 2  # samples per pair unit
     n = int(n) + int(n) % parts
-    rank0 = L - n_dim - 1
     n_cls = n_dim + 2  # index 0..N, then degenerate
     maps, masks = [], []  # per target: what maps a block, what selects its classes
     for t in targets:
@@ -339,11 +327,9 @@ def _accumulate(model, n, seed, stream, antithetic, targets):
                 block = [buf[:parts * k] for buf in bufs]
                 ys = block[0]
                 rng.standard_normal(out=ys[:k])
-                if antithetic == "flip":
+                if parts == 2:
                     ys[k:] = ys[:k]
-                    ys[k:, rank0:] *= -1.0
-                elif parts == 2:
-                    np.negative(ys[:k], out=ys[k:])
+                    ys[k:, pairings[antithetic]:] *= -1.0
                 for target_map, mine, theirs in zip(maps, drawn, partners):
                     first, second = live_rows(target_map, *block, lo, k)
                     mine.append(first)
@@ -377,11 +363,11 @@ def _accumulate(model, n, seed, stream, antithetic, targets):
 
 
 def _sample(model, points, n, seed, stream, antithetic, num_sel, den_sel=None):
-    """:func:`_accumulate` at every (r, u_thr) of ``points``, one factor of
-    Sigma(r) per distinct r."""
+    """:func:`_accumulate` at every (r, u_thr) of ``points``, on
+    :func:`~critfield.spectral.factor_at`'s factor of Sigma(r) per distinct r."""
     if not points:
         raise ValueError("need at least one (r, u_thr) point")
-    factors = {r: _factor_matrix(model, r, antithetic == "flip") for r, _ in points}
+    factors = {r: factor_at(model, r) for r, _ in points}
     targets = [_Target(factors[r], u_thr, num_sel, den_sel) for r, u_thr in points]
     return _accumulate(model, n, seed, STREAMS[stream], antithetic, targets)
 
@@ -432,10 +418,8 @@ def index_ratio_mc(model, r, u_thr, num_indices, den_indices, n=2_000_000, seed=
     Numerator and denominator share every sample, so the prefactor and the
     overall normalization cancel exactly; the error bar is the delta-method
     standard error at the antithetic-pair level.  ``antithetic="flip"``
-    (which takes ``factor_at``'s factor, whose last N+1 columns continue the
-    kernel) pairs each sample with its class-swapping reflection and resolves
-    the small systematic deviation of sign ratios far below plain-sampling
-    noise.
+    pairs each sample with its class-swapping reflection and resolves the
+    small systematic deviation of sign ratios far below plain-sampling noise.
     """
     num_sel, den_sel = tuple(num_indices), tuple(den_indices)
     (est,) = _ratios(model, [(r, u_thr)], num_sel, den_sel, n, seed, stream, (num_sel, den_sel),

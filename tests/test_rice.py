@@ -20,6 +20,7 @@ from critfield.rice import (InsufficientSamplesError, index_ratio_mc,
                             maxima_share, mean_critical_density, psi_ratio,
                             ratio_sweep, rice_density_mc, rice_density_quadrature,
                             sign_ratio)
+from critfield.spectral import factor_at
 from critfield.symmetric import DEGEN_TOL, matriculate, packed_inertia
 
 
@@ -286,7 +287,7 @@ class TestRatios:
             else:
                 est = rice_density_mc(model, r, u_thr, n=n, seed=1, antithetic=antithetic)
                 scale = est.extras["prefactor"] / parts
-            factor = rice_mod._factor_matrix(model, r, antithetic == "flip")
+            factor = factor_at(model, r)
         assert len(shifts) <= 1
         shift = shifts[0] if shifts else None
         assert (shift is not None) == (u_thr >= 2.0)
@@ -448,8 +449,8 @@ class TestProjection:
         for r in (0.0, 1e-3, 5e-3, 0.02, 0.3):
             pairs = [self._shift(model, r, u_thr)]
             if r > 0:
-                flip = rice_mod._factor_matrix(model, r, True)
-                pairs.append((flip, rice_mod._projection_from(flip, u_thr)))
+                factor = factor_at(model, r)
+                pairs.append((factor, rice_mod._projection_from(factor, u_thr)))
             for factor, shift in pairs:
                 s = factor[-2] + factor[-1]
                 off = shift - (shift @ s) / (s @ s) * s
@@ -475,27 +476,48 @@ def test_prefactor_matches_closed_form(n_dim):
 
 
 def test_factor_matrix_follows_the_kernel():
-    # the flip pairing negates the flip factor's last N+1 columns; these
-    # continue ker Sigma0 past the eigenvalue crossings, so the negation
+    # the flip pairing negates the last N+1 columns of factor_at's factor;
+    # these continue ker Sigma0 past the eigenvalue crossings, so the negation
     # still swaps the determinant sign in most pairs (all of them as r -> 0)
     ys = np.random.default_rng(19).standard_normal((20_000, 5))
     flipped = ys.copy()
     flipped[:, 2:] *= -1.0  # L = 5 at N=2, the last N+1 = 3 columns
     for model, r in ((cauchy_model(2), 0.1), (cauchy_model(2), 0.3), (gaussian_model(2), 0.3)):
-        factor = rice_mod._factor_matrix(model, r, True)
+        factor = factor_at(model, r)
         det, det_flipped = (np.linalg.det(matriculate(y @ factor.T, 2))
                             for y in (ys, flipped))
         assert np.mean(det * det_flipped < 0) >= 0.6
-    # both branches root Sigma(r); the negate pairing's root is symmetric
+    # the factor roots Sigma(r)
     for model in (gaussian_model(n_dim) for n_dim in (2, 3, 4)):
         for r in (0.02, 0.3):
-            for flip in (True, False):
-                factor = rice_mod._factor_matrix(model, r, flip)
-                sigma = conditional_covariance(model, r).sigma
-                scale = np.abs(sigma).max()
-                assert np.abs(factor @ factor.T - sigma).max() <= 1e-12 * scale
-                if not flip:
-                    assert np.abs(factor - factor.T).max() <= 1e-12 * math.sqrt(scale)
+            factor = factor_at(model, r)
+            sigma = conditional_covariance(model, r).sigma
+            assert np.abs(factor @ factor.T - sigma).max() <= 1e-12 * np.abs(sigma).max()
+
+
+def test_every_pairing_maps_through_factor_at(gauss2, monkeypatch):
+    # one factor of Sigma(r) whatever the pairing: each target of a pass is
+    # the factor factor_at returns at its radius
+    made, seen = [], []
+    monkeypatch.setattr(rice_mod, "factor_at",
+                        lambda model, r: made.append((r, factor_at(model, r))) or made[-1][1])
+    accumulate = rice_mod._accumulate
+    monkeypatch.setattr(rice_mod, "_accumulate", lambda *args: seen.append(args[-1])
+                        or accumulate(*args))
+    for antithetic in ("negate", "flip", None):
+        maxima_share(gauss2, 0.05, 1.0, n=4096, seed=1, antithetic=antithetic)
+    ratio_sweep("sign_ratio", gauss2, [(0.1, 1.0), (0.02, 4.0)], 4096, 1)
+    assert [r for r, _ in made] == [0.05, 0.05, 0.05, 0.1, 0.02]
+    targets = [t for pass_targets in seen for t in pass_targets]
+    assert len(targets) == len(made)
+    assert all(t.factor is factor for t, (_, factor) in zip(targets, made))
+
+
+@pytest.mark.parametrize("antithetic", ["bogus", "Negate", False])
+def test_unknown_pairing_is_caller_error(gauss2, antithetic):
+    # not run unpaired under a name it does not have
+    with pytest.raises(ValueError, match="unknown antithetic pairing"):
+        maxima_share(gauss2, 0.1, 1.0, n=4096, antithetic=antithetic)
 
 
 def test_mean_critical_density_total_partition(gauss2):
@@ -593,7 +615,7 @@ def test_class_hits_count_live_samples(gauss2, gauss3):
     # plain sampling in one chunk: recount the live samples from the stream
     n, u_thr = 50_000, 0.5
     est = rice_density_mc(gauss2, 0.3, u_thr, n=n, seed=4, antithetic=None)
-    factor = rice_mod._factor_matrix(gauss2, 0.3, False)
+    factor = factor_at(gauss2, 0.3)
     rng = rice_mod._chunk_rng(4, rice_mod.STREAMS["density"], 0)
     vals = rng.standard_normal((n, factor.shape[1])) @ factor[-2:].T
     live = int(((vals[:, 0] > u_thr) & (vals[:, 1] > u_thr)).sum())
