@@ -219,7 +219,7 @@ def test_criterion_07b_maxima_share_half():
     # threshold to infinity); this test asserts it at one finite point,
     # r=0.02 and u=4.  There, three routes agree on a share near 0.5133:
     #   - the production estimator (mean-shift proposal, negate-paired)
-    #     gives 0.5126 +- 0.0012 at n=2e6 (this test) and 0.5134 +- 0.0004
+    #     gives 0.5127 +- 0.0012 at n=2e6 (this test) and 0.5133 +- 0.0004
     #     at n=2e7;
     #   - the class-swap-paired estimator (antithetic="flip") gives
     #     0.51322 +- 0.00004 at n=2e6;
@@ -249,7 +249,7 @@ def test_criterion_07b_maxima_share_half():
         f"maxima_share(r=0.02, u=4) = {share.value:.4f} +- {share.stderr:.4f}: "
         f"{abs(share.value - 0.5) / share.stderr:.1f} standard errors from 1/2. "
         "The class-swap-paired estimator gives 0.51322 +- 0.00004 at n=2e6 "
-        "and the production estimator gives 0.5134 +- 0.0004 at n=2e7: a "
+        "and the production estimator gives 0.5133 +- 0.0004 at n=2e7: a "
         "finite-(r, u) offset of about +0.013 from the double limit 1/2.  "
         "The deterministic N=2 quadrature confirms it with a share of "
         "0.51326."
